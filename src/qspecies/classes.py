@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .field import FieldSpec
-from .linalg import InvariantData, Matrix, block_diagonal, companion_matrix, gl_order
+from .linalg import (ConsistencyError, InvariantData, Matrix, block_diagonal,
+                     companion_matrix, gl_order)
 from .poly import Poly, monic_irreducibles
 
 
@@ -72,7 +73,8 @@ def centralizer_order(field: FieldSpec, inv: InvariantData) -> int:
             for k in range(1, m + 1):
                 factor *= 1 - Fraction(1, Q**k)
         total *= factor
-    assert total.denominator == 1 and total > 0
+    if total.denominator != 1 or total <= 0:
+        raise ConsistencyError(f"centralizer order {total} of {inv} is not a positive integer")
     return total.numerator
 
 
@@ -115,7 +117,8 @@ def enumerate_classes(field: FieldSpec, n: int, kind: str = "aut") -> tuple[Conj
         inv = InvariantData.make(n, mapping)
         cent = centralizer_order(field, inv)
         # class size is the GL conjugation orbit size, for End classes too
-        assert order_n % cent == 0
+        if order_n % cent:
+            raise ConsistencyError(f"centralizer order {cent} does not divide |GL_{n}|")
         classes.append(ConjClass(inv, cent, order_n // cent))
     classes.sort(key=lambda c: [ (phi.sort_key(), i, e) for (phi, i), e in c.invariant.sorted_items() ])
     return tuple(classes)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: gen, type, wgen, zindex, classes, irreducibles, oracle, verify,
-selftest.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+selftest.  Exit codes: 0 success, 1 runtime failure (failed check, budget
+exceeded, unsupported operation), 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from . import oracle as oracle_mod
 from .classes import enumerate_classes
 from .field import field_make
-from .linalg import BudgetExceededError
+from .linalg import BudgetExceededError, ConsistencyError
 from .parser import ParseError, parse
 from .poly import monic_irreducibles
 from .series import PowerSeries
@@ -37,7 +38,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", type=int, default=8, help="series truncation order (default 8)")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.add_argument("--budget", type=int, default=None,
-                   help="enumeration budget override for oracle-backed paths")
+                   help="cap on each oracle enumeration, for oracle commands and for "
+                        "type/zindex fixed points without a closed form")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceededError, UnsupportedOperationError) as exc:
+    except (BudgetExceededError, ConsistencyError, UnsupportedOperationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -95,20 +97,19 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args) -> int:
     field = field_make(args.q, args.ext_k)
     fmt = getattr(args, "format", "text")
-    budget_kw = {}
-    if getattr(args, "budget", None):
-        budget_kw["budget"] = args.budget
+    budget = oracle_mod.ORACLE_BUDGET if args.budget is None else args.budget
 
     if args.command in ("gen", "type", "wgen"):
         e = parse(args.expr)
         fn = {"gen": gen_series, "type": type_series, "wgen": weighted_gen_series}[args.command]
-        series = fn(e, field, args.order)
+        kw = {"oracle_budget": args.budget} if args.command == "type" else {}
+        series = fn(e, field, args.order, **kw)
         print(_series_output(series, field.q, fmt))
         return 0
 
     if args.command == "zindex":
         e = parse(args.expr)
-        z = cycle_index(e, field, args.order)
+        z = cycle_index(e, field, args.order, oracle_budget=args.budget)
         if fmt == "json":
             print(json.dumps({"q": field.q, "order": z.order, "terms": z.to_json()},
                              indent=2))
@@ -143,22 +144,22 @@ def _dispatch(args) -> int:
     if args.command == "oracle":
         e = parse(args.expr)
         if args.what == "count":
-            rows = [{"n": n, "count": oracle_mod.structure_count_bf(e, field, n, **budget_kw)}
+            rows = [{"n": n, "count": oracle_mod.structure_count_bf(e, field, n, budget)}
                     for n in range(args.n + 1)]
             _table(rows, ["n", "count"], fmt)
         elif args.what == "orbits":
-            rows = [{"n": n, "orbits": oracle_mod.orbit_count_bf(e, field, n, **budget_kw)}
+            rows = [{"n": n, "orbits": oracle_mod.orbit_count_bf(e, field, n, budget)}
                     for n in range(args.n + 1)]
             _table(rows, ["n", "orbits"], fmt)
         elif args.what == "fix":
             rows = []
             for c in enumerate_classes(field, args.n, "aut"):
-                fix = oracle_mod.fix_count_bf(e, field, args.n,
-                                              c.representative(field), **budget_kw)
+                fix = oracle_mod.fix_count_bf(e, field, args.n, c.representative(field),
+                                              budget)
                 rows.append({"class": str(c.invariant), "fix": fix})
             _table(rows, ["class", "fix"], fmt)
         else:  # zindex
-            z = oracle_mod.zindex_bf(e, field, args.n, **budget_kw)
+            z = oracle_mod.zindex_bf(e, field, args.n, budget)
             if fmt == "json":
                 print(json.dumps({"q": field.q, "order": z.order, "terms": z.to_json()},
                                  indent=2))

@@ -186,7 +186,3 @@ def z_build(field: FieldSpec, fix, order: int) -> CycleIndexSeries:
 
 def z_one(field: FieldSpec, order: int) -> CycleIndexSeries:
     return CycleIndexSeries(field, order, {ZMonomial.make({}): Fraction(1)})
-
-
-def z_zero(field: FieldSpec, order: int) -> CycleIndexSeries:
-    return CycleIndexSeries(field, order, {})

@@ -26,6 +26,16 @@ class BudgetExceededError(RuntimeError):
     """Raised when an exhaustive enumeration would be too large."""
 
 
+class ConsistencyError(RuntimeError):
+    """Raised when a result that the mathematics guarantees does not hold."""
+
+
+def require(ok: bool, what: str) -> None:
+    """Raise ConsistencyError(what) unless ok; unlike assert, kept under -O."""
+    if not ok:
+        raise ConsistencyError(what)
+
+
 @dataclass(frozen=True)
 class Matrix:
     field: FieldSpec
@@ -270,7 +280,7 @@ def qbinomial(field: FieldSpec, n: int, k: int) -> int:
         raise ValueError("need 0 <= k <= n")
     num = gl_order(field, n)
     den = gl_order(field, k) * gl_order(field, n - k) * field.q ** (k * (n - k))
-    assert num % den == 0
+    require(num % den == 0, f"q-binomial [{n} choose {k}] is not an integer")
     return num // den
 
 
@@ -375,7 +385,7 @@ def invariant_data(a: Matrix) -> InvariantData:
             dims = [0]
             while True:
                 k = power.kernel_basis().dim
-                assert k % d == 0
+                require(k % d == 0, "kernel dimension is not a multiple of deg phi")
                 dims.append(k // d)
                 if dims[-1] == dims[-2]:
                     break
@@ -383,11 +393,11 @@ def invariant_data(a: Matrix) -> InvariantData:
             dims.append(dims[-1])
             for i in range(1, len(dims) - 1):
                 e = 2 * dims[i] - dims[i - 1] - dims[i + 1]
-                assert e >= 0
+                require(e >= 0, "negative primary cyclic multiplicity")
                 if e:
                     found[(phi, i)] = e
                     accounted += e * i * d
-    assert accounted == n
+    require(accounted == n, f"invariants account for {accounted} of {n} dimensions")
     return InvariantData.make(n, found)
 
 

@@ -26,7 +26,7 @@ from itertools import product as iproduct
 from .field import FieldSpec
 from .linalg import (BudgetExceededError, DEFAULT_BUDGET, Matrix, Subspace,
                      enumerate_decompositions, enumerate_matrices,
-                     enumerate_subspaces, gl_order, invariant_data)
+                     enumerate_subspaces, gl_order, invariant_data, require)
 from .series import TPoly
 from .cycleindex import CycleIndexSeries, ZMonomial
 from .species import (Assembly, Builtin, Mark, Plus, Power, Product, SpeciesExpr,
@@ -144,50 +144,53 @@ def _enum_product(left: SpeciesExpr, right: SpeciesExpr, field: FieldSpec,
 def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
                    min_parts: int, max_parts: int, budget: int) -> list:
     """Unordered splittings into m nonzero parts, min_parts <= m <= max_parts,
-    with a base-structure on each part, deduplicated as sorted multisets."""
+    with a base-structure on each part.  The parts of a direct sum are distinct
+    subspaces, so each splitting is built once, with the parts' RREF bases in
+    increasing order: the sorted multiset encoding."""
     per_dim: dict[int, list] = {}
     for d in range(1, n + 1):
         per_dim[d] = _enum(base, field, d, budget)
 
-    seen: dict[Structure, TPoly] = {}
+    out = []
 
-    def rec(remaining_rows: tuple, used: int, parts: tuple, weight: TPoly, m: int):
+    def rec(remaining_rows: tuple, used: int, parts: tuple, weight: TPoly):
         if used == n:
-            if m >= min_parts:
-                key = ("mset", tuple(sorted(parts)))
-                if key not in seen:
-                    seen[key] = weight
+            if len(parts) >= min_parts:
+                out.append((("mset", parts), weight))
             return
-        if m == max_parts:
+        if len(parts) == max_parts:
             return
         for d in range(1, n - used + 1):
             if not per_dim[d]:
                 continue
             for w_sub in enumerate_subspaces(field, n, d, budget):
+                if parts and w_sub.basis <= parts[-1][0]:
+                    continue
                 stacked = Matrix.make(field, remaining_rows + w_sub.basis)
                 if stacked.rank() != used + d:
                     continue
                 for s, ws in per_dim[d]:
                     rec(remaining_rows + w_sub.basis, used + d,
-                        parts + ((w_sub.basis, s),), weight * ws, m + 1)
+                        parts + ((w_sub.basis, s),), weight * ws)
 
     if n == 0:
         if min_parts == 0:
             return [(("mset", ()), TPoly.const(1))]
         return []
-    rec((), 0, (), TPoly.const(1), 0)
-    return list(seen.items())
+    rec((), 0, (), TPoly.const(1))
+    return out
 
 
 # -- transport -----------------------------------------------------------------
 
-def _chart_map(field: FieldSpec, g: Matrix, w: Subspace, w_img: Subspace) -> Matrix:
-    """The matrix of g restricted to w, in the RREF bases of w and g(w)."""
-    cols = []
-    for b in w.basis:
-        img = g.matvec(b)
-        cols.append(w_img.coords(img))
-    return Matrix.make(field, tuple(zip(*cols))) if cols else Matrix(field, ())
+def _chart_map(g: Matrix, rows: tuple) -> tuple[Subspace, Matrix]:
+    """g(W) for the subspace W with RREF basis rows, and the matrix of g
+    restricted to W in the RREF bases of W and g(W)."""
+    field = g.field
+    images = [g.matvec(b) for b in rows]
+    w_img = Subspace.from_vectors(field, g.ncols, images)
+    cols = [w_img.coords(v) for v in images]
+    return w_img, Matrix.make(field, tuple(zip(*cols))) if cols else Matrix(field, ())
 
 
 def transport(e: SpeciesExpr, s: Structure, g: Matrix) -> Structure:
@@ -230,9 +233,7 @@ def _transport(e: SpeciesExpr, s: Structure, g: Matrix) -> Structure:
     if isinstance(e, (SymPower, Assembly)):
         members = []
         for rows, enc in s[1]:
-            w = Subspace(field, g.ncols, rows)
-            w_img = w.image(g)
-            h = _chart_map(field, g, w, w_img)
+            w_img, h = _chart_map(g, rows)
             members.append((w_img.basis, _transport(e.base, enc, h)))
         return ("mset", tuple(sorted(members)))
     if isinstance(e, (Plus, Mark)):
@@ -241,14 +242,11 @@ def _transport(e: SpeciesExpr, s: Structure, g: Matrix) -> Structure:
 
 
 def _transport_product(left, right, s, g):
-    field = g.field
     (rows1, s1), (rows2, s2) = s[1], s[2]
     out_parts = []
     for rows, enc, sub_e in ((rows1, s1, left), (rows2, s2, right)):
-        w = Subspace(field, g.ncols, rows)
-        w_img = w.image(g)
-        h = _chart_map(field, g, w, w_img)
-        if w.dim == 0:
+        w_img, h = _chart_map(g, rows)
+        if not rows:
             out_parts.append((w_img.basis, enc))
         else:
             out_parts.append((w_img.basis, _transport(sub_e, enc, h)))
@@ -271,18 +269,12 @@ def inventory_bf(e: SpeciesExpr, field: FieldSpec, n: int,
 
 
 def fix_count_bf(e: SpeciesExpr, field: FieldSpec, n: int, sigma: Matrix,
-                 budget: int = ORACLE_BUDGET) -> int:
-    structures = enumerate_structures(e, field, n, budget)
+                 budget: int = ORACLE_BUDGET, structures: list | None = None) -> int:
+    """Structures on E_n fixed by sigma; ``structures`` is F[E_n] when the
+    caller has already enumerated it."""
+    if structures is None:
+        structures = enumerate_structures(e, field, n, budget)
     return sum(1 for s, _w in structures if _transport(e, s, sigma) == s)
-
-
-def fix_inventory_bf(e: SpeciesExpr, field: FieldSpec, n: int, sigma: Matrix,
-                     budget: int = ORACLE_BUDGET) -> TPoly:
-    total = TPoly()
-    for s, w in enumerate_structures(e, field, n, budget):
-        if _transport(e, s, sigma) == s:
-            total = total + w
-    return total
 
 
 @lru_cache(maxsize=None)
@@ -305,11 +297,12 @@ def _gl_generators(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
 
 
 def orbit_partition(e: SpeciesExpr, field: FieldSpec, n: int,
-                    budget: int = ORACLE_BUDGET) -> list[dict]:
+                    budget: int = ORACLE_BUDGET, structures: list | None = None) -> list[dict]:
     """Aut(E_n)-orbits on structures via BFS over GL generators.
 
     Returns one dict per orbit: representative (minimal encoding), size, weight."""
-    structures = enumerate_structures(e, field, n, budget)
+    if structures is None:
+        structures = enumerate_structures(e, field, n, budget)
     weights = dict(structures)
     gens = _gl_generators(field, n)
     unseen = set(weights)
@@ -332,15 +325,18 @@ def orbit_partition(e: SpeciesExpr, field: FieldSpec, n: int,
 
 def orbit_count_bf(e: SpeciesExpr, field: FieldSpec, n: int,
                    budget: int = ORACLE_BUDGET) -> int:
-    """Orbit count, by explicit partition and by Burnside average; both must agree."""
-    orbits = orbit_partition(e, field, n, budget)
+    """Orbit count, by explicit partition and by Burnside average over all of
+    GL_n; both must agree."""
+    structures = enumerate_structures(e, field, n, budget)
+    orbits = orbit_partition(e, field, n, budget, structures)
     if gl_order(field, n) * field.q ** (n * n) <= budget:
         total = 0
         for sigma in enumerate_matrices(field, n, True, budget):
-            total += fix_count_bf(e, field, n, sigma, budget)
-        assert total % gl_order(field, n) == 0
-        burnside = total // gl_order(field, n)
-        assert burnside == len(orbits), "orbit partition and Burnside disagree"
+            total += fix_count_bf(e, field, n, sigma, budget, structures)
+        burnside, rest = divmod(total, gl_order(field, n))
+        require(rest == 0, f"Burnside total {total} is not divisible by |GL_{n}|")
+        require(burnside == len(orbits),
+                f"orbit partition ({len(orbits)}) and Burnside ({burnside}) disagree")
     return len(orbits)
 
 
@@ -352,7 +348,7 @@ def zindex_bf(e: SpeciesExpr, field: FieldSpec, order: int,
         gn = gl_order(field, n)
         structures = enumerate_structures(e, field, n, budget)
         for sigma in enumerate_matrices(field, n, True, budget):
-            fix = sum(1 for s, _w in structures if _transport(e, s, sigma) == s)
+            fix = fix_count_bf(e, field, n, sigma, budget, structures)
             if fix:
                 m = ZMonomial.from_invariant(invariant_data(sigma))
                 terms[m] = terms.get(m, Fraction(0)) + Fraction(fix, gn)

@@ -2,8 +2,10 @@
 
 A species expression is a small immutable AST.  Builtins carry closed-form
 structure counts and (where one exists) a fixed-point count per conjugacy
-class; everything without a closed form is delegated to the exhaustive
-oracle, which is also the independent check on every closed form here.
+class.  Other fixed-point counts (Sub(k), RepCyclic(m), symmetric powers,
+assemblies) come from ``class_fix``: the oracle counts the structures each
+class representative fixes, with F[E_n] enumerated once per dimension.  The
+oracle's literal sums over all of GL_n stay the independent check.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classes import ConjClass, enumerate_classes
+from .classes import ConjClass, class_weighted_sum, enumerate_classes
 from .field import FieldSpec
-from .linalg import gl_order, q_int, qbinomial
+from .linalg import (DEFAULT_BUDGET, InvariantData, Matrix, gl_order, q_int,
+                     qbinomial, require)
 from .poly import poly_z_minus
 from .series import POLY_T, RATIONAL, PowerSeries, TPoly, ring_one
 from .cycleindex import CycleIndexSeries, z_build
@@ -123,6 +126,12 @@ def _count_fstar(field, n, arg):
     return field.q - 1 if n == 1 else 0
 
 
+def _count_rep_cyclic(field, n, m):
+    """Automorphisms g with g^m = 1, counted class by class on representatives."""
+    ident = Matrix.identity(field, n)
+    return class_weighted_sum(field, n, "aut", lambda c: c.representative(field) ** m == ident)
+
+
 def _parts_of(c: ConjClass, phi) -> tuple[int, ...]:
     return c.invariant.partitions().get(phi, ())
 
@@ -165,7 +174,6 @@ def _fix_aut(field, c):
 
 def _fix_bases(field, c):
     ident = {(poly_z_minus(field, 1), 1): c.n}
-    from .linalg import InvariantData
     is_identity = c.invariant == InvariantData.make(c.n, ident)
     return gl_order(field, c.n) if is_identity else 0
 
@@ -180,7 +188,7 @@ def _fix_count_equals(count):
 class BuiltinSpec:
     name: str
     count: object            # (field, n, arg) -> int
-    fix: object | None       # (field, class) -> int; None means oracle-only
+    fix: object | None       # (field, class) -> int; None: oracle on class representatives
     empty_at_zero: bool
     needs_arg: bool = False
 
@@ -198,12 +206,12 @@ BUILTINS: dict[str, BuiltinSpec] = {
     "Sub": BuiltinSpec("Sub", _count_sub, None, True, needs_arg=True),
     "Fscalar": BuiltinSpec("Fscalar", _count_fscalar, _fix_count_equals(_count_fscalar), True),
     "Fstar": BuiltinSpec("Fstar", _count_fstar, _fix_count_equals(_count_fstar), True),
-    "RepCyclic": BuiltinSpec("RepCyclic", None, None, False, needs_arg=True),
+    "RepCyclic": BuiltinSpec("RepCyclic", _count_rep_cyclic, None, False, needs_arg=True),
 }
 
 
 class UnsupportedOperationError(RuntimeError):
-    """No closed form exists and the oracle budget does not cover the request."""
+    """The requested series is not implemented for this expression (weights)."""
 
 
 def empty_at_zero(e: SpeciesExpr) -> bool:
@@ -212,8 +220,6 @@ def empty_at_zero(e: SpeciesExpr) -> bool:
         spec = BUILTINS[e.name]
         if e.name == "Sub":
             return e.arg != 0
-        if e.name == "RepCyclic":
-            return False  # the trivial representation lives on the zero space
         return spec.empty_at_zero
     if isinstance(e, Sum):
         return empty_at_zero(e.left) and empty_at_zero(e.right)
@@ -262,11 +268,11 @@ def contains_mark(e: SpeciesExpr) -> bool:
 
 
 def structure_count(e: SpeciesExpr, field: FieldSpec, n: int) -> int:
-    """|F[E_n]| from closed forms (oracle-backed for oracle-only builtins)."""
+    """|F[E_n]| from closed forms."""
     c = gen_series(e, field, n).coeffs[n] * gl_order(field, n)
     if isinstance(c, TPoly):
         c = c.subs_t(1)
-    assert c.denominator == 1
+    require(c.denominator == 1, f"structure count {c} is not an integer")
     return c.numerator
 
 
@@ -290,11 +296,7 @@ def _gen(e: SpeciesExpr, field: FieldSpec, order: int, ring: str) -> PowerSeries
         one = ring_one(ring)
         coeffs = []
         for n in range(order + 1):
-            if spec.count is None:
-                from . import oracle
-                cnt = oracle.structure_count_bf(e, field, n)
-            else:
-                cnt = spec.count(field, n, e.arg)
+            cnt = spec.count(field, n, e.arg)
             coeffs.append(one * Fraction(cnt, gl_order(field, n)))
         return PowerSeries(ring, order, coeffs)
     if isinstance(e, Sum):
@@ -324,16 +326,21 @@ def _gen(e: SpeciesExpr, field: FieldSpec, order: int, ring: str) -> PowerSeries
 # -- fix counts per class -------------------------------------------------------
 
 def class_fix(e: SpeciesExpr, field: FieldSpec, c: ConjClass,
-              budget: int | None = None) -> int:
-    """fix F[sigma] for sigma in the given Aut conjugacy class (builtins only)."""
-    if not isinstance(e, Builtin):
-        raise TypeError("class_fix is defined for builtin species")
-    spec = BUILTINS[e.name]
-    if spec.fix is not None:
+              budget: int | None = None, structures: dict | None = None) -> int:
+    """fix F[sigma] for sigma in the given Aut conjugacy class: the builtin's
+    closed form where it has one, else the oracle's count on the class
+    representative.  A walk over many classes passes one ``structures`` dict,
+    which keeps F[E_n] per dimension, so that each n is enumerated once."""
+    spec = BUILTINS[e.name] if isinstance(e, Builtin) else None
+    if spec is not None and spec.fix is not None:
         return spec.fix(field, c)
     from . import oracle
-    return oracle.fix_count_bf(e, field, c.n, c.representative(field),
-                               **({"budget": budget} if budget else {}))
+    budget = DEFAULT_BUDGET if budget is None else budget
+    structures = {} if structures is None else structures
+    if c.n not in structures:
+        structures[c.n] = oracle.enumerate_structures(e, field, c.n, budget)
+    return oracle.fix_count_bf(e, field, c.n, c.representative(field), budget,
+                               structures[c.n])
 
 
 # -- type generating series ------------------------------------------------------
@@ -342,27 +349,31 @@ def type_series(e: SpeciesExpr, field: FieldSpec, order: int,
                 ring: str = RATIONAL, oracle_budget: int | None = None) -> PowerSeries:
     """The type generating series sum ftilde_n x^n, truncated.
 
-    Builtins go through Burnside's lemma over conjugacy classes; assemblies
-    use the Euler product over the operand's type coefficients; symmetric
-    powers have no closed form and fall back to oracle orbit counting."""
+    Builtins and symmetric powers go through Burnside's lemma over conjugacy
+    classes, with fixed points from ``class_fix``; assemblies use the Euler
+    product over the operand's type coefficients.  ``oracle_budget`` bounds
+    each enumeration of F[E_n] behind a fixed-point count without a closed
+    form (BudgetExceededError beyond it)."""
     validate(e)
     return _type(e, field, order, ring, oracle_budget)
 
 
-def _burnside_types(e: Builtin, field: FieldSpec, order: int, budget) -> list[int]:
+def _burnside_types(e: SpeciesExpr, field: FieldSpec, order: int, budget) -> list[int]:
+    structures: dict = {}
     out = []
     for n in range(order + 1):
         total = Fraction(0)
         for c in enumerate_classes(field, n, "aut"):
-            total += Fraction(class_fix(e, field, c, budget), c.centralizer_order)
-        assert total.denominator == 1 and total >= 0
+            total += Fraction(class_fix(e, field, c, budget, structures), c.centralizer_order)
+        require(total.denominator == 1 and total >= 0,
+                f"Burnside sum {total} at n={n} is not a nonnegative integer")
         out.append(total.numerator)
     return out
 
 
 def _type(e: SpeciesExpr, field: FieldSpec, order: int, ring: str, budget) -> PowerSeries:
     one = ring_one(ring)
-    if isinstance(e, Builtin):
+    if isinstance(e, (Builtin, SymPower)):
         ints = _burnside_types(e, field, order, budget)
         return PowerSeries(ring, order, [one * v for v in ints])
     if isinstance(e, Sum):
@@ -371,18 +382,6 @@ def _type(e: SpeciesExpr, field: FieldSpec, order: int, ring: str, budget) -> Po
         return _type(e.left, field, order, ring, budget) * _type(e.right, field, order, ring, budget)
     if isinstance(e, Power):
         return _type(e.base, field, order, ring, budget) ** e.n
-    if isinstance(e, SymPower):
-        from . import oracle
-        coeffs = []
-        for n in range(order + 1):
-            try:
-                coeffs.append(one * oracle.orbit_count_bf(e, field, n,
-                                                          **({"budget": budget} if budget else {})))
-            except Exception as exc:
-                raise UnsupportedOperationError(
-                    f"type series of a symmetric power has no closed form and the "
-                    f"oracle budget does not reach dimension {n}") from exc
-        return PowerSeries(ring, order, coeffs)
     if isinstance(e, Assembly):
         if contains_mark(e.base):
             raise UnsupportedOperationError(
@@ -391,7 +390,8 @@ def _type(e: SpeciesExpr, field: FieldSpec, order: int, ring: str, budget) -> Po
         exponents = {}
         for m in range(1, order + 1):
             c = inner.coeffs[m]
-            assert c.denominator == 1 and c >= 0
+            require(c.denominator == 1 and c >= 0,
+                    f"operand type coefficient {c} at n={m} is not a nonnegative integer")
             exponents[m] = c.numerator
         from .series import euler_product
         return euler_product(exponents, order, ring)
@@ -413,15 +413,18 @@ def cycle_index(e: SpeciesExpr, field: FieldSpec, order: int,
                 oracle_budget: int | None = None) -> CycleIndexSeries:
     """The cycle index series, truncated by graded degree.
 
-    Sum/Product/Power have closed rules; SymPower and Assembly have none
-    (open questions) and are computed by the oracle when within budget."""
+    Sum/Product/Power have closed rules.  Builtins, symmetric powers and
+    assemblies are built class by class from ``class_fix``: closed forms for
+    builtins that have one, else the oracle on class representatives, each
+    enumeration of F[E_n] bounded by ``oracle_budget``."""
     validate(e)
     return _zindex(e, field, order, oracle_budget)
 
 
 def _zindex(e: SpeciesExpr, field: FieldSpec, order: int, budget) -> CycleIndexSeries:
-    if isinstance(e, Builtin):
-        return z_build(field, lambda c: class_fix(e, field, c, budget), order)
+    if isinstance(e, (Builtin, SymPower, Assembly)):
+        structures: dict = {}
+        return z_build(field, lambda c: class_fix(e, field, c, budget, structures), order)
     if isinstance(e, Sum):
         return _zindex(e.left, field, order, budget) + _zindex(e.right, field, order, budget)
     if isinstance(e, Product):
@@ -432,17 +435,6 @@ def _zindex(e: SpeciesExpr, field: FieldSpec, order: int, budget) -> CycleIndexS
         for _ in range(e.n):
             out = out * _zindex(e.base, field, order, budget)
         return out
-    if isinstance(e, (SymPower, Assembly)):
-        from . import oracle
-        try:
-            return oracle.zindex_bf(e, field, order,
-                                    **({"budget": budget} if budget else {}))
-        except Exception as exc:
-            if isinstance(exc, (ValueError, TypeError)):
-                raise
-            raise UnsupportedOperationError(
-                "cycle index of assemblies/symmetric powers has no closed form "
-                "and the oracle budget does not cover this order") from exc
     if isinstance(e, Plus):
         return _zindex(e.base, field, order, budget).drop_constant()
     if isinstance(e, Mark):

@@ -131,3 +131,9 @@ def test_bad_field_exit_code_2(capsys):
 def test_budget_exit_code(capsys):
     code = main(["oracle", "count", "End", "3", "--budget", "10"])
     assert code != 0
+
+
+def test_budget_zero_means_zero(capsys):
+    assert main(["zindex", "E(Vplus)", "--order", "2", "--budget", "0"]) == 1
+    assert main(["type", "sym(2,Vplus)", "--order", "2", "--budget", "0"]) == 1
+    assert main(["oracle", "count", "End", "2", "--budget", "0"]) == 1

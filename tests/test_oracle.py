@@ -10,6 +10,7 @@ from qspecies.species import (class_fix, cycle_index, gen_series,
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
+F4 = field_make(2, 2)
 
 CORPUS = ["Elem", "Proj", "End", "Aut", "Bases", "V", "Vplus", "Sub(1)",
           "Vplus + Proj", "Vplus * Vplus", "Vplus^2", "sym(2, Vplus)",
@@ -91,6 +92,36 @@ def test_orbit_partition_sizes():
 def test_zindex_bf_matches_closed(text):
     e = parse(text)
     assert oracle.zindex_bf(e, F2, 2) == cycle_index(e, F2, 2)
+
+
+@pytest.mark.parametrize("text", ["E(Vplus)", "sym(2, Vplus)"])
+@pytest.mark.parametrize("field, order", [(F2, 3), (F3, 2), (F4, 2)], ids=["q2", "q3", "q4"])
+def test_class_representative_zindex_matches_literal(text, field, order):
+    # production: fixed points on class representatives; oracle: a sum over all of GL_n
+    e = parse(text)
+    assert cycle_index(e, field, order) == oracle.zindex_bf(e, field, order)
+
+
+def test_sym_type_series_matches_orbits():
+    e = parse("sym(2, Vplus)")
+    orbits = [oracle.orbit_count_bf(e, F2, n) for n in range(4)]
+    assert list(type_series(e, F2, 3).coeffs) == orbits
+
+
+def test_assembly_zindex_specializes_at_n4():
+    e = parse("E(Vplus)")
+    z = cycle_index(e, F2, 4)
+    assert list(z.specialize_type().coeffs) == [1, 1, 2, 3, 5]  # partition numbers
+    assert z.specialize_generating() == gen_series(e, F2, 4)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("field, order", [(F2, 3), (F3, 2)], ids=["q2", "q3"])
+def test_rep_cyclic_counts_from_classes(m, field, order):
+    e = parse(f"RepCyclic({m})")
+    g = gen_series(e, field, order)
+    assert ([g.coeffs[n] * gl_order(field, n) for n in range(order + 1)]
+            == [oracle.structure_count_bf(e, field, n) for n in range(order + 1)])
 
 
 def test_rep_cyclic_counts():

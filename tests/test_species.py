@@ -3,8 +3,10 @@ from math import factorial
 
 import pytest
 
+from qspecies import species
+from qspecies.cli import main
 from qspecies.field import field_make
-from qspecies.linalg import gl_order, qbinomial
+from qspecies.linalg import ConsistencyError, gl_order, qbinomial
 from qspecies.series import POLY_T, RATIONAL, TPoly, aut_type_product
 from qspecies.species import (Assembly, Builtin, Mark, Plus, Power, Product,
                               Sum, SymPower, UnsupportedOperationError,
@@ -167,6 +169,16 @@ def test_type_of_marked_assembly_unsupported():
         type_series(Assembly(Mark(B("Vplus"))), F2, 2)
     with pytest.raises(UnsupportedOperationError):
         cycle_index(Mark(B("Vplus")), F2, 2)
+
+
+def test_non_integral_burnside_sum_is_a_failed_check(monkeypatch, capsys):
+    # class sizes are not a fixed-point count: over GL_2(F_2), sum size/|C| = 7/3
+    monkeypatch.setattr(species, "class_fix", lambda e, field, c, *rest: c.class_size)
+    with pytest.raises(ConsistencyError) as info:
+        type_series(B("Proj"), F2, 2)
+    assert not isinstance(info.value, UnsupportedOperationError)
+    assert main(["type", "Proj", "--order", "2"]) == 1
+    assert "Burnside sum" in capsys.readouterr().err
 
 
 def test_mark_requires_weighted_ring():
