@@ -13,6 +13,7 @@ import sys
 
 from . import oracle as oracle_mod
 from .classes import enumerate_classes
+from .cycleindex import CycleIndexSeries
 from .field import field_make
 from .linalg import BudgetExceededError, ConsistencyError
 from .parser import ParseError, parse
@@ -30,6 +31,12 @@ def _series_output(series: PowerSeries, q: int, fmt: str) -> str:
         lines = ["n,coeff"] + [f"{row['n']},{row['coeff']}" for row in series.to_json()]
         return "\n".join(lines)
     return str(series)
+
+
+def _cycle_index_output(z: CycleIndexSeries, q: int, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps({"q": q, "order": z.order, "terms": z.to_json()}, indent=2)
+    return "\n".join(z.render_lines()) or "0"
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -110,11 +117,7 @@ def _dispatch(args) -> int:
     if args.command == "zindex":
         e = parse(args.expr)
         z = cycle_index(e, field, args.order, oracle_budget=args.budget)
-        if fmt == "json":
-            print(json.dumps({"q": field.q, "order": z.order, "terms": z.to_json()},
-                             indent=2))
-        else:
-            print("\n".join(z.render_lines()) or "0")
+        print(_cycle_index_output(z, field.q, fmt))
         return 0
 
     if args.command == "classes":
@@ -160,37 +163,29 @@ def _dispatch(args) -> int:
             _table(rows, ["class", "fix"], fmt)
         else:  # zindex
             z = oracle_mod.zindex_bf(e, field, args.n, budget)
-            if fmt == "json":
-                print(json.dumps({"q": field.q, "order": z.order, "terms": z.to_json()},
-                                 indent=2))
-            else:
-                print("\n".join(z.render_lines()) or "0")
+            print(_cycle_index_output(z, field.q, fmt))
         return 0
 
     if args.command == "verify":
         from .verify import run_checks
-        results = run_checks(args.q, args.ext_k, args.max_dim)
-        report = [r.to_json() for r in results]
-        if fmt == "json":
-            print(json.dumps(report, indent=2))
-        else:
-            for r in results:
-                print(f"[{r.status.upper():4}] {r.identity}"
-                      + (f"  ({r.detail})" if r.detail else ""))
-        return 0 if all(r.ok for r in results) else 1
+        return _report(run_checks(args.q, args.ext_k, args.max_dim), fmt)
 
     if args.command == "selftest":
         from .acceptance import run_acceptance
-        results = run_acceptance()
-        if fmt == "json":
-            print(json.dumps([r.to_json() for r in results], indent=2))
-        else:
-            for r in results:
-                print(f"[{r.status.upper():4}] {r.identity}"
-                      + (f"  ({r.detail})" if r.detail else ""))
-        return 0 if all(r.ok for r in results) else 1
+        return _report(run_acceptance(), fmt)
 
     raise AssertionError("unreachable")
+
+
+def _report(results, fmt: str) -> int:
+    """Print verify/selftest check results; exit 0 only if every check passed."""
+    if fmt == "json":
+        print(json.dumps([r.to_json() for r in results], indent=2))
+    else:
+        for r in results:
+            print(f"[{r.status.upper():4}] {r.identity}"
+                  + (f"  ({r.detail})" if r.detail else ""))
+    return 0 if all(r.ok for r in results) else 1
 
 
 def _table(rows: list[dict], cols: list[str], fmt: str) -> None:

@@ -40,9 +40,6 @@ class ZMonomial:
             raise ValueError("cycle index monomials exclude the polynomial z")
         return ZMonomial(inv.entries)
 
-    def to_invariant(self) -> InvariantData:
-        return InvariantData(self.degree, self.exponents)
-
     @property
     def degree(self) -> int:
         """Graded degree: the dimension of the space the class acts on."""
@@ -112,9 +109,11 @@ class CycleIndexSeries:
                 out[m] = out.get(m, Fraction(0)) + c1 * c2
         return CycleIndexSeries(self.field, self.order, out)
 
-    def scale(self, c) -> "CycleIndexSeries":
-        return CycleIndexSeries(self.field, self.order,
-                                {m: v * c for m, v in self.terms.items()})
+    def __pow__(self, e: int) -> "CycleIndexSeries":
+        out = z_one(self.field, self.order)
+        for _ in range(e):
+            out = out * self
+        return out
 
     def drop_constant(self) -> "CycleIndexSeries":
         return CycleIndexSeries(self.field, self.order,

@@ -17,6 +17,16 @@ MAX_Q = 64
 FieldElem = int
 
 
+class ConsistencyError(RuntimeError):
+    """Raised when a result that the mathematics guarantees does not hold."""
+
+
+def require(ok: bool, what: str) -> None:
+    """Raise ConsistencyError(what) unless ok; unlike assert, kept under -O."""
+    if not ok:
+        raise ConsistencyError(what)
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -224,7 +234,7 @@ def field_make(p: int, k: int, max_q: int = MAX_Q) -> FieldSpec:
             if _bootstrap_irreducible(cand, p):
                 modulus = tuple(cand)
                 break
-        assert modulus is not None
+        require(modulus is not None, f"no monic irreducible of degree {k} over F_{p}")
     spec = FieldSpec(p, k, modulus)
     _FIELD_CACHE[key] = spec
     return spec

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator
 
-from .field import FieldSpec
+from .field import ConsistencyError, FieldSpec, require  # re-exports ConsistencyError
 from .poly import Poly, monic_irreducibles
 
 DEFAULT_BUDGET = 2**24
@@ -24,16 +24,6 @@ DEFAULT_BUDGET = 2**24
 
 class BudgetExceededError(RuntimeError):
     """Raised when an exhaustive enumeration would be too large."""
-
-
-class ConsistencyError(RuntimeError):
-    """Raised when a result that the mathematics guarantees does not hold."""
-
-
-def require(ok: bool, what: str) -> None:
-    """Raise ConsistencyError(what) unless ok; unlike assert, kept under -O."""
-    if not ok:
-        raise ConsistencyError(what)
 
 
 @dataclass(frozen=True)
@@ -110,9 +100,6 @@ class Matrix:
             # fold without building intermediates; rows are short
             _dot(F, row, v)
             for row in self.entries)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, tuple(zip(*self.entries)))
 
     def __pow__(self, e: int) -> "Matrix":
         if self.nrows != self.ncols:
@@ -291,12 +278,7 @@ def companion_matrix(f: Poly) -> Matrix:
         raise ValueError("companion matrix requires a monic polynomial of degree >= 1")
     F = f.field
     d = f.degree
-    rows = []
-    for i in range(d):
-        row = [0] * d
-        if i + 1 < d:
-            row[i + 1] = 0
-        rows.append(row)
+    rows = [[0] * d for _ in range(d)]
     # subdiagonal of ones, last column from -coefficients
     for i in range(1, d):
         rows[i][i - 1] = 1

@@ -49,6 +49,16 @@ def enumerate_structures(e: SpeciesExpr, field: FieldSpec, n: int,
     return out
 
 
+def _power_as_products(e: Power) -> SpeciesExpr:
+    """F^n as the nested product F*(F*(...*F)); F^0 is One."""
+    if e.n == 0:
+        return Builtin("One")
+    inner: SpeciesExpr = e.base
+    for _ in range(e.n - 1):
+        inner = Product(e.base, inner)
+    return inner
+
+
 def _enum(e: SpeciesExpr, field: FieldSpec, n: int, budget: int) -> list:
     one = TPoly.const(1)
     if isinstance(e, Builtin):
@@ -60,12 +70,7 @@ def _enum(e: SpeciesExpr, field: FieldSpec, n: int, budget: int) -> list:
     if isinstance(e, Product):
         return _enum_product(e.left, e.right, field, n, budget)
     if isinstance(e, Power):
-        if e.n == 0:
-            return [(("spc",), one)] if n == 0 else []
-        inner: SpeciesExpr = e.base
-        for _ in range(e.n - 1):
-            inner = Product(e.base, inner)
-        return _enum(inner, field, n, budget)
+        return _enum(_power_as_products(e), field, n, budget)
     if isinstance(e, SymPower):
         return _enum_multiset(e.base, field, n, e.n, e.n, budget)
     if isinstance(e, Assembly):
@@ -224,12 +229,7 @@ def _transport(e: SpeciesExpr, s: Structure, g: Matrix) -> Structure:
     if isinstance(e, Product):
         return _transport_product(e.left, e.right, s, g)
     if isinstance(e, Power):
-        if e.n == 0:
-            return s
-        inner: SpeciesExpr = e.base
-        for _ in range(e.n - 1):
-            inner = Product(e.base, inner)
-        return _transport(inner, s, g)
+        return _transport(_power_as_products(e), s, g)
     if isinstance(e, (SymPower, Assembly)):
         members = []
         for rows, enc in s[1]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .field import FieldSpec
+from .field import FieldSpec, require
 
 
 @dataclass(frozen=True)
@@ -157,10 +157,6 @@ def poly_z(field: FieldSpec) -> Poly:
     return Poly(field, (0, 1))
 
 
-def poly_one(field: FieldSpec) -> Poly:
-    return Poly(field, (1,))
-
-
 def poly_z_minus(field: FieldSpec, lam: int) -> Poly:
     """The linear polynomial z - lam."""
     return Poly.make(field, (field.neg(lam), 1))
@@ -228,5 +224,5 @@ def irreducible_count(field: FieldSpec, d: int) -> int:
         raise ValueError("degree must be >= 1")
     q = field.q
     total = sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
-    assert total % d == 0
+    require(total % d == 0, f"necklace sum {total} is not divisible by {d}")
     return total // d

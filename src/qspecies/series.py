@@ -201,6 +201,9 @@ class PowerSeries:
     def scale(self, c) -> "PowerSeries":
         return PowerSeries(self.ring, self.order, [a * c for a in self.coeffs])
 
+    def drop_constant(self) -> "PowerSeries":
+        return PowerSeries(self.ring, self.order, (ring_zero(self.ring),) + self.coeffs[1:])
+
     def __pow__(self, e: int) -> "PowerSeries":
         out = PowerSeries.one(self.ring, self.order)
         base = self

@@ -1,24 +1,32 @@
 """Built-in q-species and combinators, with their three series.
 
-A species expression is a small immutable AST.  Builtins carry closed-form
-structure counts and (where one exists) a fixed-point count per conjugacy
-class.  Other fixed-point counts (Sub(k), RepCyclic(m), symmetric powers,
-assemblies) come from ``class_fix``: the oracle counts the structures each
-class representative fixes, with F[E_n] enumerated once per dimension.  The
-oracle's literal sums over all of GL_n stay the independent check.
+A species expression is a small immutable AST.  The generating, type and
+cycle index series are one fold over it, ``_fold``: F+G adds, FG multiplies,
+F^n is a power and plus(F) drops the constant term.  Each series supplies only
+its leaves (builtins, sym, E and mark).  Builtins carry closed-form structure
+counts and, where one exists, a fixed-point count per conjugacy class.  Other
+fixed-point counts (Sub(k), RepCyclic(m), sym, E) come from ``class_fix``: the
+oracle counts the structures each class representative fixes, with F[E_n]
+enumerated once per dimension.  The oracle's literal sums over all of GL_n
+stay the independent check.
+
+Weights have one rule: mark(F) multiplies weights by t in the weighted
+generating series, and the type series and cycle index of any expression
+that contains mark raise UnsupportedOperationError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .classes import ConjClass, class_weighted_sum, enumerate_classes
 from .field import FieldSpec
 from .linalg import (DEFAULT_BUDGET, InvariantData, Matrix, gl_order, q_int,
                      qbinomial, require)
 from .poly import poly_z_minus
-from .series import POLY_T, RATIONAL, PowerSeries, TPoly, ring_one
+from .series import POLY_T, RATIONAL, PowerSeries, TPoly, euler_product, ring_one
 from .cycleindex import CycleIndexSeries, z_build
 
 
@@ -238,6 +246,14 @@ def empty_at_zero(e: SpeciesExpr) -> bool:
     raise TypeError(f"unknown species node {e!r}")
 
 
+def _children(e: SpeciesExpr) -> tuple[SpeciesExpr, ...]:
+    if isinstance(e, (Sum, Product)):
+        return (e.left, e.right)
+    if isinstance(e, Builtin):
+        return ()
+    return (e.base,)
+
+
 def _check_operand(e: SpeciesExpr) -> None:
     if not empty_at_zero(e):
         from .parser import render
@@ -247,24 +263,37 @@ def _check_operand(e: SpeciesExpr) -> None:
 
 def validate(e: SpeciesExpr) -> None:
     """Enforce the F[0] = empty precondition on every sym/assembly operand."""
-    if isinstance(e, (Sum, Product)):
-        validate(e.left)
-        validate(e.right)
-    elif isinstance(e, (Power, Plus, Mark)):
-        validate(getattr(e, "base"))
-    elif isinstance(e, (SymPower, Assembly)):
-        validate(e.base)
+    for child in _children(e):
+        validate(child)
+    if isinstance(e, (SymPower, Assembly)):
         _check_operand(e.base)
 
 
 def contains_mark(e: SpeciesExpr) -> bool:
-    if isinstance(e, Mark):
-        return True
-    if isinstance(e, (Sum, Product)):
-        return contains_mark(e.left) or contains_mark(e.right)
-    if isinstance(e, (Power, SymPower, Assembly, Plus)):
-        return contains_mark(e.base)
-    return False
+    return isinstance(e, Mark) or any(contains_mark(c) for c in _children(e))
+
+
+def _validate_unweighted(e: SpeciesExpr, what: str) -> None:
+    """The one rule for weighted species outside ``gen_series``: a ``mark``
+    anywhere in the expression makes the series unsupported."""
+    validate(e)
+    if contains_mark(e):
+        raise UnsupportedOperationError(
+            f"{what} of a weighted species (mark) is not implemented")
+
+
+def _fold(e: SpeciesExpr, leaf):
+    """Sum, Product, Power and Plus by the rules every series shares; any
+    other node is ``leaf(e)``, which folds its own operand where it needs one."""
+    if isinstance(e, Sum):
+        return _fold(e.left, leaf) + _fold(e.right, leaf)
+    if isinstance(e, Product):
+        return _fold(e.left, leaf) * _fold(e.right, leaf)
+    if isinstance(e, Power):
+        return _fold(e.base, leaf) ** e.n
+    if isinstance(e, Plus):
+        return _fold(e.base, leaf).drop_constant()
+    return leaf(e)
 
 
 def structure_count(e: SpeciesExpr, field: FieldSpec, n: int) -> int:
@@ -280,47 +309,34 @@ def structure_count(e: SpeciesExpr, field: FieldSpec, n: int) -> int:
 
 def gen_series(e: SpeciesExpr, field: FieldSpec, order: int,
                ring: str = RATIONAL) -> PowerSeries:
-    """The generating series sum f_n x^n / gamma_n, truncated."""
+    """The generating series sum f_n x^n / gamma_n, truncated.
+
+    Builtins use their closed counts, sym(n, F) is F^n / n!, E(F) is exp(F)
+    and mark(F) multiplies F's series by t, which needs ``ring=POLY_T``."""
     validate(e)
-    return _gen(e, field, order, ring)
+    one = ring_one(ring)
+
+    def leaf(x: SpeciesExpr) -> PowerSeries:
+        if isinstance(x, Builtin):
+            count = BUILTINS[x.name].count
+            return PowerSeries(ring, order, [
+                one * Fraction(count(field, n, x.arg), gl_order(field, n))
+                for n in range(order + 1)])
+        if isinstance(x, SymPower):
+            return (_fold(x.base, leaf) ** x.n).scale(Fraction(1, factorial(x.n)))
+        if isinstance(x, Assembly):
+            return _fold(x.base, leaf).exp()
+        # the remaining leaf is mark(F)
+        if ring != POLY_T:
+            raise ValueError("mark(...) requires the weighted coefficient ring")
+        return _fold(x.base, leaf).scale(TPoly.t())
+
+    return _fold(e, leaf)
 
 
 def weighted_gen_series(e: SpeciesExpr, field: FieldSpec, order: int) -> PowerSeries:
     """Generating series over Q[t]; Mark nodes multiply weights by t."""
     return gen_series(e, field, order, POLY_T)
-
-
-def _gen(e: SpeciesExpr, field: FieldSpec, order: int, ring: str) -> PowerSeries:
-    if isinstance(e, Builtin):
-        spec = BUILTINS[e.name]
-        one = ring_one(ring)
-        coeffs = []
-        for n in range(order + 1):
-            cnt = spec.count(field, n, e.arg)
-            coeffs.append(one * Fraction(cnt, gl_order(field, n)))
-        return PowerSeries(ring, order, coeffs)
-    if isinstance(e, Sum):
-        return _gen(e.left, field, order, ring) + _gen(e.right, field, order, ring)
-    if isinstance(e, Product):
-        return _gen(e.left, field, order, ring) * _gen(e.right, field, order, ring)
-    if isinstance(e, Power):
-        return _gen(e.base, field, order, ring) ** e.n
-    if isinstance(e, SymPower):
-        from math import factorial
-        return (_gen(e.base, field, order, ring) ** e.n).scale(
-            Fraction(1, factorial(e.n)))
-    if isinstance(e, Assembly):
-        return _gen(e.base, field, order, ring).exp()
-    if isinstance(e, Plus):
-        inner = _gen(e.base, field, order, ring)
-        coeffs = list(inner.coeffs)
-        coeffs[0] = coeffs[0] * 0
-        return PowerSeries(ring, order, coeffs)
-    if isinstance(e, Mark):
-        if ring != POLY_T:
-            raise ValueError("mark(...) requires the weighted coefficient ring")
-        return _gen(e.base, field, order, ring).scale(TPoly.t())
-    raise TypeError(f"unknown species node {e!r}")
 
 
 # -- fix counts per class -------------------------------------------------------
@@ -346,16 +362,24 @@ def class_fix(e: SpeciesExpr, field: FieldSpec, c: ConjClass,
 # -- type generating series ------------------------------------------------------
 
 def type_series(e: SpeciesExpr, field: FieldSpec, order: int,
-                ring: str = RATIONAL, oracle_budget: int | None = None) -> PowerSeries:
-    """The type generating series sum ftilde_n x^n, truncated.
+                oracle_budget: int | None = None) -> PowerSeries:
+    """The type generating series sum ftilde_n x^n, truncated, over Q.
 
-    Builtins and symmetric powers go through Burnside's lemma over conjugacy
-    classes, with fixed points from ``class_fix``; assemblies use the Euler
-    product over the operand's type coefficients.  ``oracle_budget`` bounds
-    each enumeration of F[E_n] behind a fixed-point count without a closed
-    form (BudgetExceededError beyond it)."""
-    validate(e)
-    return _type(e, field, order, ring, oracle_budget)
+    Builtins and symmetric powers count orbits by Burnside's lemma over
+    conjugacy classes, with fixed points from ``class_fix``; E(F) is the Euler
+    product over F's type coefficients; the other nodes go through ``_fold``.
+    ``oracle_budget`` bounds each enumeration of F[E_n] behind a fixed-point
+    count without a closed form (BudgetExceededError beyond it).  An
+    expression that contains ``mark`` raises UnsupportedOperationError."""
+    _validate_unweighted(e, "type series")
+
+    def leaf(x: SpeciesExpr) -> PowerSeries:
+        if isinstance(x, Assembly):
+            return _euler_exp(_fold(x.base, leaf), order)
+        return PowerSeries(RATIONAL, order, [
+            Fraction(v) for v in _burnside_types(x, field, order, oracle_budget)])
+
+    return _fold(e, leaf)
 
 
 def _burnside_types(e: SpeciesExpr, field: FieldSpec, order: int, budget) -> list[int]:
@@ -371,40 +395,15 @@ def _burnside_types(e: SpeciesExpr, field: FieldSpec, order: int, budget) -> lis
     return out
 
 
-def _type(e: SpeciesExpr, field: FieldSpec, order: int, ring: str, budget) -> PowerSeries:
-    one = ring_one(ring)
-    if isinstance(e, (Builtin, SymPower)):
-        ints = _burnside_types(e, field, order, budget)
-        return PowerSeries(ring, order, [one * v for v in ints])
-    if isinstance(e, Sum):
-        return _type(e.left, field, order, ring, budget) + _type(e.right, field, order, ring, budget)
-    if isinstance(e, Product):
-        return _type(e.left, field, order, ring, budget) * _type(e.right, field, order, ring, budget)
-    if isinstance(e, Power):
-        return _type(e.base, field, order, ring, budget) ** e.n
-    if isinstance(e, Assembly):
-        if contains_mark(e.base):
-            raise UnsupportedOperationError(
-                "type series of an assembly of a weighted species is not implemented")
-        inner = _type(e.base, field, order, RATIONAL, budget)
-        exponents = {}
-        for m in range(1, order + 1):
-            c = inner.coeffs[m]
-            require(c.denominator == 1 and c >= 0,
-                    f"operand type coefficient {c} at n={m} is not a nonnegative integer")
-            exponents[m] = c.numerator
-        from .series import euler_product
-        return euler_product(exponents, order, ring)
-    if isinstance(e, Plus):
-        inner = _type(e.base, field, order, ring, budget)
-        coeffs = list(inner.coeffs)
-        coeffs[0] = coeffs[0] * 0
-        return PowerSeries(ring, order, coeffs)
-    if isinstance(e, Mark):
-        if ring != POLY_T:
-            raise ValueError("mark(...) requires the weighted coefficient ring")
-        return _type(e.base, field, order, ring, budget).scale(TPoly.t())
-    raise TypeError(f"unknown species node {e!r}")
+def _euler_exp(inner: PowerSeries, order: int) -> PowerSeries:
+    """Type series of E(F) from F's: prod_m 1/(1-x^m)^(ftilde_m)."""
+    exponents = {}
+    for m in range(1, order + 1):
+        c = inner.coeffs[m]
+        require(c.denominator == 1 and c >= 0,
+                f"operand type coefficient {c} at n={m} is not a nonnegative integer")
+        exponents[m] = c.numerator
+    return euler_product(exponents, order)
 
 
 # -- cycle index series -----------------------------------------------------------
@@ -413,31 +412,17 @@ def cycle_index(e: SpeciesExpr, field: FieldSpec, order: int,
                 oracle_budget: int | None = None) -> CycleIndexSeries:
     """The cycle index series, truncated by graded degree.
 
-    Sum/Product/Power have closed rules.  Builtins, symmetric powers and
-    assemblies are built class by class from ``class_fix``: closed forms for
-    builtins that have one, else the oracle on class representatives, each
-    enumeration of F[E_n] bounded by ``oracle_budget``."""
-    validate(e)
-    return _zindex(e, field, order, oracle_budget)
+    Builtins, symmetric powers and assemblies are built class by class with
+    ``z_build`` over ``class_fix``: closed forms for builtins that have one,
+    else the oracle on class representatives, each enumeration of F[E_n]
+    bounded by ``oracle_budget``.  The other nodes go through ``_fold``
+    (Z_{F+G} = Z_F + Z_G, Z_{FG} = Z_F Z_G).  An expression that contains
+    ``mark`` raises UnsupportedOperationError."""
+    _validate_unweighted(e, "cycle index")
 
-
-def _zindex(e: SpeciesExpr, field: FieldSpec, order: int, budget) -> CycleIndexSeries:
-    if isinstance(e, (Builtin, SymPower, Assembly)):
+    def leaf(x: SpeciesExpr) -> CycleIndexSeries:
         structures: dict = {}
-        return z_build(field, lambda c: class_fix(e, field, c, budget, structures), order)
-    if isinstance(e, Sum):
-        return _zindex(e.left, field, order, budget) + _zindex(e.right, field, order, budget)
-    if isinstance(e, Product):
-        return _zindex(e.left, field, order, budget) * _zindex(e.right, field, order, budget)
-    if isinstance(e, Power):
-        from .cycleindex import z_one
-        out = z_one(field, order)
-        for _ in range(e.n):
-            out = out * _zindex(e.base, field, order, budget)
-        return out
-    if isinstance(e, Plus):
-        return _zindex(e.base, field, order, budget).drop_constant()
-    if isinstance(e, Mark):
-        raise UnsupportedOperationError(
-            "cycle index over the weighted ring is not implemented")
-    raise TypeError(f"unknown species node {e!r}")
+        return z_build(field, lambda c: class_fix(x, field, c, oracle_budget, structures),
+                       order)
+
+    return _fold(e, leaf)

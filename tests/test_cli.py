@@ -63,6 +63,18 @@ def test_wgen(capsys):
     assert doc["series"][2]["coeff"] in ("1/2*t^2+1/6*t", "1/6*t+1/2*t^2")
 
 
+@pytest.mark.parametrize("argv", [
+    ["type", "sym(2,mark(Vplus))", "--order", "3"],
+    ["zindex", "E(mark(Vplus))", "--order", "2"],
+    ["type", "mark(Vplus)"],
+])
+def test_type_and_zindex_of_weighted_species_not_implemented(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not implemented" in captured.err
+
+
 def test_zindex_text(capsys):
     code, out = run(capsys, "zindex", "Elem", "--order", "2")
     assert code == 0

@@ -1,6 +1,7 @@
 import pytest
 
-from qspecies.field import field_make
+from qspecies import field
+from qspecies.field import ConsistencyError, field_make
 
 
 TEST_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]
@@ -72,3 +73,10 @@ def test_element_range_checked():
     F2 = field_make(2, 1)
     with pytest.raises(ValueError):
         F2.add(0, 5)
+
+
+def test_missing_modulus_is_a_failed_check(monkeypatch):
+    monkeypatch.setattr(field, "_FIELD_CACHE", {})
+    monkeypatch.setattr(field, "_bootstrap_irreducible", lambda coeffs, p: False)
+    with pytest.raises(ConsistencyError):
+        field_make(2, 2)

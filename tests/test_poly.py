@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from qspecies.field import field_make
+import qspecies
+from qspecies import poly
+from qspecies.field import ConsistencyError, field_make
 from qspecies.poly import (Poly, irreducible_count, is_irreducible,
                            monic_irreducibles, poly_z, poly_z_minus)
 
@@ -93,3 +100,33 @@ def test_rendering():
     assert str(P2(1, 1, 1)) == "z^2+z+1"
     assert str(Poly.make(F3, (0, 2))) == "2*z"
     assert str(P2()) == "0"
+
+
+def _mobius_one_only(n):
+    # without mu(2) = -1, the degree-2 necklace sum over F_3 is 9, odd
+    return 1 if n == 1 else 0
+
+
+def test_necklace_divisibility_is_a_failed_check(monkeypatch):
+    monkeypatch.setattr(poly, "_mobius", _mobius_one_only)
+    with pytest.raises(ConsistencyError):
+        irreducible_count(F3, 2)
+
+
+def test_necklace_divisibility_check_survives_python_O():
+    script = (
+        "import sys\n"
+        "from qspecies import poly\n"
+        "from qspecies.field import ConsistencyError, field_make\n"
+        "poly._mobius = lambda n: 1 if n == 1 else 0\n"
+        "try:\n"
+        "    poly.irreducible_count(field_make(3, 1), 2)\n"
+        "except ConsistencyError:\n"
+        "    print('ConsistencyError', sys.flags.optimize)\n"
+    )
+    src = str(Path(qspecies.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["ConsistencyError", "1"]

@@ -7,6 +7,8 @@ from qspecies import species
 from qspecies.cli import main
 from qspecies.field import field_make
 from qspecies.linalg import ConsistencyError, gl_order, qbinomial
+from qspecies.oracle import structure_count_bf
+from qspecies.parser import parse
 from qspecies.series import POLY_T, RATIONAL, TPoly, aut_type_product
 from qspecies.species import (Assembly, Builtin, Mark, Plus, Power, Product,
                               Sum, SymPower, UnsupportedOperationError,
@@ -139,6 +141,21 @@ def test_cycle_index_assembly_small():
     z = cycle_index(e, F2, 2)
     assert z.specialize_generating() == gen_series(e, F2, 2)
     assert z.specialize_type() == type_series(e, F2, 2)
+
+
+@pytest.mark.parametrize("text", [
+    "Vplus^0", "plus(E(Vplus))", "sym(2,Vplus)^2", "E(Vplus)*Proj",
+    "plus(sym(2,Vplus)) + Elem", "(Proj + Vplus)^2"])
+def test_cycle_index_specializes_through_every_node(text):
+    # each of Sum/Product/Power/Plus/sym/E sits as an operand and as a parent;
+    # the oracle's counts check the rules the three series share
+    e = parse(text)
+    z = cycle_index(e, F2, 3)
+    g = gen_series(e, F2, 3)
+    assert z.specialize_generating() == g
+    assert z.specialize_type() == type_series(e, F2, 3)
+    assert [g.coeffs[n] * gl_order(F2, n) for n in range(4)] == \
+        [structure_count_bf(e, F2, n) for n in range(4)]
 
 
 # ------------------------------------------------------------ weighted
