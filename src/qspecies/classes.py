@@ -10,8 +10,8 @@ dimensions where GL enumeration is impossible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
 from .field import FieldSpec
 from .linalg import (ConsistencyError, InvariantData, Matrix, block_diagonal,
@@ -59,23 +59,22 @@ def _partitions(m: int) -> tuple[tuple[int, ...], ...]:
 
 def centralizer_order(field: FieldSpec, inv: InvariantData) -> int:
     """Product over irreducibles phi of
-    Q^(|l| + 2n(l)) * prod_i prod_{k=1}^{m_i(l)} (1 - Q^-k), Q = q^deg(phi)."""
-    total = Fraction(1)
+    Q^(|l| + 2n(l) - sum_i m_i(l)(m_i(l)+1)/2) * prod_i prod_{k=1}^{m_i(l)} (Q^k - 1),
+    Q = q^deg(phi): Q^(|l| + 2n(l)) * prod_i prod_k (1 - Q^-k) with the
+    powers of Q collected, so that every factor is an integer."""
+    total = 1
     for phi, parts in inv.partitions().items():
         Q = field.q ** phi.degree
-        size = sum(parts)
-        nl = sum(j * part for j, part in enumerate(parts))
-        factor = Fraction(Q) ** (size + 2 * nl)
-        mult: dict[int, int] = {}
-        for part in parts:
-            mult[part] = mult.get(part, 0) + 1
-        for m in mult.values():
+        exponent = sum(parts) + 2 * sum(j * part for j, part in enumerate(parts))
+        for _part, run in groupby(parts):
+            m = len(list(run))
+            exponent -= m * (m + 1) // 2
             for k in range(1, m + 1):
-                factor *= 1 - Fraction(1, Q**k)
-        total *= factor
-    if total.denominator != 1 or total <= 0:
-        raise ConsistencyError(f"centralizer order {total} of {inv} is not a positive integer")
-    return total.numerator
+                total *= Q**k - 1
+        if exponent < 0:
+            raise ConsistencyError(f"centralizer order of {inv} is not a positive integer")
+        total *= Q**exponent
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -99,14 +99,19 @@ class CycleIndexSeries:
 
     def __mul__(self, other: "CycleIndexSeries") -> "CycleIndexSeries":
         self._compat(other)
+        by_degree: dict[int, list] = {}
+        for m2, c2 in other.terms.items():
+            by_degree.setdefault(m2.degree, []).append((m2, c2))
+        buckets = sorted(by_degree.items())
         out: dict[ZMonomial, Fraction] = {}
         for m1, c1 in self.terms.items():
-            d1 = m1.degree
-            for m2, c2 in other.terms.items():
-                if d1 + m2.degree > self.order:
-                    continue
-                m = m1.mul(m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+            room = self.order - m1.degree
+            for d2, bucket in buckets:
+                if d2 > room:
+                    break
+                for m2, c2 in bucket:
+                    m = m1.mul(m2)
+                    out[m] = out.get(m, Fraction(0)) + c1 * c2
         return CycleIndexSeries(self.field, self.order, out)
 
     def __pow__(self, e: int) -> "CycleIndexSeries":

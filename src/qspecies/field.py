@@ -94,13 +94,14 @@ class FieldSpec:
     Use :func:`field_make` rather than calling the constructor directly.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "_add", "_mul", "_neg", "_inv")
+    __slots__ = ("p", "k", "q", "modulus", "_add", "_mul", "_neg", "_inv", "_hash")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
         self.p = p
         self.k = k
         self.q = p**k
         self.modulus = modulus
+        self._hash = hash((p, k, modulus))  # every Poly key hashes its field
         self._build_tables()
 
     def _digits(self, rep: int) -> list[int]:
@@ -202,7 +203,7 @@ class FieldSpec:
                 and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus))
 
     def __hash__(self) -> int:
-        return hash((self.p, self.k, self.modulus))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, k={self.k}, q={self.q})"

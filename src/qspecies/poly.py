@@ -162,19 +162,36 @@ def poly_z_minus(field: FieldSpec, lam: int) -> Poly:
     return Poly.make(field, (field.neg(lam), 1))
 
 
-def _all_monic(field: FieldSpec, d: int):
-    for lower in product(range(field.q), repeat=d):
-        yield Poly(field, tuple(lower) + (1,))
-
-
 @lru_cache(maxsize=None)
 def _irreducibles_cached(field: FieldSpec, d: int) -> tuple[Poly, ...]:
-    if d == 1:
-        polys = list(_all_monic(field, 1))
-    else:
-        divisors = [g for e in range(1, d // 2 + 1) for g in _irreducibles_cached(field, e)]
-        polys = [f for f in _all_monic(field, d)
-                 if all(not (f % g).is_zero for g in divisors)]
+    """Sieve: mark every product g*h, g monic irreducible of degree e <= d/2 and
+    h monic of degree d-e; the unmarked monics of degree d are the irreducibles.
+    A monic of degree d is marked at the code sum_{i<d} c_i q^i of its lower
+    coefficients."""
+    q, add, mul = field.q, field._add, field._mul
+    reducible = bytearray(q**d)
+    for e in range(1, d // 2 + 1):
+        for g in _irreducibles_cached(field, e):
+            g_low = [(i, mul[c]) for i, c in enumerate(g.coeffs[:-1]) if c]
+            for lower in product(range(q), repeat=d - e):
+                h = lower + (1,)
+                out = [0] * e + list(lower)  # z^e * h without its z^d term
+                for i, row in g_low:
+                    for j, c in enumerate(h):
+                        if c:
+                            out[i + j] = add[out[i + j]][row[c]]
+                code = 0
+                for c in reversed(out):
+                    code = code * q + c
+                reducible[code] = 1
+    polys = []
+    for code in range(q**d):
+        if not reducible[code]:
+            coeffs = []
+            for _ in range(d):
+                code, c = divmod(code, q)
+                coeffs.append(c)
+            polys.append(Poly(field, tuple(coeffs) + (1,)))
     polys.sort(key=Poly.sort_key)
     return tuple(polys)
 

@@ -1,4 +1,5 @@
-from collections import defaultdict
+from collections import Counter, defaultdict
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from qspecies.linalg import enumerate_matrices, gl_order, invariant_data
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
+F4 = field_make(2, 2)
 
 
 def brute_class_table(field, n, invertible_only):
@@ -78,3 +80,29 @@ def test_class_weighted_sum_identity():
 def test_bad_kind_rejected():
     with pytest.raises(ValueError):
         enumerate_classes(F2, 2, "units")
+
+
+def fraction_centralizer_order(field, inv):
+    """Reference: prod over phi of Q^(|l| + 2n(l)) prod_i prod_{k<=m_i} (1 - Q^-k)."""
+    total = Fraction(1)
+    for phi, parts in inv.partitions().items():
+        Q = field.q ** phi.degree
+        nl = sum(j * part for j, part in enumerate(parts))
+        total *= Fraction(Q) ** (sum(parts) + 2 * nl)
+        for m in Counter(parts).values():
+            for k in range(1, m + 1):
+                total *= 1 - Fraction(1, Q**k)
+    return total
+
+
+@pytest.mark.parametrize("field,top", [(F2, 8), (F3, 5), (F4, 4)])
+@pytest.mark.parametrize("kind", ["aut", "end"])
+def test_centralizer_order_matches_fraction_formula(field, top, kind):
+    for n in range(top + 1):
+        for c in enumerate_classes(field, n, kind):
+            assert centralizer_order(field, c.invariant) == fraction_centralizer_order(
+                field, c.invariant)
+
+
+def test_class_sizes_sum_to_gl12_order():
+    assert sum(c.class_size for c in enumerate_classes(F2, 12, "aut")) == gl_order(F2, 12)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qspecies
 from qspecies.cli import main
 
 F4_IRREDUCIBLE_COUNT = 6  # monic irreducible quadratics over F_4
@@ -149,3 +154,13 @@ def test_budget_zero_means_zero(capsys):
     assert main(["zindex", "E(Vplus)", "--order", "2", "--budget", "0"]) == 1
     assert main(["type", "sym(2,Vplus)", "--order", "2", "--budget", "0"]) == 1
     assert main(["oracle", "count", "End", "2", "--budget", "0"]) == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(qspecies.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "qspecies", "gen", "Elem", "--order", "2"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip()

@@ -6,7 +6,9 @@ from qspecies.classes import enumerate_classes
 from qspecies.cycleindex import CycleIndexSeries, ZMonomial, z_build, z_one
 from qspecies.field import field_make
 from qspecies.linalg import InvariantData, gl_order
+from qspecies.parser import parse
 from qspecies.poly import Poly
+from qspecies.species import cycle_index
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -115,3 +117,27 @@ def test_render_and_json():
     assert any("2/3" in ln and "x[z+1,1]" in ln for ln in lines)
     js = z.to_json()
     assert {"n", "terms"} <= set(js[0].keys()) or "coeff" in js[0]
+
+
+def naive_mul(a, b):
+    """Reference: every pair of terms, kept when the degrees fit the order."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            if m1.degree + m2.degree <= a.order:
+                m = m1.mul(m2)
+                out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return CycleIndexSeries(a.field, a.order, out)
+
+
+@pytest.mark.parametrize("field,order", [(F2, 6), (F3, 4), (F2, 0), (F3, 0)])
+@pytest.mark.parametrize("factors", [("Elem", "Proj"), ("Proj", "Proj", "Proj"),
+                                     ("End", "Elem")])
+def test_bucketed_mul_matches_double_loop(field, order, factors):
+    zs = [cycle_index(parse(f), field, order) for f in factors]
+    got = expected = zs[0]
+    for z in zs[1:]:
+        got, expected = got * z, naive_mul(expected, z)
+    assert got == expected
+    # products of degree exactly the order are kept, not truncated
+    assert not expected.terms or order in {m.degree for m in expected.terms}

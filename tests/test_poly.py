@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from qspecies.poly import (Poly, irreducible_count, is_irreducible,
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
+F4 = field_make(2, 2)
 
 
 def P2(*coeffs):
@@ -130,3 +132,28 @@ def test_necklace_divisibility_check_survives_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["ConsistencyError", "1"]
+
+
+def trial_division_irreducibles(field, top):
+    """Reference: per degree d <= top, every monic of degree d that no
+    irreducible of degree <= d/2 divides, in canonical order."""
+    found = {}
+    for d in range(1, top + 1):
+        divisors = [g for e in range(1, d // 2 + 1) for g in found[e]]
+        monics = (Poly(field, lower + (1,)) for lower in product(range(field.q), repeat=d))
+        found[d] = sorted((f for f in monics if all(not (f % g).is_zero for g in divisors)),
+                          key=Poly.sort_key)
+    return found
+
+
+@pytest.mark.parametrize("field,top", [(F2, 12), (F3, 7), (F4, 5)])
+def test_sieve_counts_match_necklace_formula(field, top):
+    for d in range(1, top + 1):
+        assert len(monic_irreducibles(field, d)) == irreducible_count(field, d)
+
+
+@pytest.mark.parametrize("field,top", [(F2, 8), (F3, 5), (F4, 4)])
+def test_sieve_matches_trial_division(field, top):
+    reference = trial_division_irreducibles(field, top)
+    for d in range(1, top + 1):
+        assert monic_irreducibles(field, d) == reference[d]
