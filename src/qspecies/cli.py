@@ -39,14 +39,21 @@ def _cycle_index_output(z: CycleIndexSeries, q: int, fmt: str) -> str:
     return "\n".join(z.render_lines()) or "0"
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=int, default=2, help="field characteristic base (default 2)")
-    p.add_argument("--ext-k", type=int, default=1, help="extension degree k, q = p^k (default 1)")
-    p.add_argument("--order", type=int, default=8, help="series truncation order (default 8)")
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--budget", type=int, default=None,
-                   help="cap on each oracle enumeration, for oracle commands and for "
-                        "type/zindex fixed points without a closed form")
+def _add_options(p: argparse.ArgumentParser, *, field: bool = True, order: bool = False,
+                 budget: bool = False, formats: tuple = ("text", "json")) -> None:
+    """Register the common options the command reads; any other is a usage error."""
+    if field:
+        p.add_argument("--q", type=int, default=2, help="field characteristic base (default 2)")
+        p.add_argument("--ext-k", type=int, default=1,
+                       help="extension degree k, q = p^k (default 1)")
+    if order:
+        p.add_argument("--order", type=int, default=8,
+                       help="series truncation order (default 8)")
+    if budget:
+        p.add_argument("--budget", type=int, default=None,
+                       help="cap on each oracle enumeration, for oracle commands and for "
+                            "type/zindex fixed points without a closed form")
+    p.add_argument("--format", choices=list(formats), default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,30 +67,32 @@ def build_parser() -> argparse.ArgumentParser:
                            ("zindex", "cycle index series of EXPR")]:
         p = sub.add_parser(cmd, help=help_text)
         p.add_argument("expr")
-        _add_common(p)
+        _add_options(p, order=True, budget=cmd in ("type", "zindex"),
+                     formats=("text", "json") if cmd == "zindex" else ("text", "json", "csv"))
 
     p = sub.add_parser("classes", help="conjugacy class table of Aut(E_n)")
     p.add_argument("n", type=int)
     p.add_argument("--kind", choices=["aut", "end"], default="aut")
-    _add_common(p)
+    _add_options(p)
 
     p = sub.add_parser("irreducibles", help="monic irreducibles of degree d")
     p.add_argument("d", type=int)
     p.add_argument("--exclude-z", action="store_true")
-    _add_common(p)
+    _add_options(p)
 
     p = sub.add_parser("oracle", help="exhaustive-enumeration ground truth")
     p.add_argument("what", choices=["count", "fix", "orbits", "zindex"])
     p.add_argument("expr")
     p.add_argument("n", type=int)
-    _add_common(p)
+    _add_options(p, budget=True, formats=("text", "json", "csv"))
 
     p = sub.add_parser("verify", help="oracle-vs-closed-form identity suite")
     p.add_argument("--max-dim", type=int, default=3)
-    _add_common(p)
+    _add_options(p)
 
-    p = sub.add_parser("selftest", help="run the acceptance checks")
-    _add_common(p)
+    p = sub.add_parser("selftest", help="the acceptance criteria: the verify identities "
+                                        "at pinned fields and orders, with pinned values")
+    _add_options(p, field=False)
 
     return ap
 
@@ -102,9 +111,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
+    fmt = args.format
+    if args.command == "selftest":
+        from .verify import CRITERIA
+        return _report([criterion() for criterion in CRITERIA], fmt)
+
     field = field_make(args.q, args.ext_k)
-    fmt = getattr(args, "format", "text")
-    budget = oracle_mod.ORACLE_BUDGET if args.budget is None else args.budget
 
     if args.command in ("gen", "type", "wgen"):
         e = parse(args.expr)
@@ -146,6 +158,7 @@ def _dispatch(args) -> int:
 
     if args.command == "oracle":
         e = parse(args.expr)
+        budget = oracle_mod.ORACLE_BUDGET if args.budget is None else args.budget
         if args.what == "count":
             rows = [{"n": n, "count": oracle_mod.structure_count_bf(e, field, n, budget)}
                     for n in range(args.n + 1)]
@@ -162,6 +175,8 @@ def _dispatch(args) -> int:
                 rows.append({"class": str(c.invariant), "fix": fix})
             _table(rows, ["class", "fix"], fmt)
         else:  # zindex
+            if fmt == "csv":
+                raise ValueError("oracle zindex has no csv format")
             z = oracle_mod.zindex_bf(e, field, args.n, budget)
             print(_cycle_index_output(z, field.q, fmt))
         return 0
@@ -169,10 +184,6 @@ def _dispatch(args) -> int:
     if args.command == "verify":
         from .verify import run_checks
         return _report(run_checks(args.q, args.ext_k, args.max_dim), fmt)
-
-    if args.command == "selftest":
-        from .acceptance import run_acceptance
-        return _report(run_acceptance(), fmt)
 
     raise AssertionError("unreachable")
 
@@ -183,7 +194,7 @@ def _report(results, fmt: str) -> int:
         print(json.dumps([r.to_json() for r in results], indent=2))
     else:
         for r in results:
-            print(f"[{r.status.upper():4}] {r.identity}"
+            print(f"[{'PASS' if r.ok else 'FAIL'}] {r.identity}"
                   + (f"  ({r.detail})" if r.detail else ""))
     return 0 if all(r.ok for r in results) else 1
 

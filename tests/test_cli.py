@@ -156,6 +156,38 @@ def test_budget_zero_means_zero(capsys):
     assert main(["oracle", "count", "End", "2", "--budget", "0"]) == 1
 
 
+IGNORED_OPTIONS = [
+    ["selftest", "--q", "3"],
+    ["selftest", "--budget", "0"],
+    ["verify", "--max-dim", "1", "--budget", "0"],
+    ["verify", "--order", "2"],
+    ["classes", "2", "--order", "3"],
+    ["irreducibles", "2", "--order", "3"],
+    ["oracle", "count", "End", "2", "--order", "3"],
+    ["gen", "Elem", "--budget", "5"],
+    ["wgen", "E(mark(Vplus))", "--budget", "5"],
+    ["classes", "2", "--budget", "5"],
+    ["irreducibles", "2", "--budget", "5"],
+    ["zindex", "Elem", "--format", "csv"],
+    ["classes", "2", "--format", "csv"],
+    ["irreducibles", "2", "--format", "csv"],
+    ["verify", "--format", "csv"],
+    ["selftest", "--format", "csv"],
+]
+
+
+@pytest.mark.parametrize("argv", IGNORED_OPTIONS, ids=[" ".join(a) for a in IGNORED_OPTIONS])
+def test_option_the_command_ignores_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_oracle_zindex_has_no_csv(capsys):
+    assert main(["oracle", "zindex", "Elem", "1", "--format", "csv"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(qspecies.__file__).resolve().parents[1])
     env = dict(os.environ)

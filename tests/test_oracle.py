@@ -134,14 +134,6 @@ def test_rep_cyclic_counts():
     assert oracle.structure_count_bf(e, F2, 2) == 3  # I and the two order-3 elements
 
 
-def test_gen_series_from_oracle_counts():
-    # spot check: oracle counts reproduce the generating series of a compound
-    e = parse("E(Vplus)")
-    g = gen_series(e, F2, 3)
-    for n in range(4):
-        assert g.coeffs[n] * gl_order(F2, n) == oracle.structure_count_bf(e, F2, n)
-
-
 def test_budget_enforced():
     from qspecies.linalg import BudgetExceededError
     with pytest.raises(BudgetExceededError):

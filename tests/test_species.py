@@ -116,13 +116,6 @@ def test_type_series_integer_coefficients():
 
 # ------------------------------------------------------------ cycle index
 
-def test_cycle_index_specializes_to_gen_and_type():
-    for name in ("Elem", "Proj", "End", "Aut", "V", "Vplus"):
-        z = cycle_index(B(name), F2, 3)
-        assert z.specialize_generating() == gen_series(B(name), F2, 3)
-        assert z.specialize_type() == type_series(B(name), F2, 3)
-
-
 def test_cycle_index_product_rule():
     a, b = B("Vplus"), B("Elem")
     z = cycle_index(Product(a, b), F2, 3)
