@@ -40,7 +40,7 @@ class ConjClass:
 
 
 @lru_cache(maxsize=None)
-def _partitions(m: int) -> tuple[tuple[int, ...], ...]:
+def partitions(m: int) -> tuple[tuple[int, ...], ...]:
     """Partitions of m as descending tuples; the empty partition for m = 0."""
     if m == 0:
         return ((),)
@@ -100,7 +100,7 @@ def enumerate_classes(field: FieldSpec, n: int, kind: str = "aut") -> tuple[Conj
             if d > weight:
                 break
             for m in range(1, weight // d + 1):
-                for parts in _partitions(m):
+                for parts in partitions(m):
                     for part in parts:
                         acc[(polys[j], part)] = acc.get((polys[j], part), 0) + 1
                     rec(j + 1, weight - m * d, acc)

@@ -4,6 +4,12 @@ A monomial of graded degree n is exactly the invariant data of an
 Aut(E_n) conjugacy class, so the series is built class-by-class as
 fix(class)/centralizer_order(class) on the class monomial.
 
+Psi_r (``adams``) is the ring map x_{psi,i} -> prod_phi x_{phi, i*v_phi},
+where psi(z^r) = prod_phi phi^(v_phi): if z^r acts on a module of invariant
+x_{psi,i}, then z acts on F_q[z] tensored with it over F_q[z^r], which is
+F_q[z]/(psi(z^r)^i), with one cyclic primary part F_q[z]/(phi^(i*v_phi)) per
+factor.  With ``exp`` it gives the plethysms of E(F) and sym(m, F).
+
 The type specialisation substitutes x_{phi,i} -> x^(i*deg phi), i.e. every
 class of dimension n lands on x^n.  The literal substitution x_{phi,i} ->
 x^i stated alongside the definition only recovers the type series when all
@@ -17,10 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .classes import enumerate_classes
-from .field import FieldSpec
+from .field import FieldSpec, require
 from .linalg import InvariantData
+from .poly import Poly, monic_irreducibles
 from .series import RATIONAL, PowerSeries, ring_zero
 
 
@@ -97,12 +105,15 @@ class CycleIndexSeries:
             out[m] = out.get(m, Fraction(0)) + c
         return CycleIndexSeries(self.field, self.order, out)
 
+    def _by_degree(self) -> dict[int, list]:
+        by_degree: dict[int, list] = {}
+        for m, c in self.terms.items():
+            by_degree.setdefault(m.degree, []).append((m, c))
+        return by_degree
+
     def __mul__(self, other: "CycleIndexSeries") -> "CycleIndexSeries":
         self._compat(other)
-        by_degree: dict[int, list] = {}
-        for m2, c2 in other.terms.items():
-            by_degree.setdefault(m2.degree, []).append((m2, c2))
-        buckets = sorted(by_degree.items())
+        buckets = sorted(other._by_degree().items())
         out: dict[ZMonomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             room = self.order - m1.degree
@@ -119,6 +130,47 @@ class CycleIndexSeries:
         for _ in range(e):
             out = out * self
         return out
+
+    def scale(self, c) -> "CycleIndexSeries":
+        return CycleIndexSeries(self.field, self.order,
+                                {m: v * c for m, v in self.terms.items()})
+
+    def adams(self, r: int) -> "CycleIndexSeries":
+        """Psi_r: x_{psi,i} -> prod_phi x_{phi, i*v_phi} for psi(z^r) = prod phi^(v_phi),
+        extended to a ring map; it multiplies graded degree by r."""
+        if r < 1:
+            raise ValueError("Adams operations are indexed by r >= 1")
+        out: dict[ZMonomial, Fraction] = {}
+        for m, c in self.terms.items():
+            if m.degree * r > self.order:
+                continue
+            image: dict = {}
+            for (psi, i), e in m.exponents:
+                for phi, v in _factor_at_power(psi, r):
+                    image[(phi, i * v)] = image.get((phi, i * v), 0) + e
+            m_r = ZMonomial.make(image)
+            out[m_r] = out.get(m_r, Fraction(0)) + c
+        return CycleIndexSeries(self.field, self.order, out)
+
+    def exp(self) -> "CycleIndexSeries":
+        """exp(A) for A without constant term.  Multiplying each monomial by its
+        degree is a derivation, so the degree-n part of B = exp(A) is
+        B_n = (1/n) sum_k k A_k B_(n-k), with A_k the degree-k part of A."""
+        a = self._by_degree()
+        if 0 in a:
+            raise ValueError("exp requires zero constant term")
+        b: list[dict] = [{ZMonomial.make({}): Fraction(1)}]
+        for n in range(1, self.order + 1):
+            part: dict[ZMonomial, Fraction] = {}
+            for k in range(1, n + 1):
+                for m1, c1 in a.get(k, ()):
+                    c1k = c1 * k
+                    for m2, c2 in b[n - k].items():
+                        m = m1.mul(m2)
+                        part[m] = part.get(m, Fraction(0)) + c1k * c2
+            b.append({m: c / n for m, c in part.items() if c})
+        return CycleIndexSeries(self.field, self.order,
+                                {m: c for part in b for m, c in part.items()})
 
     def drop_constant(self) -> "CycleIndexSeries":
         return CycleIndexSeries(self.field, self.order,
@@ -174,6 +226,38 @@ class CycleIndexSeries:
 
     def __str__(self) -> str:
         return " + ".join(self.render_lines()) if self.terms else "0"
+
+
+@lru_cache(maxsize=None)
+def _factor_at_power(psi: Poly, r: int) -> tuple[tuple[Poly, int], ...]:
+    """psi(z^r) = prod phi^v over monic irreducibles phi (never z, since
+    psi(0) != 0), by trial division with the sieved irreducibles.  Once no
+    factor of degree below d is left and the rest has degree below 2d, the
+    rest is irreducible, and it must be one of the sieved ones."""
+    field = psi.field
+    coeffs = [0] * (r * psi.degree + 1)
+    for j, c in enumerate(psi.coeffs):
+        coeffs[j * r] = c
+    rest = Poly(field, tuple(coeffs))
+    factors = []
+    d = 1
+    while rest.degree >= 2 * d:
+        for phi in monic_irreducibles(field, d, exclude_z=True):
+            v = 0
+            while True:
+                quotient, remainder = divmod(rest, phi)
+                if not remainder.is_zero:
+                    break
+                rest, v = quotient, v + 1
+            if v:
+                factors.append((phi, v))
+        d += 1
+    if rest.degree > 0 and rest in monic_irreducibles(field, rest.degree):
+        factors.append((rest, 1))
+    found = sum(phi.degree * v for phi, v in factors)
+    require(found == r * psi.degree,
+            f"factors of ({psi})(z^{r}) account for degree {found} of {r * psi.degree}")
+    return tuple(factors)
 
 
 def z_build(field: FieldSpec, fix, order: int) -> CycleIndexSeries:

@@ -262,13 +262,21 @@ def q_int(q: int, n: int) -> int:
     return sum(q**i for i in range(n))
 
 
-def qbinomial(field: FieldSpec, n: int, k: int) -> int:
+def gaussian_binomial(Q: int, n: int, k: int) -> int:
+    """[n choose k]_Q = prod_{j<k} (Q^(n-j) - 1) / (Q^(j+1) - 1), for an integer Q."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    num = gl_order(field, n)
-    den = gl_order(field, k) * gl_order(field, n - k) * field.q ** (k * (n - k))
+    num = den = 1
+    for j in range(k):
+        num *= Q ** (n - j) - 1
+        den *= Q ** (j + 1) - 1
     require(num % den == 0, f"q-binomial [{n} choose {k}] is not an integer")
     return num // den
+
+
+def qbinomial(field: FieldSpec, n: int, k: int) -> int:
+    """The number of k-dimensional subspaces of F_q^n."""
+    return gaussian_binomial(field.q, n, k)
 
 
 # -- companion matrices and polynomial evaluation ----------------------------
@@ -327,11 +335,13 @@ class InvariantData:
     def as_dict(self) -> dict:
         return dict(self.entries)
 
-    def partitions(self) -> dict[Poly, tuple[int, ...]]:
-        """Per irreducible phi, the partition with e_{phi,i} parts equal to i."""
+    def partitions(self, max_degree: int | None = None) -> dict[Poly, tuple[int, ...]]:
+        """Per irreducible phi (of degree <= max_degree, if given), the
+        partition with e_{phi,i} parts equal to i."""
         out: dict[Poly, list[int]] = {}
         for (phi, i), e in self.entries:
-            out.setdefault(phi, []).extend([i] * e)
+            if max_degree is None or phi.degree <= max_degree:
+                out.setdefault(phi, []).extend([i] * e)
         return {phi: tuple(sorted(parts, reverse=True)) for phi, parts in out.items()}
 
     def is_automorphism(self) -> bool:

@@ -4,11 +4,15 @@ A species expression is a small immutable AST.  The generating, type and
 cycle index series are one fold over it, ``_fold``: F+G adds, FG multiplies,
 F^n is a power and plus(F) drops the constant term.  Each series supplies only
 its leaves (builtins, sym, E and mark).  Builtins carry closed-form structure
-counts and, where one exists, a fixed-point count per conjugacy class.  Other
-fixed-point counts (Sub(k), RepCyclic(m), sym, E) come from ``class_fix``: the
-oracle counts the structures each class representative fixes, with F[E_n]
-enumerated once per dimension.  The oracle's literal sums over all of GL_n
-stay the independent check.
+counts and a fixed-point count per conjugacy class: Sub(k) and Proj = Sub(1)
+by Birkhoff's count of submodules.  The cycle indices of E(F) and sym(m, F)
+are plethysms of Z_F (``CycleIndexSeries.adams`` and ``exp``), and the type
+series of sym(m, F) is the type specialisation of its cycle index.  The one
+fixed-point count without a closed form, RepCyclic(m)'s, comes from
+``class_fix``: the oracle counts the structures each class representative
+fixes, with F[E_n] enumerated once per dimension; RepCyclic(m)'s type series
+counts classes instead.  The oracle's literal sums over all of GL_n stay the
+independent check.
 
 Weights have one rule: mark(F) multiplies weights by t in the weighted
 generating series, and the type series and cycle index of any expression
@@ -19,15 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import groupby
 from math import factorial
 
-from .classes import ConjClass, class_weighted_sum, enumerate_classes
+from .classes import ConjClass, class_weighted_sum, enumerate_classes, partitions
 from .field import FieldSpec
-from .linalg import (DEFAULT_BUDGET, InvariantData, Matrix, gl_order, q_int,
-                     qbinomial, require)
-from .poly import poly_z_minus
+from .linalg import (DEFAULT_BUDGET, InvariantData, gaussian_binomial,
+                     gl_order, q_int, qbinomial, require)
+from .poly import Poly, poly_z, poly_z_minus
 from .series import POLY_T, RATIONAL, PowerSeries, TPoly, euler_product, ring_one
-from .cycleindex import CycleIndexSeries, z_build
+from .cycleindex import CycleIndexSeries, z_build, z_one
 
 
 class SpeciesExpr:
@@ -134,41 +140,105 @@ def _count_fstar(field, n, arg):
     return field.q - 1 if n == 1 else 0
 
 
+def _rep_cyclic_fixed(field, m):
+    """The class predicate g^m = 1: z^m - 1 is a multiple of g's minimal
+    polynomial, so of every elementary divisor phi^i of g."""
+    z_m_minus_1 = poly_z(field) ** m - Poly(field, (1,))
+    divides: dict = {}
+
+    def fixed(c: ConjClass) -> bool:
+        for (phi, i), _e in c.invariant.entries:
+            if (phi, i) not in divides:
+                divides[(phi, i)] = (z_m_minus_1 % phi**i).is_zero
+            if not divides[(phi, i)]:
+                return False
+        return True
+    return fixed
+
+
 def _count_rep_cyclic(field, n, m):
-    """Automorphisms g with g^m = 1, counted class by class on representatives."""
-    ident = Matrix.identity(field, n)
-    return class_weighted_sum(field, n, "aut", lambda c: c.representative(field) ** m == ident)
+    """Automorphisms g with g^m = 1, counted class by class."""
+    return class_weighted_sum(field, n, "aut", _rep_cyclic_fixed(field, m))
 
 
-def _parts_of(c: ConjClass, phi) -> tuple[int, ...]:
-    return c.invariant.partitions().get(phi, ())
+def _types_rep_cyclic(field, n, m):
+    """Structures up to conjugacy: one per Aut class whose elements have g^m = 1."""
+    return sum(map(_rep_cyclic_fixed(field, m), enumerate_classes(field, n, "aut")))
 
 
-def _fix_one(field, c):
+def _fix_one(field, c, arg):
     return 1 if c.n == 0 else 0
 
 
-def _fix_zero(field, c):
+def _fix_zero(field, c, arg):
     return 0
 
 
-def _fix_elem(field, c):
+def _fix_elem(field, c, arg):
     """Fixed vectors of sigma: the kernel of sigma - 1, of dimension
     = number of parts of the partition at z-1."""
-    ell = len(_parts_of(c, poly_z_minus(field, 1)))
+    ell = len(c.invariant.partitions().get(poly_z_minus(field, 1), ()))
     return field.q**ell
 
 
-def _fix_proj(field, c):
-    """Invariant lines lie in eigenspaces: sum over scalars of [dim eigenspace]_q."""
-    total = 0
-    for lam in range(1, field.q):
-        ell = len(_parts_of(c, poly_z_minus(field, lam)))
-        total += q_int(field.q, ell)
-    return total
+def _fix_sub(field, c, k):
+    """Birkhoff's count: the sigma-invariant k-subspaces are the F_q[z]-submodules
+    of dimension k of V = sum_phi M_phi.  A submodule is the sum of its phi-parts,
+    each of some type nu_phi inside the type lambda_phi of M_phi and of dimension
+    deg phi * |nu_phi|; sum over choices with total dimension k of the product of
+    the counts per phi.  Parts with deg phi > k contribute only nu_phi = 0."""
+    counts = (1,) + (0,) * k  # counts[j]: submodules of dimension j of the parts so far
+    for phi, lam in c.invariant.partitions(max_degree=k).items():
+        d = phi.degree
+        per_phi = _submodule_counts(lam, field.q**d, d, k)
+        counts = [sum(counts[i] * per_phi[j - i] for i in range(j + 1))
+                  for j in range(k + 1)]
+    return counts[k]
 
 
-def _fix_end(field, c):
+@lru_cache(maxsize=None)
+def _submodule_counts(lam: tuple, Q: int, d: int, k: int) -> tuple[int, ...]:
+    """Entry j <= k: the submodules of F_q-dimension j of a phi-primary module of
+    type lam, where deg phi = d and Q = q^d."""
+    out = [0] * (k + 1)
+    for nu in _subpartitions(lam, k // d):
+        out[d * sum(nu)] += _birkhoff(lam, nu, Q)
+    return tuple(out)
+
+
+def _subpartitions(lam: tuple, most: int) -> list[tuple]:
+    """Partitions nu with nu_i <= lam_i and |nu| <= most, the empty one included."""
+    out = []
+
+    def rec(i: int, largest: int, left: int, acc: tuple) -> None:
+        out.append(acc)
+        if i < len(lam):
+            for part in range(1, min(lam[i], largest, left) + 1):
+                rec(i + 1, part, left - part, acc + (part,))
+
+    rec(0, most, most, ())
+    return out
+
+
+def _conjugate(lam: tuple) -> tuple:
+    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0))
+
+
+def _birkhoff(lam: tuple, nu: tuple, Q: int) -> int:
+    """Submodules of type nu in a module of type lam over a discrete valuation
+    ring with residue field F_Q (Butler, Mem. AMS 539; Macdonald, ch. II):
+    prod_i Q^(nu'_{i+1}(lam'_i - nu'_i)) [lam'_i - nu'_{i+1} choose nu'_i - nu'_{i+1}]_Q."""
+    lc = _conjugate(lam)
+    nc = _conjugate(nu)
+    nc += (0,) * (len(lc) + 1 - len(nc))
+    out = 1
+    for i, li in enumerate(lc):
+        out *= (Q ** (nc[i + 1] * (li - nc[i]))
+                * gaussian_binomial(Q, li - nc[i + 1], nc[i] - nc[i + 1]))
+    return out
+
+
+def _fix_end(field, c, arg):
     """Matrices commuting with sigma: q^(dim of the commutant algebra)."""
     dim = 0
     for phi, parts in c.invariant.partitions().items():
@@ -176,19 +246,19 @@ def _fix_end(field, c):
     return field.q**dim
 
 
-def _fix_aut(field, c):
+def _fix_aut(field, c, arg):
     return c.centralizer_order
 
 
-def _fix_bases(field, c):
+def _fix_bases(field, c, arg):
     ident = {(poly_z_minus(field, 1), 1): c.n}
     is_identity = c.invariant == InvariantData.make(c.n, ident)
     return gl_order(field, c.n) if is_identity else 0
 
 
 def _fix_count_equals(count):
-    def fix(field, c):
-        return count(field, c.n, None)
+    def fix(field, c, arg):
+        return count(field, c.n, arg)
     return fix
 
 
@@ -196,25 +266,27 @@ def _fix_count_equals(count):
 class BuiltinSpec:
     name: str
     count: object            # (field, n, arg) -> int
-    fix: object | None       # (field, class) -> int; None: oracle on class representatives
+    fix: object | None       # (field, class, arg) -> int; None: oracle on class representatives
     empty_at_zero: bool
     needs_arg: bool = False
+    types: object | None = None  # (field, n, arg) -> orbit count; None: Burnside over fix
 
 
 BUILTINS: dict[str, BuiltinSpec] = {
     "One": BuiltinSpec("One", _count_one, _fix_one, False),
     "Zero": BuiltinSpec("Zero", _count_zero, _fix_zero, True),
     "Elem": BuiltinSpec("Elem", _count_elem, _fix_elem, False),
-    "Proj": BuiltinSpec("Proj", _count_proj, _fix_proj, True),
+    "Proj": BuiltinSpec("Proj", _count_proj, lambda field, c, arg: _fix_sub(field, c, 1), True),
     "End": BuiltinSpec("End", _count_end, _fix_end, False),
     "Aut": BuiltinSpec("Aut", _count_aut, _fix_aut, False),
     "Bases": BuiltinSpec("Bases", _count_aut, _fix_bases, False),
     "V": BuiltinSpec("V", _count_v, _fix_count_equals(_count_v), False),
     "Vplus": BuiltinSpec("Vplus", _count_vplus, _fix_count_equals(_count_vplus), True),
-    "Sub": BuiltinSpec("Sub", _count_sub, None, True, needs_arg=True),
+    "Sub": BuiltinSpec("Sub", _count_sub, _fix_sub, True, needs_arg=True),
     "Fscalar": BuiltinSpec("Fscalar", _count_fscalar, _fix_count_equals(_count_fscalar), True),
     "Fstar": BuiltinSpec("Fstar", _count_fstar, _fix_count_equals(_count_fstar), True),
-    "RepCyclic": BuiltinSpec("RepCyclic", _count_rep_cyclic, None, False, needs_arg=True),
+    "RepCyclic": BuiltinSpec("RepCyclic", _count_rep_cyclic, None, False, needs_arg=True,
+                             types=_types_rep_cyclic),
 }
 
 
@@ -341,15 +413,16 @@ def weighted_gen_series(e: SpeciesExpr, field: FieldSpec, order: int) -> PowerSe
 
 # -- fix counts per class -------------------------------------------------------
 
-def class_fix(e: SpeciesExpr, field: FieldSpec, c: ConjClass,
+def class_fix(e: Builtin, field: FieldSpec, c: ConjClass,
               budget: int | None = None, structures: dict | None = None) -> int:
-    """fix F[sigma] for sigma in the given Aut conjugacy class: the builtin's
-    closed form where it has one, else the oracle's count on the class
-    representative.  A walk over many classes passes one ``structures`` dict,
-    which keeps F[E_n] per dimension, so that each n is enumerated once."""
-    spec = BUILTINS[e.name] if isinstance(e, Builtin) else None
-    if spec is not None and spec.fix is not None:
-        return spec.fix(field, c)
+    """fix F[sigma] for a builtin F and sigma in the given Aut conjugacy class:
+    the builtin's closed form, which every builtin but RepCyclic(m) has, else
+    the oracle's count on the class representative.  A walk over many classes
+    passes one ``structures`` dict, which keeps F[E_n] per dimension, so that
+    each n is enumerated once."""
+    spec = BUILTINS[e.name]
+    if spec.fix is not None:
+        return spec.fix(field, c, e.arg)
     from . import oracle
     budget = DEFAULT_BUDGET if budget is None else budget
     structures = {} if structures is None else structures
@@ -365,30 +438,41 @@ def type_series(e: SpeciesExpr, field: FieldSpec, order: int,
                 oracle_budget: int | None = None) -> PowerSeries:
     """The type generating series sum ftilde_n x^n, truncated, over Q.
 
-    Builtins and symmetric powers count orbits by Burnside's lemma over
-    conjugacy classes, with fixed points from ``class_fix``; E(F) is the Euler
+    Builtins count orbits by Burnside's lemma over conjugacy classes, with
+    fixed points from ``class_fix`` (RepCyclic(m) counts classes instead);
+    sym(m, F) is the type specialisation of its cycle index; E(F) is the Euler
     product over F's type coefficients; the other nodes go through ``_fold``.
-    ``oracle_budget`` bounds each enumeration of F[E_n] behind a fixed-point
-    count without a closed form (BudgetExceededError beyond it).  An
-    expression that contains ``mark`` raises UnsupportedOperationError."""
+    ``oracle_budget`` bounds each enumeration of F[E_n] behind the cycle index
+    of a sym operand without a closed fixed-point count (BudgetExceededError
+    beyond it).  An expression that contains ``mark`` raises
+    UnsupportedOperationError."""
     _validate_unweighted(e, "type series")
 
     def leaf(x: SpeciesExpr) -> PowerSeries:
         if isinstance(x, Assembly):
             return _euler_exp(_fold(x.base, leaf), order)
-        return PowerSeries(RATIONAL, order, [
-            Fraction(v) for v in _burnside_types(x, field, order, oracle_budget)])
+        if isinstance(x, SymPower):
+            types = cycle_index(x, field, order, oracle_budget).specialize_type()
+            for n, c in enumerate(types.coeffs):
+                require(c.denominator == 1 and c >= 0,
+                        f"sym type coefficient {c} at n={n} is not a nonnegative integer")
+            return types
+        spec = BUILTINS[x.name]
+        counts = ([spec.types(field, n, x.arg) for n in range(order + 1)]
+                  if spec.types is not None else _burnside_types(x, field, order))
+        return PowerSeries(RATIONAL, order, [Fraction(v) for v in counts])
 
     return _fold(e, leaf)
 
 
-def _burnside_types(e: SpeciesExpr, field: FieldSpec, order: int, budget) -> list[int]:
-    structures: dict = {}
+def _burnside_types(e: Builtin, field: FieldSpec, order: int) -> list[int]:
+    """Orbit counts sum_c fix(c)/|C(c)| over Aut classes, from the builtin's
+    closed fixed-point count."""
     out = []
     for n in range(order + 1):
         total = Fraction(0)
         for c in enumerate_classes(field, n, "aut"):
-            total += Fraction(class_fix(e, field, c, budget, structures), c.centralizer_order)
+            total += Fraction(class_fix(e, field, c), c.centralizer_order)
         require(total.denominator == 1 and total >= 0,
                 f"Burnside sum {total} at n={n} is not a nonnegative integer")
         out.append(total.numerator)
@@ -412,17 +496,45 @@ def cycle_index(e: SpeciesExpr, field: FieldSpec, order: int,
                 oracle_budget: int | None = None) -> CycleIndexSeries:
     """The cycle index series, truncated by graded degree.
 
-    Builtins, symmetric powers and assemblies are built class by class with
-    ``z_build`` over ``class_fix``: closed forms for builtins that have one,
-    else the oracle on class representatives, each enumeration of F[E_n]
-    bounded by ``oracle_budget``.  The other nodes go through ``_fold``
-    (Z_{F+G} = Z_F + Z_G, Z_{FG} = Z_F Z_G).  An expression that contains
-    ``mark`` raises UnsupportedOperationError."""
+    Builtins are built class by class with ``z_build`` over ``class_fix``:
+    closed forms for every builtin but RepCyclic(m), whose fixed points the
+    oracle counts on class representatives, each enumeration of F[E_n] bounded
+    by ``oracle_budget``.  E(F) and sym(m, F) are plethysms of Z_F:
+    Z_{E(F)} = exp(sum_r Psi_r(Z_F)/r) and
+    Z_{sym(m,F)} = sum over partitions lambda of m of prod_j Psi_{lambda_j}(Z_F) / z_lambda.
+    The other nodes go through ``_fold`` (Z_{F+G} = Z_F + Z_G,
+    Z_{FG} = Z_F Z_G).  An expression that contains ``mark`` raises
+    UnsupportedOperationError."""
     _validate_unweighted(e, "cycle index")
 
     def leaf(x: SpeciesExpr) -> CycleIndexSeries:
+        if isinstance(x, Assembly):
+            z = _fold(x.base, leaf)
+            total = CycleIndexSeries(field, order, {})
+            for r in range(1, order + 1):
+                total = total + z.adams(r).scale(Fraction(1, r))
+            return total.exp()
+        if isinstance(x, SymPower):
+            z = _fold(x.base, leaf)
+            adams = {r: z.adams(r) for r in range(1, x.n + 1)}
+            total = CycleIndexSeries(field, order, {})
+            for lam in partitions(x.n):
+                term = z_one(field, order).scale(Fraction(1, _z_lambda(lam)))
+                for part in lam:
+                    term = term * adams[part]
+                total = total + term
+            return total
         structures: dict = {}
         return z_build(field, lambda c: class_fix(x, field, c, oracle_budget, structures),
                        order)
 
     return _fold(e, leaf)
+
+
+def _z_lambda(lam: tuple) -> int:
+    """prod_i i^(m_i) m_i!, where lam has m_i parts equal to i."""
+    out = 1
+    for part, run in groupby(lam):
+        m = len(list(run))
+        out *= part**m * factorial(m)
+    return out

@@ -151,8 +151,9 @@ def test_budget_exit_code(capsys):
 
 
 def test_budget_zero_means_zero(capsys):
-    assert main(["zindex", "E(Vplus)", "--order", "2", "--budget", "0"]) == 1
-    assert main(["type", "sym(2,Vplus)", "--order", "2", "--budget", "0"]) == 1
+    # RepCyclic(m)'s cycle index is the one production path that still enumerates
+    assert main(["zindex", "RepCyclic(2)", "--order", "2", "--budget", "0"]) == 1
+    assert main(["type", "sym(2,plus(RepCyclic(2)))", "--order", "2", "--budget", "0"]) == 1
     assert main(["oracle", "count", "End", "2", "--budget", "0"]) == 1
 
 

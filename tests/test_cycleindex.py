@@ -1,13 +1,17 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from qspecies import cycleindex
 from qspecies.classes import enumerate_classes
-from qspecies.cycleindex import CycleIndexSeries, ZMonomial, z_build, z_one
-from qspecies.field import field_make
+from qspecies.cli import main
+from qspecies.cycleindex import (CycleIndexSeries, ZMonomial, _factor_at_power, z_build,
+                                 z_one)
+from qspecies.field import ConsistencyError, field_make
 from qspecies.linalg import InvariantData, gl_order
 from qspecies.parser import parse
-from qspecies.poly import Poly
+from qspecies.poly import Poly, monic_irreducibles
 from qspecies.species import cycle_index
 
 F2 = field_make(2, 1)
@@ -141,3 +145,64 @@ def test_bucketed_mul_matches_double_loop(field, order, factors):
     assert got == expected
     # products of degree exactly the order are kept, not truncated
     assert not expected.terms or order in {m.degree for m in expected.terms}
+
+
+# ------------------------------------------------------------ Adams operations
+
+@pytest.mark.parametrize("field,order", [(F2, 6), (F3, 4)], ids=["q2", "q3"])
+def test_adams_laws(field, order):
+    a = cycle_index(parse("Elem"), field, order)
+    b = cycle_index(parse("Proj"), field, order)
+    ab = cycle_index(parse("Elem*Proj"), field, order)
+    assert ab.adams(1) == ab
+    for r in (2, 3):
+        # a ring map: multiplicative, and linear
+        assert ab.adams(r) == a.adams(r) * b.adams(r)
+        assert (a + b).adams(r) == a.adams(r) + b.adams(r)
+        # every monomial's degree is multiplied by r
+        assert ab.adams(r).specialize_type() == ab.specialize_type().subs_power(r)
+        assert all(m.degree % r == 0 for m in ab.adams(r).terms)
+        for s in (2, 3):
+            assert ab.adams(s).adams(r) == ab.adams(r * s)
+    assert ab.adams(order + 1) == CycleIndexSeries(field, order, {})
+
+
+def test_adams_factors_psi_of_z_to_the_r():
+    z2 = cycle_index(parse("Vplus"), F2, 4).adams(2)
+    # (z+1)(z^2) = (z+1)^2: a point with 1 x 1 block becomes one 2 x 2 Jordan block
+    assert z2.terms[zm((Z1, 2, 1))] == 1
+    # (z^2+z+1)(z^2) = (z^2+z+1)^2 over F_2
+    assert z2.terms[zm((IRR, 2, 1))] == Fraction(1, 3)
+    # over F_3, psi = z+1 gives z^2+1, irreducible; psi = z-1 gives (z-1)(z+1)
+    z_plus_1, z_minus_1 = Poly.make(F3, (1, 1)), Poly.make(F3, (2, 1))
+    z3 = cycle_index(parse("Vplus"), F3, 2).adams(2)
+    assert z3.terms[zm((Poly.make(F3, (1, 0, 1)), 1, 1))] == Fraction(1, 2)
+    assert z3.terms[zm((z_minus_1, 1, 1), (z_plus_1, 1, 1))] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("field,order", [(F2, 5), (F3, 3)], ids=["q2", "q3"])
+def test_exp_is_the_exponential_sum(field, order):
+    a = cycle_index(parse("Vplus + Proj"), field, order)
+    expected = power = z_one(field, order)
+    for k in range(1, order + 1):
+        power = power * a
+        expected = expected + power.scale(Fraction(1, factorial(k)))
+    assert a.exp() == expected
+    with pytest.raises(ValueError):
+        z_one(field, order).exp()
+
+
+def test_a_missing_irreducible_fails_the_factor_check(monkeypatch, capsys):
+    # drop z^2+z+1 from the sieve: the factors of (z^2+z+1)(z^2) no longer
+    # multiply out to degree 4
+    _factor_at_power.cache_clear()
+    monkeypatch.setattr(cycleindex, "monic_irreducibles",
+                        lambda field, d, exclude_z=False: [
+                            f for f in monic_irreducibles(field, d, exclude_z) if f != IRR])
+    try:
+        with pytest.raises(ConsistencyError):
+            cycle_index(parse("Vplus"), F2, 4).adams(2)
+        assert main(["zindex", "E(Vplus)", "--order", "4"]) == 1
+        assert "account for degree" in capsys.readouterr().err
+    finally:
+        _factor_at_power.cache_clear()

@@ -5,12 +5,14 @@ from qspecies.classes import enumerate_classes
 from qspecies.field import field_make
 from qspecies.linalg import Matrix, enumerate_matrices, gl_order
 from qspecies.parser import parse
-from qspecies.species import (class_fix, cycle_index, gen_series,
+from qspecies.cycleindex import z_build
+from qspecies.species import (Builtin, class_fix, cycle_index, gen_series,
                               structure_count, type_series)
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
 F4 = field_make(2, 2)
+F5 = field_make(5, 1)
 
 CORPUS = ["Elem", "Proj", "End", "Aut", "Bases", "V", "Vplus", "Sub(1)",
           "Vplus + Proj", "Vplus * Vplus", "Vplus^2", "sym(2, Vplus)",
@@ -94,12 +96,34 @@ def test_zindex_bf_matches_closed(text):
     assert oracle.zindex_bf(e, F2, 2) == cycle_index(e, F2, 2)
 
 
-@pytest.mark.parametrize("text", ["E(Vplus)", "sym(2, Vplus)"])
+@pytest.mark.parametrize("text", ["E(Vplus)", "sym(2, Vplus)", "sym(3, Proj)",
+                                  "E(plus(Elem))", "E(Sub(1)*Vplus)", "Sub(2)"])
 @pytest.mark.parametrize("field, order", [(F2, 3), (F3, 2), (F4, 2)], ids=["q2", "q3", "q4"])
-def test_class_representative_zindex_matches_literal(text, field, order):
-    # production: fixed points on class representatives; oracle: a sum over all of GL_n
+def test_plethysm_and_birkhoff_match_literal(text, field, order):
+    # production: plethysm of Z_F and Birkhoff's count; oracle: a sum over all of GL_n
     e = parse(text)
     assert cycle_index(e, field, order) == oracle.zindex_bf(e, field, order)
+
+
+@pytest.mark.parametrize("text", ["E(Vplus)", "sym(2, Vplus)"])
+def test_plethysm_matches_class_representatives_at_n4(text):
+    e = parse(text)
+    structures = {n: oracle.enumerate_structures(e, F2, n) for n in range(5)}
+    reference = z_build(F2, lambda c: oracle.fix_count_bf(
+        e, F2, c.n, c.representative(F2), structures=structures[c.n]), 4)
+    assert cycle_index(e, F2, 4) == reference
+
+
+@pytest.mark.parametrize("field, top", [(F2, 5), (F3, 3), (F4, 3), (F5, 2)],
+                         ids=["q2", "q3", "q4", "q5"])
+def test_birkhoff_matches_oracle_fix(field, top):
+    for n in range(top + 1):
+        for k in range(n + 1):
+            e = Builtin("Sub", k)
+            structures = oracle.enumerate_structures(e, field, n)
+            for c in enumerate_classes(field, n, "aut"):
+                assert class_fix(e, field, c) == oracle.fix_count_bf(
+                    e, field, n, c.representative(field), structures=structures), (n, k, c)
 
 
 def test_sym_type_series_matches_orbits():
@@ -122,6 +146,14 @@ def test_rep_cyclic_counts_from_classes(m, field, order):
     g = gen_series(e, field, order)
     assert ([g.coeffs[n] * gl_order(field, n) for n in range(order + 1)]
             == [oracle.structure_count_bf(e, field, n) for n in range(order + 1)])
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("field, order", [(F2, 3), (F3, 2)], ids=["q2", "q3"])
+def test_rep_cyclic_types_count_classes(m, field, order):
+    e = parse(f"RepCyclic({m})")
+    assert list(type_series(e, field, order).coeffs) == [
+        oracle.orbit_count_bf(e, field, n) for n in range(order + 1)]
 
 
 def test_rep_cyclic_counts():

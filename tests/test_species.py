@@ -1,12 +1,18 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from qspecies import species
+import qspecies
+from qspecies import oracle, species
 from qspecies.cli import main
 from qspecies.field import field_make
-from qspecies.linalg import ConsistencyError, gl_order, qbinomial
+from qspecies.classes import enumerate_classes
+from qspecies.linalg import ConsistencyError, Matrix, gl_order, qbinomial
 from qspecies.oracle import structure_count_bf
 from qspecies.parser import parse
 from qspecies.series import POLY_T, RATIONAL, TPoly, aut_type_product
@@ -194,3 +200,59 @@ def test_non_integral_burnside_sum_is_a_failed_check(monkeypatch, capsys):
 def test_mark_requires_weighted_ring():
     with pytest.raises(ValueError):
         gen_series(Mark(B("Vplus")), F2, 2, ring=RATIONAL)
+
+
+# ------------------------------------------------------------ closed forms, no oracle
+
+def test_e_sym_sub_and_rep_cyclic_types_never_enumerate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated structures")
+    monkeypatch.setattr(oracle, "enumerate_structures", refuse)
+    for text in ("E(Vplus)", "sym(2,Proj)", "Sub(3)"):
+        e = parse(text)
+        z = cycle_index(e, F2, 6)
+        assert z.specialize_type() == type_series(e, F2, 6)
+        assert z.specialize_generating() == gen_series(e, F2, 6)
+    assert list(type_series(parse("RepCyclic(2)"), F2, 6).coeffs) == [1, 1, 2, 2, 3, 3, 4]
+
+
+@pytest.mark.parametrize("field, top", [(F2, 7), (F3, 4), (field_make(2, 2), 3)],
+                         ids=["q2", "q3", "q4"])
+def test_rep_cyclic_predicate_matches_representative_powers(field, top):
+    # g^m = 1 read from the elementary divisors, against the matrix power
+    for m in range(7):
+        fixed = species._rep_cyclic_fixed(field, m)
+        for n in range(top + 1):
+            for c in enumerate_classes(field, n, "aut"):
+                assert fixed(c) == (c.representative(field) ** m
+                                    == Matrix.identity(field, n)), (m, c)
+
+
+def test_non_integral_sym_type_is_a_failed_check(monkeypatch, capsys):
+    # with 1/z_lambda replaced by 1/3, type(sym(2,Vplus)) at n=2 reads 2/3
+    monkeypatch.setattr(species, "_z_lambda", lambda lam: 3)
+    with pytest.raises(ConsistencyError):
+        type_series(parse("sym(2,Vplus)"), F2, 3)
+    assert main(["type", "sym(2,Vplus)", "--order", "3"]) == 1
+    assert "sym type coefficient" in capsys.readouterr().err
+
+
+def test_plethysm_checks_survive_python_O():
+    script = (
+        "import sys\n"
+        "from qspecies import cycleindex, species\n"
+        "from qspecies.cli import main\n"
+        "species._z_lambda = lambda lam: 3\n"
+        "print(main(['type', 'sym(2,Vplus)', '--order', '3']))\n"
+        "irreducibles = cycleindex.monic_irreducibles\n"
+        "cycleindex.monic_irreducibles = lambda field, d, exclude_z=False: [\n"
+        "    f for f in irreducibles(field, d, exclude_z) if f.coeffs != (1, 1, 1)]\n"
+        "print(main(['zindex', 'E(Vplus)', '--order', '4']), sys.flags.optimize)\n"
+    )
+    src = str(Path(qspecies.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["1", "1", "1"]
+    assert "sym type coefficient" in out.stderr and "account for degree" in out.stderr
