@@ -99,8 +99,9 @@ def test_zindex_bf_matches_closed(text):
 @pytest.mark.parametrize("text", ["E(Vplus)", "sym(2, Vplus)", "sym(3, Proj)",
                                   "E(plus(Elem))", "E(Sub(1)*Vplus)", "Sub(2)"])
 @pytest.mark.parametrize("field, order", [(F2, 3), (F3, 2), (F4, 2)], ids=["q2", "q3", "q4"])
-def test_plethysm_and_birkhoff_match_literal(text, field, order):
-    # production: plethysm of Z_F and Birkhoff's count; oracle: a sum over all of GL_n
+def test_class_representative_zindex_matches_literal(text, field, order):
+    # production: cycle index over class representatives, from the plethysm of Z_F
+    # and Birkhoff's count; oracle: a sum over all of GL_n
     e = parse(text)
     assert cycle_index(e, field, order) == oracle.zindex_bf(e, field, order)
 
