@@ -52,7 +52,7 @@ def _add_options(p: argparse.ArgumentParser, *, field: bool = True, order: bool 
     if budget:
         p.add_argument("--budget", type=int, default=None,
                        help="cap on each oracle enumeration, for oracle commands and for "
-                            "type/zindex fixed points without a closed form")
+                            "zindex of RepCyclic(m), whose fixed points have no closed form")
     p.add_argument("--format", choices=list(formats), default="text")
 
 
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                            ("zindex", "cycle index series of EXPR")]:
         p = sub.add_parser(cmd, help=help_text)
         p.add_argument("expr")
-        _add_options(p, order=True, budget=cmd in ("type", "zindex"),
+        _add_options(p, order=True, budget=cmd == "zindex",
                      formats=("text", "json") if cmd == "zindex" else ("text", "json", "csv"))
 
     p = sub.add_parser("classes", help="conjugacy class table of Aut(E_n)")
@@ -121,8 +121,7 @@ def _dispatch(args) -> int:
     if args.command in ("gen", "type", "wgen"):
         e = parse(args.expr)
         fn = {"gen": gen_series, "type": type_series, "wgen": weighted_gen_series}[args.command]
-        kw = {"oracle_budget": args.budget} if args.command == "type" else {}
-        series = fn(e, field, args.order, **kw)
+        series = fn(e, field, args.order)
         print(_series_output(series, field.q, fmt))
         return 0
 

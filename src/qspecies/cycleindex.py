@@ -14,9 +14,8 @@ The type specialisation substitutes x_{phi,i} -> x^(i*deg phi), i.e. every
 class of dimension n lands on x^n.  The literal substitution x_{phi,i} ->
 x^i stated alongside the definition only recovers the type series when all
 irreducibles involved have degree 1; the degree-weighted exponent is the
-one that makes Burnside's lemma (and hence the type series identity) hold,
-and is therefore the default.  The literal rule is available for
-comparison via ``literal=True``.
+one that makes Burnside's lemma (and hence the type series identity) hold.
+It sends Psi_r to x -> x^r (``PowerSeries.adams``).
 """
 
 from __future__ import annotations
@@ -52,11 +51,6 @@ class ZMonomial:
     def degree(self) -> int:
         """Graded degree: the dimension of the space the class acts on."""
         return sum(e * i * phi.degree for (phi, i), e in self.exponents)
-
-    @property
-    def literal_exponent(self) -> int:
-        """Sum of i*e_{phi,i}, the exponent the substitution x_{phi,i}=x^i gives."""
-        return sum(e * i for (phi, i), e in self.exponents)
 
     def sorted_items(self) -> list:
         return sorted(self.exponents, key=lambda kv: (kv[0][0].sort_key(), kv[0][1]))
@@ -184,29 +178,21 @@ class CycleIndexSeries:
     def __hash__(self):
         return hash((self.field, self.order, frozenset(self.terms.items())))
 
-    def specialize_generating(self, order: int | None = None) -> PowerSeries:
+    def specialize_generating(self) -> PowerSeries:
         """Keep only monomials in the single variable x_{z-1,1}; x_{z-1,1}^n -> x^n."""
-        F = self.field
-        z_minus_1 = (F.neg(1), 1)
-        n = self.order if order is None else order
-        coeffs = [ring_zero(RATIONAL)] * (n + 1)
+        z_minus_1 = (self.field.neg(1), 1)
+        coeffs = [ring_zero(RATIONAL)] * (self.order + 1)
         for m, c in self.terms.items():
-            items = list(m.exponents)
-            if all(phi.coeffs == z_minus_1 and i == 1 for (phi, i), _e in items):
-                deg = sum(e for _k, e in items)
-                if deg <= n:
-                    coeffs[deg] += c
-        return PowerSeries(RATIONAL, n, coeffs)
+            if all(phi.coeffs == z_minus_1 and i == 1 for (phi, i), _e in m.exponents):
+                coeffs[m.degree] += c
+        return PowerSeries(RATIONAL, self.order, coeffs)
 
-    def specialize_type(self, order: int | None = None, literal: bool = False) -> PowerSeries:
-        """Substitute x_{phi,i} -> x^(i*deg phi) (or x^i with literal=True)."""
-        n = self.order if order is None else order
-        coeffs = [ring_zero(RATIONAL)] * (n + 1)
+    def specialize_type(self) -> PowerSeries:
+        """Substitute x_{phi,i} -> x^(i*deg phi): each monomial lands on x^degree."""
+        coeffs = [ring_zero(RATIONAL)] * (self.order + 1)
         for m, c in self.terms.items():
-            deg = m.literal_exponent if literal else m.degree
-            if deg <= n:
-                coeffs[deg] += c
-        return PowerSeries(RATIONAL, n, coeffs)
+            coeffs[m.degree] += c
+        return PowerSeries(RATIONAL, self.order, coeffs)
 
     def render_lines(self) -> list[str]:
         lines = []

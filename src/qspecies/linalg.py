@@ -67,13 +67,6 @@ class Matrix:
             tuple(F.add(a, b) for a, b in zip(ra, rb))
             for ra, rb in zip(self.entries, other.entries)))
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._compat(other)
-        F = self.field
-        return Matrix(self.field, tuple(
-            tuple(F.sub(a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._compat(other, mul=True)
         F = self.field
@@ -200,10 +193,6 @@ class Subspace:
         red, pivots = Matrix.make(field, vectors).rref()
         return Subspace(field, ambient, red.entries[:len(pivots)])
 
-    @staticmethod
-    def full(field: FieldSpec, n: int) -> "Subspace":
-        return Subspace(field, n, Matrix.identity(field, n).entries)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -226,18 +215,6 @@ class Subspace:
         """Coordinates of v in the RREF basis (pivot entries read off)."""
         c = tuple(v[p] for p in self.pivots)
         return c
-
-    def from_coords(self, c: tuple[int, ...]) -> tuple[int, ...]:
-        F = self.field
-        v = [0] * self.ambient
-        for ci, row in zip(c, self.basis):
-            if ci:
-                v = [F.add(x, F.mul(ci, y)) for x, y in zip(v, row)]
-        return tuple(v)
-
-    def vectors(self) -> Iterator[tuple[int, ...]]:
-        for c in product(range(self.field.q), repeat=self.dim):
-            yield self.from_coords(c)
 
     def image(self, g: Matrix) -> "Subspace":
         return Subspace.from_vectors(self.field, self.ambient,

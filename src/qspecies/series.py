@@ -264,16 +264,17 @@ class PowerSeries:
             out[m] = self.coeffs[m] - s / m
         return PowerSeries(self.ring, n, out)
 
-    def subs_power(self, k: int) -> "PowerSeries":
-        """a(x^k) truncated at the same order."""
-        if k < 1:
-            raise ValueError("substitution power must be >= 1")
+    def adams(self, r: int) -> "PowerSeries":
+        """a(x^r) truncated at the same order: the image of the cycle index's
+        Psi_r under the type specialisation."""
+        if r < 1:
+            raise ValueError("Adams operations are indexed by r >= 1")
         n = self.order
         out = [ring_zero(self.ring)] * (n + 1)
         for i, a in enumerate(self.coeffs):
-            if i * k > n:
+            if i * r > n:
                 break
-            out[i * k] = a
+            out[i * r] = a
         return PowerSeries(self.ring, n, out)
 
     def subs_t(self, value) -> "PowerSeries":

@@ -5,14 +5,14 @@ cycle index series are one fold over it, ``_fold``: F+G adds, FG multiplies,
 F^n is a power and plus(F) drops the constant term.  Each series supplies only
 its leaves (builtins, sym, E and mark).  Builtins carry closed-form structure
 counts and a fixed-point count per conjugacy class: Sub(k) and Proj = Sub(1)
-by Birkhoff's count of submodules.  The cycle indices of E(F) and sym(m, F)
-are plethysms of Z_F (``CycleIndexSeries.adams`` and ``exp``), and the type
-series of sym(m, F) is the type specialisation of its cycle index.  The one
-fixed-point count without a closed form, RepCyclic(m)'s, comes from
-``class_fix``: the oracle counts the structures each class representative
-fixes, with F[E_n] enumerated once per dimension; RepCyclic(m)'s type series
-counts classes instead.  The oracle's literal sums over all of GL_n stay the
-independent check.
+by Birkhoff's count of submodules.  E(F) and sym(m, F) are one plethysm rule,
+``_plethysm``, applied to F's cycle index or to F's type series: the type
+specialisation sends the Adams operation Psi_r to x -> x^r, so the type series
+never builds a cycle index.  The one fixed-point count without a closed form,
+RepCyclic(m)'s, comes from ``class_fix``: the oracle counts the structures each
+class representative fixes, with F[E_n] enumerated once per dimension.  Only
+RepCyclic(m)'s cycle index needs it; its type series counts classes instead.
+The oracle's literal sums over all of GL_n stay the independent check.
 
 Weights have one rule: mark(F) multiplies weights by t in the weighted
 generating series, and the type series and cycle index of any expression
@@ -32,7 +32,7 @@ from .field import FieldSpec
 from .linalg import (DEFAULT_BUDGET, InvariantData, gaussian_binomial,
                      gl_order, q_int, qbinomial, require)
 from .poly import Poly, poly_z, poly_z_minus
-from .series import POLY_T, RATIONAL, PowerSeries, TPoly, euler_product, ring_one
+from .series import POLY_T, RATIONAL, PowerSeries, TPoly, ring_one
 from .cycleindex import CycleIndexSeries, z_build, z_one
 
 
@@ -432,30 +432,57 @@ def class_fix(e: Builtin, field: FieldSpec, c: ConjClass,
                                structures[c.n])
 
 
+# -- plethysm ---------------------------------------------------------------------
+
+def _plethysm(x: SymPower | Assembly, f, one):
+    """E(F) or sym(m, F) from F's cycle index or type series f, whose series 1 is
+    ``one``: exp(sum_r Psi_r(f)/r) and sum over partitions lambda of m of
+    prod_j Psi_{lambda_j}(f) / z_lambda (Bergeron-Labelle-Leroux 1998).  Psi_r is
+    ``adams(r)``; the type specialisation is a ring map that sends Psi_r to
+    x -> x^r, so one rule serves both series."""
+    zero = one.scale(0)
+    if isinstance(x, Assembly):
+        return sum((f.adams(r).scale(Fraction(1, r)) for r in range(1, f.order + 1)),
+                   zero).exp()
+    adams = {r: f.adams(r) for r in range(1, x.n + 1)}
+    total = zero
+    for lam in partitions(x.n):
+        term = one.scale(Fraction(1, _z_lambda(lam)))
+        for part in lam:
+            term = term * adams[part]
+        total = total + term
+    return total
+
+
+def _z_lambda(lam: tuple) -> int:
+    """prod_i i^(m_i) m_i!, where lam has m_i parts equal to i."""
+    out = 1
+    for part, run in groupby(lam):
+        m = len(list(run))
+        out *= part**m * factorial(m)
+    return out
+
+
 # -- type generating series ------------------------------------------------------
 
-def type_series(e: SpeciesExpr, field: FieldSpec, order: int,
-                oracle_budget: int | None = None) -> PowerSeries:
+def type_series(e: SpeciesExpr, field: FieldSpec, order: int) -> PowerSeries:
     """The type generating series sum ftilde_n x^n, truncated, over Q.
 
     Builtins count orbits by Burnside's lemma over conjugacy classes, with
     fixed points from ``class_fix`` (RepCyclic(m) counts classes instead);
-    sym(m, F) is the type specialisation of its cycle index; E(F) is the Euler
-    product over F's type coefficients; the other nodes go through ``_fold``.
-    ``oracle_budget`` bounds each enumeration of F[E_n] behind the cycle index
-    of a sym operand without a closed fixed-point count (BudgetExceededError
-    beyond it).  An expression that contains ``mark`` raises
-    UnsupportedOperationError."""
+    E(F) and sym(m, F) are ``_plethysm`` of F's type series, each coefficient
+    checked to be a nonnegative integer; the other nodes go through ``_fold``.
+    No cycle index is built and nothing is enumerated.  An expression that
+    contains ``mark`` raises UnsupportedOperationError."""
     _validate_unweighted(e, "type series")
 
     def leaf(x: SpeciesExpr) -> PowerSeries:
-        if isinstance(x, Assembly):
-            return _euler_exp(_fold(x.base, leaf), order)
-        if isinstance(x, SymPower):
-            types = cycle_index(x, field, order, oracle_budget).specialize_type()
+        if isinstance(x, (Assembly, SymPower)):
+            types = _plethysm(x, _fold(x.base, leaf), PowerSeries.one(RATIONAL, order))
+            what = "E" if isinstance(x, Assembly) else "sym"
             for n, c in enumerate(types.coeffs):
                 require(c.denominator == 1 and c >= 0,
-                        f"sym type coefficient {c} at n={n} is not a nonnegative integer")
+                        f"{what} type coefficient {c} at n={n} is not a nonnegative integer")
             return types
         spec = BUILTINS[x.name]
         counts = ([spec.types(field, n, x.arg) for n in range(order + 1)]
@@ -479,17 +506,6 @@ def _burnside_types(e: Builtin, field: FieldSpec, order: int) -> list[int]:
     return out
 
 
-def _euler_exp(inner: PowerSeries, order: int) -> PowerSeries:
-    """Type series of E(F) from F's: prod_m 1/(1-x^m)^(ftilde_m)."""
-    exponents = {}
-    for m in range(1, order + 1):
-        c = inner.coeffs[m]
-        require(c.denominator == 1 and c >= 0,
-                f"operand type coefficient {c} at n={m} is not a nonnegative integer")
-        exponents[m] = c.numerator
-    return euler_product(exponents, order)
-
-
 # -- cycle index series -----------------------------------------------------------
 
 def cycle_index(e: SpeciesExpr, field: FieldSpec, order: int,
@@ -499,42 +515,16 @@ def cycle_index(e: SpeciesExpr, field: FieldSpec, order: int,
     Builtins are built class by class with ``z_build`` over ``class_fix``:
     closed forms for every builtin but RepCyclic(m), whose fixed points the
     oracle counts on class representatives, each enumeration of F[E_n] bounded
-    by ``oracle_budget``.  E(F) and sym(m, F) are plethysms of Z_F:
-    Z_{E(F)} = exp(sum_r Psi_r(Z_F)/r) and
-    Z_{sym(m,F)} = sum over partitions lambda of m of prod_j Psi_{lambda_j}(Z_F) / z_lambda.
-    The other nodes go through ``_fold`` (Z_{F+G} = Z_F + Z_G,
-    Z_{FG} = Z_F Z_G).  An expression that contains ``mark`` raises
-    UnsupportedOperationError."""
+    by ``oracle_budget``.  E(F) and sym(m, F) are ``_plethysm`` of Z_F.  The
+    other nodes go through ``_fold`` (Z_{F+G} = Z_F + Z_G, Z_{FG} = Z_F Z_G).
+    An expression that contains ``mark`` raises UnsupportedOperationError."""
     _validate_unweighted(e, "cycle index")
 
     def leaf(x: SpeciesExpr) -> CycleIndexSeries:
-        if isinstance(x, Assembly):
-            z = _fold(x.base, leaf)
-            total = CycleIndexSeries(field, order, {})
-            for r in range(1, order + 1):
-                total = total + z.adams(r).scale(Fraction(1, r))
-            return total.exp()
-        if isinstance(x, SymPower):
-            z = _fold(x.base, leaf)
-            adams = {r: z.adams(r) for r in range(1, x.n + 1)}
-            total = CycleIndexSeries(field, order, {})
-            for lam in partitions(x.n):
-                term = z_one(field, order).scale(Fraction(1, _z_lambda(lam)))
-                for part in lam:
-                    term = term * adams[part]
-                total = total + term
-            return total
+        if isinstance(x, (Assembly, SymPower)):
+            return _plethysm(x, _fold(x.base, leaf), z_one(field, order))
         structures: dict = {}
         return z_build(field, lambda c: class_fix(x, field, c, oracle_budget, structures),
                        order)
 
     return _fold(e, leaf)
-
-
-def _z_lambda(lam: tuple) -> int:
-    """prod_i i^(m_i) m_i!, where lam has m_i parts equal to i."""
-    out = 1
-    for part, run in groupby(lam):
-        m = len(list(run))
-        out *= part**m * factorial(m)
-    return out

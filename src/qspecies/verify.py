@@ -264,7 +264,7 @@ def criterion_8_assembly_type() -> CheckResult:
         lhs = euler_product(exponents, 8)
         rhs = PowerSeries.zero(RATIONAL, 8)
         for n in range(1, 9):
-            rhs = rhs + tf.subs_power(n).scale(Fraction(1, n))
+            rhs = rhs + tf.adams(n).scale(Fraction(1, n))
         if lhs != rhs.exp() or type_series(Assembly(f), F2, 8) != lhs:
             forms_ok = False
     return CheckResult("8. assembly type series: partitions + Euler-product forms agree",

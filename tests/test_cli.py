@@ -153,7 +153,6 @@ def test_budget_exit_code(capsys):
 def test_budget_zero_means_zero(capsys):
     # RepCyclic(m)'s cycle index is the one production path that still enumerates
     assert main(["zindex", "RepCyclic(2)", "--order", "2", "--budget", "0"]) == 1
-    assert main(["type", "sym(2,plus(RepCyclic(2)))", "--order", "2", "--budget", "0"]) == 1
     assert main(["oracle", "count", "End", "2", "--budget", "0"]) == 1
 
 
@@ -166,6 +165,7 @@ IGNORED_OPTIONS = [
     ["irreducibles", "2", "--order", "3"],
     ["oracle", "count", "End", "2", "--order", "3"],
     ["gen", "Elem", "--budget", "5"],
+    ["type", "Elem", "--budget", "5"],
     ["wgen", "E(mark(Vplus))", "--budget", "5"],
     ["classes", "2", "--budget", "5"],
     ["irreducibles", "2", "--budget", "5"],

@@ -27,9 +27,9 @@ def zm(*items):
 
 def test_monomial_degrees():
     m = zm((Z1, 1, 2))
-    assert m.degree == 2 and m.literal_exponent == 2
+    assert m.degree == 2
     m2 = zm((IRR, 1, 1))
-    assert m2.degree == 2 and m2.literal_exponent == 1
+    assert m2.degree == 2
     m3 = zm((Z1, 2, 1), (IRR, 1, 1))
     assert m3.degree == 4
 
@@ -87,11 +87,10 @@ def test_singleton_species_cycle_index():
 
 
 def test_type_specialization_grading():
-    # A monomial supported on an irreducible of degree 2 contributes to x^2
-    # under the default grading but to x^1 under the literal substitution.
+    # A monomial supported on an irreducible of degree 2 contributes to x^2,
+    # not to x^1 as the literal substitution x_{phi,i} -> x^i would have it.
     z = CycleIndexSeries(F2, 2, {zm((IRR, 1, 1)): Fraction(1)})
     assert z.specialize_type().coeffs == (0, 0, 1)
-    assert z.specialize_type(literal=True).coeffs == (0, 1, 0)
 
 
 def test_product_of_cycle_indices():
@@ -160,7 +159,7 @@ def test_adams_laws(field, order):
         assert ab.adams(r) == a.adams(r) * b.adams(r)
         assert (a + b).adams(r) == a.adams(r) + b.adams(r)
         # every monomial's degree is multiplied by r
-        assert ab.adams(r).specialize_type() == ab.specialize_type().subs_power(r)
+        assert ab.adams(r).specialize_type() == ab.specialize_type().adams(r)
         assert all(m.degree % r == 0 for m in ab.adams(r).terms)
         for s in (2, 3):
             assert ab.adams(s).adams(r) == ab.adams(r * s)

@@ -115,9 +115,9 @@ def test_geometric_and_binomial():
     assert binomial_inverse_power(RATIONAL, 5, 2, 2).coeffs == (1, 0, 2, 0, 3, 0)
 
 
-def test_subs_power():
+def test_adams():
     f = PowerSeries.from_coeffs(RATIONAL, 4, [1, 2, 3, 0, 0])
-    assert f.subs_power(2).coeffs == (1, 0, 2, 0, 3)
+    assert f.adams(2).coeffs == (1, 0, 2, 0, 3)
 
 
 def test_euler_product_partition_numbers():

@@ -215,6 +215,24 @@ def test_e_sym_sub_and_rep_cyclic_types_never_enumerate(monkeypatch):
         assert z.specialize_generating() == gen_series(e, F2, 6)
     assert list(type_series(parse("RepCyclic(2)"), F2, 6).coeffs) == [1, 1, 2, 2, 3, 3, 4]
 
+    def no_cycle_index(*args, **kwargs):
+        raise AssertionError("built a cycle index")
+    monkeypatch.setattr(species, "cycle_index", no_cycle_index)
+    # the operand's type series is x + 2x^2 + 2x^3 + 3x^4 + 3x^5 + 4x^6: by hand,
+    # (T(x)^2 + T(x^2))/2 and the Euler product prod_m 1/(1-x^m)^(t_m)
+    assert list(type_series(parse("sym(2,plus(RepCyclic(2)))"), F2, 6).coeffs) == \
+        [0, 0, 1, 2, 5, 7, 12]
+    assert list(type_series(parse("E(plus(RepCyclic(2)))"), F2, 6).coeffs) == \
+        [1, 1, 3, 5, 11, 18, 35]
+
+
+@pytest.mark.parametrize("field, order", [(F3, 5), (field_make(2, 2), 4)], ids=["q3", "q4"])
+@pytest.mark.parametrize("text", ["sym(3,Proj)", "E(plus(Elem))", "sym(2,E(Vplus)*Vplus)"])
+def test_type_plethysm_is_the_type_specialisation_of_the_cycle_index(field, order, text):
+    # two independent routes: Psi_r on type series, and Psi_r on cycle indices
+    e = parse(text)
+    assert type_series(e, field, order) == cycle_index(e, field, order).specialize_type()
+
 
 @pytest.mark.parametrize("field, top", [(F2, 7), (F3, 4), (field_make(2, 2), 3)],
                          ids=["q2", "q3", "q4"])
