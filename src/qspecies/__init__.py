@@ -12,7 +12,7 @@ from .linalg import (InvariantData, Matrix, Subspace, companion_matrix,
                      enumerate_subspaces, gl_order, invariant_data, qbinomial)
 from .classes import ConjClass, centralizer_order, class_weighted_sum, enumerate_classes
 from .series import POLY_T, RATIONAL, PowerSeries, TPoly, euler_product
-from .cycleindex import CycleIndexSeries, ZMonomial, z_build
+from .cycleindex import CycleIndexSeries, z_build
 from .species import (Assembly, Builtin, Mark, Plus, Power, Product, SpeciesExpr,
                       Sum, SymPower, cycle_index, gen_series, type_series,
                       weighted_gen_series)
@@ -26,7 +26,7 @@ __all__ = [
     "gl_order", "invariant_data", "qbinomial",
     "ConjClass", "centralizer_order", "class_weighted_sum", "enumerate_classes",
     "POLY_T", "RATIONAL", "PowerSeries", "TPoly", "euler_product",
-    "CycleIndexSeries", "ZMonomial", "z_build",
+    "CycleIndexSeries", "z_build",
     "Assembly", "Builtin", "Mark", "Plus", "Power", "Product", "SpeciesExpr",
     "Sum", "SymPower", "cycle_index", "gen_series", "type_series",
     "weighted_gen_series",

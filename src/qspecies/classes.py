@@ -1,10 +1,11 @@
-"""Conjugacy classes of Aut(E_n) and End(E_n) by invariant data.
+"""Conjugacy classes of Aut(E_n) and End(E_n) by their invariants.
 
-A class is an assignment of a partition lambda_phi to each monic
-irreducible phi with sum deg(phi)*|lambda_phi| = n; its centralizer order
-is the standard product formula per irreducible, validated against
-brute-force commutant counts in the test suite before being trusted at
-dimensions where GL enumeration is impossible.
+A class is its rational canonical invariant (``linalg.InvariantData``): a
+partition lambda_phi for each monic irreducible phi with
+sum deg(phi)*|lambda_phi| = n.  The same value is the class's cycle-index
+monomial.  The centralizer order is the standard product formula per
+irreducible, validated against brute-force commutant counts in the test suite
+before being trusted at dimensions where GL enumeration is impossible.
 """
 
 from __future__ import annotations
@@ -27,15 +28,14 @@ class ConjClass:
 
     @property
     def n(self) -> int:
-        return self.invariant.n
+        return self.invariant.degree
 
     def representative(self, field: FieldSpec) -> Matrix:
         """Block diagonal of e_{phi,i} copies of the companion matrix of phi^i,
         blocks ordered by (phi, i)."""
         blocks = []
-        for (phi, i), e in self.invariant.sorted_items():
-            block = companion_matrix(phi**i)
-            blocks.extend([block] * e)
+        for phi, i, e in self.invariant.items():
+            blocks.extend([companion_matrix(phi**i)] * e)
         return block_diagonal(field, blocks)
 
 
@@ -63,7 +63,7 @@ def centralizer_order(field: FieldSpec, inv: InvariantData) -> int:
     Q = q^deg(phi): Q^(|l| + 2n(l)) * prod_i prod_k (1 - Q^-k) with the
     powers of Q collected, so that every factor is an integer."""
     total = 1
-    for phi, parts in inv.partitions().items():
+    for phi, parts in inv.partitions:
         Q = field.q ** phi.degree
         exponent = sum(parts) + 2 * sum(j * part for j, part in enumerate(parts))
         for _part, run in groupby(parts):
@@ -84,42 +84,36 @@ def enumerate_classes(field: FieldSpec, n: int, kind: str = "aut") -> tuple[Conj
         raise ValueError("kind must be 'aut' or 'end'")
     if n < 0:
         raise ValueError("dimension must be >= 0")
-    polys: list[Poly] = []
-    for d in range(1, n + 1):
-        polys.extend(monic_irreducibles(field, d, exclude_z=(kind == "aut")))
-    polys.sort(key=lambda f: f.degree)  # ascending degree enables pruning
+    # canonical order: by degree, which the pruning needs, so invariants come out sorted
+    polys = [phi for d in range(1, n + 1)
+             for phi in monic_irreducibles(field, d, exclude_z=(kind == "aut"))]
+    invariants: list[InvariantData] = []
+    acc: list[tuple[Poly, tuple[int, ...]]] = []
 
-    assignments: list[dict] = []
-
-    def rec(start: int, weight: int, acc: dict):
+    def rec(start: int, weight: int):
         if weight == 0:
-            assignments.append(dict(acc))
+            invariants.append(InvariantData(tuple(acc)))
             return
         for j in range(start, len(polys)):
-            d = polys[j].degree
+            phi, d = polys[j], polys[j].degree
             if d > weight:
                 break
             for m in range(1, weight // d + 1):
-                for parts in partitions(m):
-                    for part in parts:
-                        acc[(polys[j], part)] = acc.get((polys[j], part), 0) + 1
-                    rec(j + 1, weight - m * d, acc)
-                    for part in parts:
-                        acc[(polys[j], part)] -= 1
-                        if not acc[(polys[j], part)]:
-                            del acc[(polys[j], part)]
+                for lam in partitions(m):
+                    acc.append((phi, lam))
+                    rec(j + 1, weight - m * d)
+                    acc.pop()
 
-    rec(0, n, {})
+    rec(0, n)
     order_n = gl_order(field, n)
     classes = []
-    for mapping in assignments:
-        inv = InvariantData.make(n, mapping)
+    for inv in invariants:
         cent = centralizer_order(field, inv)
         # class size is the GL conjugation orbit size, for End classes too
         if order_n % cent:
             raise ConsistencyError(f"centralizer order {cent} does not divide |GL_{n}|")
         classes.append(ConjClass(inv, cent, order_n // cent))
-    classes.sort(key=lambda c: [ (phi.sort_key(), i, e) for (phi, i), e in c.invariant.sorted_items() ])
+    classes.sort(key=lambda c: c.invariant.sort_key())
     return tuple(classes)
 
 

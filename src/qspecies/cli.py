@@ -15,7 +15,7 @@ from . import oracle as oracle_mod
 from .classes import enumerate_classes
 from .cycleindex import CycleIndexSeries
 from .field import field_make
-from .linalg import BudgetExceededError, ConsistencyError
+from .linalg import DEFAULT_BUDGET, BudgetExceededError, ConsistencyError
 from .parser import ParseError, parse
 from .poly import monic_irreducibles
 from .series import PowerSeries
@@ -50,7 +50,7 @@ def _add_options(p: argparse.ArgumentParser, *, field: bool = True, order: bool 
         p.add_argument("--order", type=int, default=8,
                        help="series truncation order (default 8)")
     if budget:
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="cap on each oracle enumeration, for oracle commands and for "
                             "zindex of RepCyclic(m), whose fixed points have no closed form")
     p.add_argument("--format", choices=list(formats), default="text")
@@ -157,26 +157,25 @@ def _dispatch(args) -> int:
 
     if args.command == "oracle":
         e = parse(args.expr)
-        budget = oracle_mod.ORACLE_BUDGET if args.budget is None else args.budget
         if args.what == "count":
-            rows = [{"n": n, "count": oracle_mod.structure_count_bf(e, field, n, budget)}
+            rows = [{"n": n, "count": oracle_mod.structure_count_bf(e, field, n, args.budget)}
                     for n in range(args.n + 1)]
             _table(rows, ["n", "count"], fmt)
         elif args.what == "orbits":
-            rows = [{"n": n, "orbits": oracle_mod.orbit_count_bf(e, field, n, budget)}
+            rows = [{"n": n, "orbits": oracle_mod.orbit_count_bf(e, field, n, args.budget)}
                     for n in range(args.n + 1)]
             _table(rows, ["n", "orbits"], fmt)
         elif args.what == "fix":
             rows = []
             for c in enumerate_classes(field, args.n, "aut"):
                 fix = oracle_mod.fix_count_bf(e, field, args.n, c.representative(field),
-                                              budget)
+                                              args.budget)
                 rows.append({"class": str(c.invariant), "fix": fix})
             _table(rows, ["class", "fix"], fmt)
         else:  # zindex
             if fmt == "csv":
                 raise ValueError("oracle zindex has no csv format")
-            z = oracle_mod.zindex_bf(e, field, args.n, budget)
+            z = oracle_mod.zindex_bf(e, field, args.n, args.budget)
             print(_cycle_index_output(z, field.q, fmt))
         return 0
 

@@ -1,8 +1,12 @@
 """Cycle index series: sparse rational combinations of monomials x_{phi,i}.
 
-A monomial of graded degree n is exactly the invariant data of an
-Aut(E_n) conjugacy class, so the series is built class-by-class as
-fix(class)/centralizer_order(class) on the class monomial.
+A monomial of graded degree n is the invariant of an Aut(E_n) conjugacy
+class, and the code has one type for both, ``linalg.InvariantData``: the
+monomial prod x_{phi,i}^(e_{phi,i}) is the class with e_{phi,i} parts i in
+lambda_phi, the product of monomials is the direct sum of classes, and
+``monomial`` admits a class invariant as a term once it has no phi = z.  The
+series is built class-by-class as fix(class)/centralizer_order(class) on the
+class monomial.
 
 Psi_r (``adams``) is the ring map x_{psi,i} -> prod_phi x_{phi, i*v_phi},
 where psi(z^r) = prod_phi phi^(v_phi): if z^r acts on a module of invariant
@@ -20,7 +24,6 @@ It sends Psi_r to x -> x^r (``PowerSeries.adams``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,52 +34,22 @@ from .poly import Poly, monic_irreducibles
 from .series import RATIONAL, PowerSeries, ring_zero
 
 
-@dataclass(frozen=True)
-class ZMonomial:
-    """Product of x_{phi,i}^e factors; phi is never the polynomial z."""
+def monomial(inv: InvariantData) -> InvariantData:
+    """A class invariant as a cycle-index term: the same value, which must be
+    the invariant of an automorphism, so that no x_{phi,i} has phi = z."""
+    if not inv.is_automorphism():
+        raise ValueError("cycle index monomials exclude the polynomial z")
+    return inv
 
-    exponents: frozenset  # frozenset of ((Poly, int), int)
 
-    @staticmethod
-    def make(mapping: dict) -> "ZMonomial":
-        return ZMonomial(frozenset((k, e) for k, e in mapping.items() if e))
-
-    @staticmethod
-    def from_invariant(inv: InvariantData) -> "ZMonomial":
-        if not inv.is_automorphism():
-            raise ValueError("cycle index monomials exclude the polynomial z")
-        return ZMonomial(inv.entries)
-
-    @property
-    def degree(self) -> int:
-        """Graded degree: the dimension of the space the class acts on."""
-        return sum(e * i * phi.degree for (phi, i), e in self.exponents)
-
-    def sorted_items(self) -> list:
-        return sorted(self.exponents, key=lambda kv: (kv[0][0].sort_key(), kv[0][1]))
-
-    def sort_key(self) -> tuple:
-        return (self.degree,
-                tuple((phi.sort_key(), i, e) for (phi, i), e in self.sorted_items()))
-
-    def mul(self, other: "ZMonomial") -> "ZMonomial":
-        out = dict(self.exponents)
-        for k, e in other.exponents:
-            out[k] = out.get(k, 0) + e
-        return ZMonomial.make(out)
-
-    def __str__(self) -> str:
-        if not self.exponents:
-            return "1"
-        parts = []
-        for (phi, i), e in self.sorted_items():
-            base = f"x[{phi},{i}]"
-            parts.append(base if e == 1 else f"{base}^{e}")
-        return "*".join(parts)
+def _monomial_str(m: InvariantData) -> str:
+    return "*".join(f"x[{phi},{i}]" if e == 1 else f"x[{phi},{i}]^{e}"
+                    for phi, i, e in m.items()) or "1"
 
 
 class CycleIndexSeries:
-    """Graded truncated series: map ZMonomial -> nonzero rational coefficient."""
+    """Graded truncated series: map monomial (InvariantData) -> nonzero rational
+    coefficient."""
 
     __slots__ = ("field", "order", "terms")
 
@@ -108,7 +81,7 @@ class CycleIndexSeries:
     def __mul__(self, other: "CycleIndexSeries") -> "CycleIndexSeries":
         self._compat(other)
         buckets = sorted(other._by_degree().items())
-        out: dict[ZMonomial, Fraction] = {}
+        out: dict[InvariantData, Fraction] = {}
         for m1, c1 in self.terms.items():
             room = self.order - m1.degree
             for d2, bucket in buckets:
@@ -131,18 +104,17 @@ class CycleIndexSeries:
 
     def adams(self, r: int) -> "CycleIndexSeries":
         """Psi_r: x_{psi,i} -> prod_phi x_{phi, i*v_phi} for psi(z^r) = prod phi^(v_phi),
-        extended to a ring map; it multiplies graded degree by r."""
+        extended to a ring map; it multiplies graded degree by r.  On invariants,
+        each part i of lambda_psi becomes a part i*v_phi of lambda_phi."""
         if r < 1:
             raise ValueError("Adams operations are indexed by r >= 1")
-        out: dict[ZMonomial, Fraction] = {}
+        out: dict[InvariantData, Fraction] = {}
         for m, c in self.terms.items():
             if m.degree * r > self.order:
                 continue
-            image: dict = {}
-            for (psi, i), e in m.exponents:
-                for phi, v in _factor_at_power(psi, r):
-                    image[(phi, i * v)] = image.get((phi, i * v), 0) + e
-            m_r = ZMonomial.make(image)
+            m_r = InvariantData.of((phi, tuple(i * v for i in lam))
+                                   for psi, lam in m.partitions
+                                   for phi, v in _factor_at_power(psi, r))
             out[m_r] = out.get(m_r, Fraction(0)) + c
         return CycleIndexSeries(self.field, self.order, out)
 
@@ -153,9 +125,9 @@ class CycleIndexSeries:
         a = self._by_degree()
         if 0 in a:
             raise ValueError("exp requires zero constant term")
-        b: list[dict] = [{ZMonomial.make({}): Fraction(1)}]
+        b: list[dict] = [{InvariantData(): Fraction(1)}]
         for n in range(1, self.order + 1):
-            part: dict[ZMonomial, Fraction] = {}
+            part: dict[InvariantData, Fraction] = {}
             for k in range(1, n + 1):
                 for m1, c1 in a.get(k, ()):
                     c1k = c1 * k
@@ -180,10 +152,9 @@ class CycleIndexSeries:
 
     def specialize_generating(self) -> PowerSeries:
         """Keep only monomials in the single variable x_{z-1,1}; x_{z-1,1}^n -> x^n."""
-        z_minus_1 = (self.field.neg(1), 1)
         coeffs = [ring_zero(RATIONAL)] * (self.order + 1)
         for m, c in self.terms.items():
-            if all(phi.coeffs == z_minus_1 and i == 1 for (phi, i), _e in m.exponents):
+            if m.is_identity():
                 coeffs[m.degree] += c
         return PowerSeries(RATIONAL, self.order, coeffs)
 
@@ -196,18 +167,18 @@ class CycleIndexSeries:
 
     def render_lines(self) -> list[str]:
         lines = []
-        for m in sorted(self.terms, key=ZMonomial.sort_key):
+        for m in sorted(self.terms, key=InvariantData.sort_key):
             c = self.terms[m]
             cs = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            lines.append(f"{cs} * {m}")
+            lines.append(f"{cs} * {_monomial_str(m)}")
         return lines
 
     def to_json(self) -> list[dict]:
         out = []
-        for m in sorted(self.terms, key=ZMonomial.sort_key):
+        for m in sorted(self.terms, key=InvariantData.sort_key):
             c = self.terms[m]
             cs = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            out.append({"degree": m.degree, "monomial": str(m), "coeff": cs})
+            out.append({"degree": m.degree, "monomial": _monomial_str(m), "coeff": cs})
         return out
 
     def __str__(self) -> str:
@@ -249,14 +220,14 @@ def _factor_at_power(psi: Poly, r: int) -> tuple[tuple[Poly, int], ...]:
 def z_build(field: FieldSpec, fix, order: int) -> CycleIndexSeries:
     """Cycle index from a fix-count class function:
     sum over Aut classes of (fix(c)/centralizer_order(c)) * monomial(c)."""
-    terms: dict[ZMonomial, Fraction] = {}
+    terms: dict[InvariantData, Fraction] = {}
     for n in range(order + 1):
         for c in enumerate_classes(field, n, "aut"):
             v = Fraction(fix(c), c.centralizer_order)
             if v:
-                terms[ZMonomial.from_invariant(c.invariant)] = v
+                terms[monomial(c.invariant)] = v
     return CycleIndexSeries(field, order, terms)
 
 
 def z_one(field: FieldSpec, order: int) -> CycleIndexSeries:
-    return CycleIndexSeries(field, order, {ZMonomial.make({}): Fraction(1)})
+    return CycleIndexSeries(field, order, {InvariantData(): Fraction(1)})

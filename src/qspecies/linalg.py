@@ -5,15 +5,16 @@ by the reduced row echelon form of a basis, which gives set semantics:
 two Subspace values are equal iff they contain the same points.
 
 Also here: the GL_n(F_q) order, q-binomial coefficients, companion
-matrices, extraction of the primary cyclic invariants e_{phi,i} of an
-endomorphism, and exhaustive enumeration of matrices, subspaces and
-ordered direct-sum decompositions.
+matrices, the rational canonical invariant of an endomorphism (one
+partition lambda_phi per monic irreducible phi; the same value is a
+conjugacy class and its cycle-index monomial), and exhaustive enumeration
+of matrices, subspaces and ordered direct-sum decompositions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from typing import Iterator
 
 from .field import ConsistencyError, FieldSpec, require  # re-exports ConsistencyError
@@ -201,16 +202,6 @@ class Subspace:
     def pivots(self) -> tuple[int, ...]:
         return tuple(next(i for i, x in enumerate(row) if x) for row in self.basis)
 
-    def contains(self, v: tuple[int, ...]) -> bool:
-        F = self.field
-        w = list(v)
-        for row in self.basis:
-            p = next(i for i, x in enumerate(row) if x)
-            if w[p]:
-                c = w[p]
-                w = [F.sub(x, F.mul(c, y)) for x, y in zip(w, row)]
-        return not any(w)
-
     def coords(self, v: tuple[int, ...]) -> tuple[int, ...]:
         """Coordinates of v in the RREF basis (pivot entries read off)."""
         c = tuple(v[p] for p in self.pivots)
@@ -296,52 +287,98 @@ def block_diagonal(field: FieldSpec, blocks: list[Matrix]) -> Matrix:
     return Matrix.make(field, rows)
 
 
-# -- primary cyclic invariants ------------------------------------------------
+# -- rational canonical invariants -------------------------------------------
 
-@dataclass(frozen=True)
 class InvariantData:
-    """The conjugacy invariants of an endomorphism: (phi, i) -> e_{phi,i}."""
+    """The rational canonical invariant of an endomorphism: a partition lambda_phi
+    per monic irreducible phi, with one part i for each elementary divisor phi^i.
 
-    n: int
-    entries: frozenset  # frozenset of ((Poly, int), int)
+    ``partitions`` holds the (phi, lambda_phi) pairs with lambda_phi nonempty and
+    descending and phi in ``Poly.sort_key`` order, so equal invariants are equal
+    tuples.  The same value is the cycle-index monomial prod x_{phi,i}^(e_{phi,i}),
+    e_{phi,i} the number of parts i of lambda_phi, of graded degree ``degree``,
+    the dimension; the product of two monomials is the invariant of the direct
+    sum (``mul``)."""
+
+    __slots__ = ("partitions", "degree", "_hash")
+
+    def __init__(self, partitions: tuple = ()):
+        """``partitions`` must be canonical already; ``of`` makes it so."""
+        self.partitions = partitions
+        self.degree = sum(phi.degree * sum(lam) for phi, lam in partitions)
+        self._hash = hash(partitions)
 
     @staticmethod
-    def make(n: int, mapping: dict) -> "InvariantData":
-        return InvariantData(n, frozenset((k, v) for k, v in mapping.items() if v))
+    def of(pairs) -> "InvariantData":
+        """From (phi, lambda_phi) pairs in any order, each lambda nonempty and
+        descending: the direct sum of the primary parts, so the lambdas of one
+        phi are merged."""
+        out = InvariantData()
+        for phi, lam in pairs:
+            out = out.mul(InvariantData(((phi, lam),)))
+        return out
 
-    def as_dict(self) -> dict:
-        return dict(self.entries)
+    def mul(self, other: "InvariantData") -> "InvariantData":
+        """The direct sum: for each phi, lambda_phi of the two merged."""
+        a, b = self.partitions, other.partitions
+        if not a:
+            return other
+        if not b:
+            return self
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            key_a, key_b = a[i][0].sort_key, b[j][0].sort_key
+            if key_a < key_b:
+                out.append(a[i])
+                i += 1
+            elif key_b < key_a:
+                out.append(b[j])
+                j += 1
+            else:
+                out.append((a[i][0], tuple(sorted(a[i][1] + b[j][1], reverse=True))))
+                i += 1
+                j += 1
+        return InvariantData(tuple(out) + a[i:] + b[j:])
 
-    def partitions(self, max_degree: int | None = None) -> dict[Poly, tuple[int, ...]]:
-        """Per irreducible phi (of degree <= max_degree, if given), the
-        partition with e_{phi,i} parts equal to i."""
-        out: dict[Poly, list[int]] = {}
-        for (phi, i), e in self.entries:
-            if max_degree is None or phi.degree <= max_degree:
-                out.setdefault(phi, []).extend([i] * e)
-        return {phi: tuple(sorted(parts, reverse=True)) for phi, parts in out.items()}
+    def items(self) -> list[tuple[Poly, int, int]]:
+        """(phi, i, e_{phi,i}) for e_{phi,i} > 0, phi in order and i ascending."""
+        return [(phi, i, len(list(run)))
+                for phi, lam in self.partitions for i, run in groupby(reversed(lam))]
+
+    def sort_key(self) -> tuple:
+        """The one order of invariants: by degree, then by ``items``."""
+        return (self.degree, tuple((phi.sort_key, i, e) for phi, i, e in self.items()))
 
     def is_automorphism(self) -> bool:
-        return all(phi.coeffs != (0, 1) for (phi, _i), _e in self.entries)
+        return all(phi.coeffs != (0, 1) for phi, _lam in self.partitions)
 
-    def sorted_items(self) -> list:
-        return sorted(self.entries, key=lambda kv: (kv[0][0].sort_key(), kv[0][1]))
+    def is_identity(self) -> bool:
+        """The class of the identity: every elementary divisor is z - 1."""
+        return all(phi.coeffs == (phi.field.neg(1), 1) and lam[0] == 1
+                   for phi, lam in self.partitions)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, InvariantData) and self.partitions == other.partitions
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"InvariantData({self.partitions!r})"
 
     def __str__(self) -> str:
-        if not self.entries:
-            return "{}"
-        parts = [f"({phi}, {i}) -> {e}" for (phi, i), e in self.sorted_items()]
-        return "{" + ", ".join(parts) + "}"
+        return "{" + ", ".join(f"({phi}, {i}) -> {e}" for phi, i, e in self.items()) + "}"
 
 
 def invariant_data(a: Matrix) -> InvariantData:
-    """Primary cyclic multiplicities via the kernel-dimension ladder
+    """Elementary divisors via the kernel-dimension ladder
     d_j = dim ker phi(a)^j / deg phi, e_{phi,i} = 2d_i - d_{i-1} - d_{i+1}."""
     if a.nrows != a.ncols:
         raise ValueError("invariants are defined for square matrices")
     field = a.field
     n = a.nrows
-    found: dict[tuple[Poly, int], int] = {}
+    found: list[tuple[Poly, tuple[int, ...]]] = []
     accounted = 0
     for d in range(1, n + 1):
         if accounted == n:
@@ -360,14 +397,16 @@ def invariant_data(a: Matrix) -> InvariantData:
                     break
                 power = power * b
             dims.append(dims[-1])
-            for i in range(1, len(dims) - 1):
+            lam: list[int] = []
+            for i in range(len(dims) - 2, 0, -1):
                 e = 2 * dims[i] - dims[i - 1] - dims[i + 1]
                 require(e >= 0, "negative primary cyclic multiplicity")
-                if e:
-                    found[(phi, i)] = e
-                    accounted += e * i * d
+                lam.extend([i] * e)
+            if lam:
+                found.append((phi, tuple(lam)))
+                accounted += sum(lam) * d
     require(accounted == n, f"invariants account for {accounted} of {n} dimensions")
-    return InvariantData.make(n, found)
+    return InvariantData(tuple(found))
 
 
 # -- exhaustive enumeration ---------------------------------------------------

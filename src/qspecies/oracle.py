@@ -24,16 +24,15 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from .field import FieldSpec
-from .linalg import (BudgetExceededError, DEFAULT_BUDGET, Matrix, Subspace,
-                     enumerate_decompositions, enumerate_matrices,
+from .linalg import (BudgetExceededError, DEFAULT_BUDGET, InvariantData, Matrix,
+                     Subspace, enumerate_decompositions, enumerate_matrices,
                      enumerate_subspaces, gl_order, invariant_data, require)
 from .series import TPoly
-from .cycleindex import CycleIndexSeries, ZMonomial
+from .cycleindex import CycleIndexSeries, monomial
 from .species import (Assembly, Builtin, Mark, Plus, Power, Product, SpeciesExpr,
                       Sum, SymPower, validate)
 
 Structure = tuple  # canonical encoding
-ORACLE_BUDGET = DEFAULT_BUDGET
 
 
 def _all_vectors(field: FieldSpec, n: int):
@@ -41,7 +40,7 @@ def _all_vectors(field: FieldSpec, n: int):
 
 
 def enumerate_structures(e: SpeciesExpr, field: FieldSpec, n: int,
-                         budget: int = ORACLE_BUDGET) -> list[tuple[Structure, TPoly]]:
+                         budget: int = DEFAULT_BUDGET) -> list[tuple[Structure, TPoly]]:
     """All structures of e on E_n as (encoding, weight) pairs, canonically ordered."""
     validate(e)
     out = _enum(e, field, n, budget)
@@ -256,12 +255,12 @@ def _transport_product(left, right, s, g):
 # -- counting ------------------------------------------------------------------
 
 def structure_count_bf(e: SpeciesExpr, field: FieldSpec, n: int,
-                       budget: int = ORACLE_BUDGET) -> int:
+                       budget: int = DEFAULT_BUDGET) -> int:
     return len(enumerate_structures(e, field, n, budget))
 
 
 def inventory_bf(e: SpeciesExpr, field: FieldSpec, n: int,
-                 budget: int = ORACLE_BUDGET) -> TPoly:
+                 budget: int = DEFAULT_BUDGET) -> TPoly:
     total = TPoly()
     for _s, w in enumerate_structures(e, field, n, budget):
         total = total + w
@@ -269,7 +268,7 @@ def inventory_bf(e: SpeciesExpr, field: FieldSpec, n: int,
 
 
 def fix_count_bf(e: SpeciesExpr, field: FieldSpec, n: int, sigma: Matrix,
-                 budget: int = ORACLE_BUDGET, structures: list | None = None) -> int:
+                 budget: int = DEFAULT_BUDGET, structures: list | None = None) -> int:
     """Structures on E_n fixed by sigma; ``structures`` is F[E_n] when the
     caller has already enumerated it."""
     if structures is None:
@@ -297,7 +296,7 @@ def _gl_generators(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
 
 
 def orbit_partition(e: SpeciesExpr, field: FieldSpec, n: int,
-                    budget: int = ORACLE_BUDGET, structures: list | None = None) -> list[dict]:
+                    budget: int = DEFAULT_BUDGET, structures: list | None = None) -> list[dict]:
     """Aut(E_n)-orbits on structures via BFS over GL generators.
 
     Returns one dict per orbit: representative (minimal encoding), size, weight."""
@@ -324,7 +323,7 @@ def orbit_partition(e: SpeciesExpr, field: FieldSpec, n: int,
 
 
 def orbit_count_bf(e: SpeciesExpr, field: FieldSpec, n: int,
-                   budget: int = ORACLE_BUDGET) -> int:
+                   budget: int = DEFAULT_BUDGET) -> int:
     """Orbit count, by explicit partition and by Burnside average over all of
     GL_n; both must agree."""
     structures = enumerate_structures(e, field, n, budget)
@@ -341,15 +340,15 @@ def orbit_count_bf(e: SpeciesExpr, field: FieldSpec, n: int,
 
 
 def zindex_bf(e: SpeciesExpr, field: FieldSpec, order: int,
-              budget: int = ORACLE_BUDGET) -> CycleIndexSeries:
+              budget: int = DEFAULT_BUDGET) -> CycleIndexSeries:
     """Cycle index by literal summation over all of Aut(E_n), n <= order."""
-    terms: dict[ZMonomial, Fraction] = {}
+    terms: dict[InvariantData, Fraction] = {}
     for n in range(order + 1):
         gn = gl_order(field, n)
         structures = enumerate_structures(e, field, n, budget)
         for sigma in enumerate_matrices(field, n, True, budget):
             fix = fix_count_bf(e, field, n, sigma, budget, structures)
             if fix:
-                m = ZMonomial.from_invariant(invariant_data(sigma))
+                m = monomial(invariant_data(sigma))
                 terms[m] = terms.get(m, Fraction(0)) + Fraction(fix, gn)
     return CycleIndexSeries(field, order, terms)

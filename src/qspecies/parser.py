@@ -38,10 +38,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-_FUNCTIONS = {"E", "sym", "plus", "mark"}
-_ARG_BUILTINS = {"Sub", "RepCyclic"}
-
-
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -120,17 +116,17 @@ class _Parser:
             inner = self.expr()
             self.expect("sym", ")")
             return Plus(inner) if v == "plus" else Mark(inner)
-        if v in _ARG_BUILTINS:
-            self.expect("sym", "(")
+        if v in BUILTINS:
+            if not BUILTINS[v].needs_arg:
+                return Builtin(v)
+            if self.peek()[:2] != ("sym", "("):
+                raise ParseError(f"{v} requires an integer argument, e.g. {v}(1)", p)
+            self.next()
             ak, av, ap = self.next()
             if ak != "int":
                 raise ParseError(f"{v}(k) needs an integer argument", ap)
             self.expect("sym", ")")
             return Builtin(v, int(av))
-        if v in BUILTINS:
-            if BUILTINS[v].needs_arg:
-                raise ParseError(f"{v} requires an integer argument, e.g. {v}(1)", p)
-            return Builtin(v)
         raise ParseError(f"unknown species {v!r}", p)
 
 

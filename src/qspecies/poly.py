@@ -10,7 +10,7 @@ polynomials, then the rest by coefficient order, then increasing degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .field import FieldSpec, require
@@ -111,17 +111,6 @@ class Poly:
             e >>= 1
         return out
 
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
-
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic() if not a.is_zero else a
-
     def evaluate(self, x: int) -> int:
         F = self.field
         out = 0
@@ -131,9 +120,10 @@ class Poly:
 
     # -- ordering and rendering ----------------------------------------------
 
+    @cached_property
     def sort_key(self) -> tuple:
         """Degree first, z-1 before other degree-1 polynomials, then
-        coefficient order with the constant term last."""
+        coefficient order with the constant term last; computed once."""
         z_minus_1 = self.coeffs == (self.field.neg(1), 1)
         return (self.degree, 0 if z_minus_1 else 1, tuple(reversed(self.coeffs)))
 
@@ -192,7 +182,7 @@ def _irreducibles_cached(field: FieldSpec, d: int) -> tuple[Poly, ...]:
                 code, c = divmod(code, q)
                 coeffs.append(c)
             polys.append(Poly(field, tuple(coeffs) + (1,)))
-    polys.sort(key=Poly.sort_key)
+    polys.sort(key=lambda f: f.sort_key)
     return tuple(polys)
 
 

@@ -28,9 +28,9 @@ from itertools import groupby
 from math import factorial
 
 from .classes import ConjClass, class_weighted_sum, enumerate_classes, partitions
-from .field import FieldSpec
-from .linalg import (DEFAULT_BUDGET, InvariantData, gaussian_binomial,
-                     gl_order, q_int, qbinomial, require)
+from .field import FieldSpec, field_make
+from .linalg import (DEFAULT_BUDGET, gaussian_binomial, gl_order, q_int, qbinomial,
+                     require)
 from .poly import Poly, poly_z, poly_z_minus
 from .series import POLY_T, RATIONAL, PowerSeries, TPoly, ring_one
 from .cycleindex import CycleIndexSeries, z_build, z_one
@@ -142,17 +142,16 @@ def _count_fstar(field, n, arg):
 
 def _rep_cyclic_fixed(field, m):
     """The class predicate g^m = 1: z^m - 1 is a multiple of g's minimal
-    polynomial, so of every elementary divisor phi^i of g."""
+    polynomial, so of every elementary divisor phi^i of g, that is of phi^i
+    for the largest part i of each lambda_phi."""
     z_m_minus_1 = poly_z(field) ** m - Poly(field, (1,))
-    divides: dict = {}
+
+    @lru_cache(maxsize=None)
+    def divides(phi: Poly, i: int) -> bool:
+        return (z_m_minus_1 % phi**i).is_zero
 
     def fixed(c: ConjClass) -> bool:
-        for (phi, i), _e in c.invariant.entries:
-            if (phi, i) not in divides:
-                divides[(phi, i)] = (z_m_minus_1 % phi**i).is_zero
-            if not divides[(phi, i)]:
-                return False
-        return True
+        return all(divides(phi, lam[0]) for phi, lam in c.invariant.partitions)
     return fixed
 
 
@@ -177,7 +176,8 @@ def _fix_zero(field, c, arg):
 def _fix_elem(field, c, arg):
     """Fixed vectors of sigma: the kernel of sigma - 1, of dimension
     = number of parts of the partition at z-1."""
-    ell = len(c.invariant.partitions().get(poly_z_minus(field, 1), ()))
+    z_minus_1 = poly_z_minus(field, 1)
+    ell = sum(len(lam) for phi, lam in c.invariant.partitions if phi == z_minus_1)
     return field.q**ell
 
 
@@ -188,8 +188,10 @@ def _fix_sub(field, c, k):
     deg phi * |nu_phi|; sum over choices with total dimension k of the product of
     the counts per phi.  Parts with deg phi > k contribute only nu_phi = 0."""
     counts = (1,) + (0,) * k  # counts[j]: submodules of dimension j of the parts so far
-    for phi, lam in c.invariant.partitions(max_degree=k).items():
+    for phi, lam in c.invariant.partitions:
         d = phi.degree
+        if d > k:
+            continue
         per_phi = _submodule_counts(lam, field.q**d, d, k)
         counts = [sum(counts[i] * per_phi[j - i] for i in range(j + 1))
                   for j in range(k + 1)]
@@ -241,7 +243,7 @@ def _birkhoff(lam: tuple, nu: tuple, Q: int) -> int:
 def _fix_end(field, c, arg):
     """Matrices commuting with sigma: q^(dim of the commutant algebra)."""
     dim = 0
-    for phi, parts in c.invariant.partitions().items():
+    for phi, parts in c.invariant.partitions:
         dim += phi.degree * sum(min(a, b) for a in parts for b in parts)
     return field.q**dim
 
@@ -251,9 +253,7 @@ def _fix_aut(field, c, arg):
 
 
 def _fix_bases(field, c, arg):
-    ident = {(poly_z_minus(field, 1), 1): c.n}
-    is_identity = c.invariant == InvariantData.make(c.n, ident)
-    return gl_order(field, c.n) if is_identity else 0
+    return gl_order(field, c.n) if c.invariant.is_identity() else 0
 
 
 def _fix_count_equals(count):
@@ -267,25 +267,24 @@ class BuiltinSpec:
     name: str
     count: object            # (field, n, arg) -> int
     fix: object | None       # (field, class, arg) -> int; None: oracle on class representatives
-    empty_at_zero: bool
     needs_arg: bool = False
     types: object | None = None  # (field, n, arg) -> orbit count; None: Burnside over fix
 
 
 BUILTINS: dict[str, BuiltinSpec] = {
-    "One": BuiltinSpec("One", _count_one, _fix_one, False),
-    "Zero": BuiltinSpec("Zero", _count_zero, _fix_zero, True),
-    "Elem": BuiltinSpec("Elem", _count_elem, _fix_elem, False),
-    "Proj": BuiltinSpec("Proj", _count_proj, lambda field, c, arg: _fix_sub(field, c, 1), True),
-    "End": BuiltinSpec("End", _count_end, _fix_end, False),
-    "Aut": BuiltinSpec("Aut", _count_aut, _fix_aut, False),
-    "Bases": BuiltinSpec("Bases", _count_aut, _fix_bases, False),
-    "V": BuiltinSpec("V", _count_v, _fix_count_equals(_count_v), False),
-    "Vplus": BuiltinSpec("Vplus", _count_vplus, _fix_count_equals(_count_vplus), True),
-    "Sub": BuiltinSpec("Sub", _count_sub, _fix_sub, True, needs_arg=True),
-    "Fscalar": BuiltinSpec("Fscalar", _count_fscalar, _fix_count_equals(_count_fscalar), True),
-    "Fstar": BuiltinSpec("Fstar", _count_fstar, _fix_count_equals(_count_fstar), True),
-    "RepCyclic": BuiltinSpec("RepCyclic", _count_rep_cyclic, None, False, needs_arg=True,
+    "One": BuiltinSpec("One", _count_one, _fix_one),
+    "Zero": BuiltinSpec("Zero", _count_zero, _fix_zero),
+    "Elem": BuiltinSpec("Elem", _count_elem, _fix_elem),
+    "Proj": BuiltinSpec("Proj", _count_proj, lambda field, c, arg: _fix_sub(field, c, 1)),
+    "End": BuiltinSpec("End", _count_end, _fix_end),
+    "Aut": BuiltinSpec("Aut", _count_aut, _fix_aut),
+    "Bases": BuiltinSpec("Bases", _count_aut, _fix_bases),
+    "V": BuiltinSpec("V", _count_v, _fix_count_equals(_count_v)),
+    "Vplus": BuiltinSpec("Vplus", _count_vplus, _fix_count_equals(_count_vplus)),
+    "Sub": BuiltinSpec("Sub", _count_sub, _fix_sub, needs_arg=True),
+    "Fscalar": BuiltinSpec("Fscalar", _count_fscalar, _fix_count_equals(_count_fscalar)),
+    "Fstar": BuiltinSpec("Fstar", _count_fstar, _fix_count_equals(_count_fstar)),
+    "RepCyclic": BuiltinSpec("RepCyclic", _count_rep_cyclic, None, needs_arg=True,
                              types=_types_rep_cyclic),
 }
 
@@ -297,10 +296,8 @@ class UnsupportedOperationError(RuntimeError):
 def empty_at_zero(e: SpeciesExpr) -> bool:
     """Static analysis: does F[0] = empty hold for this expression?"""
     if isinstance(e, Builtin):
-        spec = BUILTINS[e.name]
-        if e.name == "Sub":
-            return e.arg != 0
-        return spec.empty_at_zero
+        # structure counts at n = 0 do not depend on q
+        return BUILTINS[e.name].count(field_make(2, 1), 0, e.arg) == 0
     if isinstance(e, Sum):
         return empty_at_zero(e.left) and empty_at_zero(e.right)
     if isinstance(e, Product):
@@ -414,7 +411,7 @@ def weighted_gen_series(e: SpeciesExpr, field: FieldSpec, order: int) -> PowerSe
 # -- fix counts per class -------------------------------------------------------
 
 def class_fix(e: Builtin, field: FieldSpec, c: ConjClass,
-              budget: int | None = None, structures: dict | None = None) -> int:
+              budget: int = DEFAULT_BUDGET, structures: dict | None = None) -> int:
     """fix F[sigma] for a builtin F and sigma in the given Aut conjugacy class:
     the builtin's closed form, which every builtin but RepCyclic(m) has, else
     the oracle's count on the class representative.  A walk over many classes
@@ -424,7 +421,6 @@ def class_fix(e: Builtin, field: FieldSpec, c: ConjClass,
     if spec.fix is not None:
         return spec.fix(field, c, e.arg)
     from . import oracle
-    budget = DEFAULT_BUDGET if budget is None else budget
     structures = {} if structures is None else structures
     if c.n not in structures:
         structures[c.n] = oracle.enumerate_structures(e, field, c.n, budget)
@@ -509,7 +505,7 @@ def _burnside_types(e: Builtin, field: FieldSpec, order: int) -> list[int]:
 # -- cycle index series -----------------------------------------------------------
 
 def cycle_index(e: SpeciesExpr, field: FieldSpec, order: int,
-                oracle_budget: int | None = None) -> CycleIndexSeries:
+                oracle_budget: int = DEFAULT_BUDGET) -> CycleIndexSeries:
     """The cycle index series, truncated by graded degree.
 
     Builtins are built class by class with ``z_build`` over ``class_fix``:

@@ -85,7 +85,7 @@ def test_bad_kind_rejected():
 def fraction_centralizer_order(field, inv):
     """Reference: prod over phi of Q^(|l| + 2n(l)) prod_i prod_{k<=m_i} (1 - Q^-k)."""
     total = Fraction(1)
-    for phi, parts in inv.partitions().items():
+    for phi, parts in inv.partitions:
         Q = field.q ** phi.degree
         nl = sum(j * part for j, part in enumerate(parts))
         total *= Fraction(Q) ** (sum(parts) + 2 * nl)

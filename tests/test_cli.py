@@ -139,6 +139,8 @@ def test_verify_passes(capsys):
 def test_parse_error_exit_code_2(capsys):
     assert main(["gen", "Elem +"]) == 2
     assert main(["gen", "NoSuchSpecies"]) == 2
+    assert main(["gen", "Sub"]) == 2
+    assert main(["gen", "Sub()"]) == 2
 
 
 def test_bad_field_exit_code_2(capsys):

@@ -6,23 +6,25 @@ import pytest
 from qspecies import cycleindex
 from qspecies.classes import enumerate_classes
 from qspecies.cli import main
-from qspecies.cycleindex import (CycleIndexSeries, ZMonomial, _factor_at_power, z_build,
+from qspecies.cycleindex import (CycleIndexSeries, _factor_at_power, monomial, z_build,
                                  z_one)
 from qspecies.field import ConsistencyError, field_make
-from qspecies.linalg import InvariantData, gl_order
+from qspecies.linalg import InvariantData, block_diagonal, gl_order, invariant_data
 from qspecies.parser import parse
 from qspecies.poly import Poly, monic_irreducibles
 from qspecies.species import cycle_index
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
+F4 = field_make(2, 2)
 
 Z1 = Poly.make(F2, (1, 1))           # z + 1
 IRR = Poly.make(F2, (1, 1, 1))       # z^2 + z + 1
 
 
 def zm(*items):
-    return ZMonomial.make({(phi, i): e for phi, i, e in items})
+    """The monomial prod x_{phi,i}^e: e parts i in lambda_phi."""
+    return InvariantData.of((phi, (i,) * e) for phi, i, e in items)
 
 
 def test_monomial_degrees():
@@ -37,14 +39,27 @@ def test_monomial_degrees():
 def test_monomial_mul_and_str():
     a = zm((Z1, 1, 1))
     assert a.mul(a) == zm((Z1, 1, 2))
-    assert str(zm((Z1, 1, 2))) == "x[z+1,1]^2"
-    assert str(ZMonomial.make({})) == "1"
+    assert z_one(F2, 2).render_lines() == ["1 * 1"]
+    assert CycleIndexSeries(F2, 2, {zm((Z1, 1, 2)): 1}).render_lines() == ["1 * x[z+1,1]^2"]
 
 
 def test_from_invariant_rejects_nilpotent_part():
     z = Poly.make(F2, (0, 1))
     with pytest.raises(ValueError):
-        ZMonomial.from_invariant(InvariantData.make(1, {(z, 1): 1}))
+        monomial(InvariantData(((z, (1,)),)))
+
+
+@pytest.mark.parametrize("field,top", [(F2, 4), (F3, 3), (F4, 2)], ids=["q2", "q3", "q4"])
+def test_mul_is_the_direct_sum(field, top):
+    """The product of two class monomials is the invariant of the block
+    diagonal of their representatives."""
+    for n1 in range(top + 1):
+        for n2 in range(top + 1 - n1):
+            for c1 in enumerate_classes(field, n1, "aut"):
+                for c2 in enumerate_classes(field, n2, "aut"):
+                    block = block_diagonal(field, [c1.representative(field),
+                                                   c2.representative(field)])
+                    assert c1.invariant.mul(c2.invariant) == invariant_data(block)
 
 
 def brute_cycle_index(field, order, fix):
@@ -53,7 +68,7 @@ def brute_cycle_index(field, order, fix):
     for n in range(order + 1):
         gamma = gl_order(field, n)
         for c in enumerate_classes(field, n, "aut"):
-            m = ZMonomial.from_invariant(c.invariant)
+            m = monomial(c.invariant)
             w = Fraction(fix(c) * c.class_size, gamma)
             terms[m] = terms.get(m, Fraction(0)) + w
     return CycleIndexSeries(field, order, terms)
@@ -114,7 +129,7 @@ def test_drop_constant():
 
 
 def test_render_and_json():
-    z = CycleIndexSeries(F2, 2, {ZMonomial.make({}): Fraction(1),
+    z = CycleIndexSeries(F2, 2, {InvariantData(): Fraction(1),
                                  zm((Z1, 1, 1)): Fraction(2, 3)})
     lines = z.render_lines()
     assert any("2/3" in ln and "x[z+1,1]" in ln for ln in lines)

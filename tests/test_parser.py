@@ -51,12 +51,24 @@ def test_parse_errors():
             parse(bad)
 
 
+def test_builtin_without_its_argument():
+    # the builtins that take an argument are the ones whose spec says so
+    with pytest.raises(ParseError, match="requires an integer argument"):
+        parse("Sub")
+    with pytest.raises(ParseError, match="requires an integer argument"):
+        parse("RepCyclic + Elem")
+    with pytest.raises(ParseError, match="needs an integer argument"):
+        parse("Sub()")
+
+
 def test_parse_validates_assembly_base():
     # E and sym require an operand with no structures on the zero space
     with pytest.raises(ValueError):
         parse("E(Elem)")
     with pytest.raises(ValueError):
         parse("E(V)")
+    with pytest.raises(ValueError):
+        parse("E(Sub(0))")       # Sub(0) has one structure, the zero subspace
     parse("E(plus(Elem))")
 
 

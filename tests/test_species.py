@@ -93,6 +93,14 @@ def test_validate_rejects_nonempty_base():
     validate(Assembly(Plus(B("Elem"))))   # plus() repairs the base
 
 
+@pytest.mark.parametrize("text", [name for name, spec in species.BUILTINS.items()
+                                  if not spec.needs_arg]
+                         + ["Sub(0)", "Sub(2)", "RepCyclic(2)"])
+def test_empty_at_zero_matches_the_oracle(text):
+    e = parse(text)
+    assert species.empty_at_zero(e) == (structure_count_bf(e, F2, 0) == 0)
+
+
 # ------------------------------------------------------------ type series
 
 def test_type_series_builtins():
