@@ -8,6 +8,14 @@ c_0 + c_1*p + ... + c_{k-1}*p^(k-1).  Thus 0 and 1 always have indices
 
 All fields are small (q <= MAX_Q by default), so addition, multiplication
 and inversion are table lookups built once at construction.
+
+Range checks happen at the API boundary: the public element operations
+(``add``, ``mul``, ``inv``, ...) check their arguments, and
+``linalg.Matrix.make`` checks every entry of a matrix once.  The inner loops
+of matrix products, matrix-vector products and elimination index the tables
+``_add``, ``_mul``, ``_neg`` and ``_inv`` directly, without a check.  A table
+lookup accepts a negative index silently, so values must pass one of those
+checks before they reach the tables.
 """
 
 from __future__ import annotations

@@ -29,12 +29,26 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Matrix:
+    """A matrix over F_q with entries in [0, q), row-major.
+
+    Entries are range-checked once, in :meth:`make`, the constructor for
+    outside values.  Arithmetic and elimination index the field's tables
+    directly and check nothing in their inner loops: their inputs are checked
+    matrices and their outputs are table values, so they stay in range.  The
+    bare constructor ``Matrix(field, entries)`` checks nothing; it is for
+    entries already known to be in range, as is the vector ``matvec`` takes."""
+
     field: FieldSpec
     entries: tuple[tuple[int, ...], ...]  # row-major
 
     @staticmethod
     def make(field: FieldSpec, rows) -> "Matrix":
-        return Matrix(field, tuple(tuple(r) for r in rows))
+        """The matrix with the given rows; raises ValueError for an entry
+        outside [0, q)."""
+        entries = tuple(tuple(r) for r in rows)
+        for row in entries:
+            field._check(*row)
+        return Matrix(field, entries)
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
@@ -53,7 +67,7 @@ class Matrix:
         return len(self.entries[0]) if self.entries else 0
 
     def _compat(self, other: "Matrix", mul: bool = False) -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("matrices over different fields")
         if mul:
             if self.ncols != other.nrows:
@@ -63,14 +77,14 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._compat(other)
-        F = self.field
+        add = self.field._add
         return Matrix(self.field, tuple(
-            tuple(F.add(a, b) for a, b in zip(ra, rb))
+            tuple(add[a][b] for a, b in zip(ra, rb))
             for ra, rb in zip(self.entries, other.entries)))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._compat(other, mul=True)
-        F = self.field
+        add, mul = self.field._add, self.field._mul
         bt = tuple(zip(*other.entries))
         out = []
         for row in self.entries:
@@ -79,21 +93,26 @@ class Matrix:
                 s = 0
                 for a, b in zip(row, col):
                     if a and b:
-                        s = F.add(s, F.mul(a, b))
+                        s = add[s][mul[a][b]]
                 new.append(s)
             out.append(tuple(new))
         return Matrix(self.field, tuple(out))
 
     def scale(self, c: int) -> "Matrix":
-        F = self.field
-        return Matrix(self.field, tuple(tuple(F.mul(c, a) for a in row) for row in self.entries))
+        self.field._check(c)
+        times_c = self.field._mul[c]
+        return Matrix(self.field, tuple(tuple(times_c[a] for a in row) for row in self.entries))
 
     def matvec(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        F = self.field
-        return tuple(
-            # fold without building intermediates; rows are short
-            _dot(F, row, v)
-            for row in self.entries)
+        add, mul = self.field._add, self.field._mul
+        out = []
+        for row in self.entries:
+            s = 0
+            for a, b in zip(row, v):
+                if a and b:
+                    s = add[s][mul[a][b]]
+            out.append(s)
+        return tuple(out)
 
     def __pow__(self, e: int) -> "Matrix":
         if self.nrows != self.ncols:
@@ -114,26 +133,32 @@ class Matrix:
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and its pivot columns."""
         F = self.field
+        add, mul, neg = F._add, F._mul, F._neg
         rows = [list(r) for r in self.entries]
         m, n = self.nrows, self.ncols
         pivots: list[int] = []
         r = 0
         for c in range(n):
-            pr = next((i for i in range(r, m) if rows[i][c]), None)
-            if pr is None:
+            for pr in range(r, m):
+                if rows[pr][c]:
+                    break
+            else:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
-            inv = F.inv(rows[r][c])
-            rows[r] = [F.mul(inv, x) for x in rows[r]]
+            pivot_row = rows[r]
+            if pivot_row[c] != 1:
+                times_inv = mul[F._inv[pivot_row[c]]]
+                rows[r] = pivot_row = [times_inv[x] for x in pivot_row]
             for i in range(m):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+                f = rows[i][c]
+                if f and i != r:
+                    times_minus_f = mul[neg[f]]
+                    rows[i] = [add[x][times_minus_f[y]] for x, y in zip(rows[i], pivot_row)]
             pivots.append(c)
             r += 1
             if r == m:
                 break
-        return Matrix(self.field, tuple(tuple(row) for row in rows)), pivots
+        return Matrix(self.field, tuple(map(tuple, rows))), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -164,20 +189,12 @@ class Matrix:
             v = [0] * n
             v[fc] = 1
             for r, pc in enumerate(pivots):
-                v[pc] = F.neg(red.entries[r][fc])
+                v[pc] = F._neg[red.entries[r][fc]]
             vecs.append(tuple(v))
         return Subspace.from_vectors(self.field, n, vecs)
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(a) for a in row) for row in self.entries)
-
-
-def _dot(F: FieldSpec, a, b) -> int:
-    s = 0
-    for x, y in zip(a, b):
-        if x and y:
-            s = F.add(s, F.mul(x, y))
-    return s
 
 
 @dataclass(frozen=True)
@@ -201,11 +218,6 @@ class Subspace:
     @property
     def pivots(self) -> tuple[int, ...]:
         return tuple(next(i for i, x in enumerate(row) if x) for row in self.basis)
-
-    def coords(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        """Coordinates of v in the RREF basis (pivot entries read off)."""
-        c = tuple(v[p] for p in self.pivots)
-        return c
 
     def image(self, g: Matrix) -> "Subspace":
         return Subspace.from_vectors(self.field, self.ambient,

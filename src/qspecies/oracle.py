@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
+from typing import Callable
 
 from .field import FieldSpec
 from .linalg import (BudgetExceededError, DEFAULT_BUDGET, InvariantData, Matrix,
@@ -186,25 +187,61 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
 
 
 # -- transport -----------------------------------------------------------------
+#
+# A transport takes g together with ``inv``, a function of no arguments that
+# returns g⁻¹.  The counting loops invert each group element once, so a
+# matrix structure is conjugated as g * a * inv() without an inversion per
+# structure.  Under the chart h of g on a part W, a "mat" leaf gets h.inverse,
+# so h is inverted only when such a leaf asks for it.
 
-def _chart_map(g: Matrix, rows: tuple) -> tuple[Subspace, Matrix]:
-    """g(W) for the subspace W with RREF basis rows, and the matrix of g
-    restricted to W in the RREF bases of W and g(W)."""
+def _given(g_inv: Matrix) -> Callable[[], Matrix]:
+    """``inv`` for a group element whose inverse is already computed."""
+    return lambda: g_inv
+
+
+def _chart_map(g: Matrix, rows: tuple) -> tuple[tuple, Matrix]:
+    """For the subspace W with RREF basis ``rows``: the RREF basis of g(W), and
+    the chart of g, its restriction to W in the RREF bases of W and g(W)."""
     field = g.field
-    images = [g.matvec(b) for b in rows]
-    w_img = Subspace.from_vectors(field, g.ncols, images)
-    cols = [w_img.coords(v) for v in images]
-    return w_img, Matrix.make(field, tuple(zip(*cols))) if cols else Matrix(field, ())
+    if not rows:
+        return (), Matrix(field, ())
+    images = tuple(g.matvec(b) for b in rows)
+    red, pivots = Matrix(field, images).rref()
+    return red.entries[:len(pivots)], Matrix(field, tuple(
+        tuple(v[p] for v in images) for p in pivots))
 
 
 def transport(e: SpeciesExpr, s: Structure, g: Matrix) -> Structure:
-    """F[g](s) for an invertible g of the matching dimension."""
-    if not g.is_invertible():
-        raise ValueError("transport requires an invertible matrix")
-    return _transport(e, s, g)
+    """F[g](s) for an invertible g of the matching dimension; raises ValueError
+    for a singular g or for an entry of s outside F_q."""
+    try:
+        g_inv = g.inverse()
+    except ValueError:
+        raise ValueError("transport requires an invertible matrix") from None
+    _check_entries(g.field, s)
+    return _transport(e, s, g, _given(g_inv))
 
 
-def _transport(e: SpeciesExpr, s: Structure, g: Matrix) -> Structure:
+def _check_entries(field: FieldSpec, s: Structure) -> None:
+    """Every integer in an encoding is a field element (tags are strings)."""
+    q = field.q
+    for x in s:
+        if isinstance(x, tuple):
+            _check_entries(field, x)
+        elif isinstance(x, int) and not 0 <= x < q:
+            field._check(x)
+
+
+def _check_structures(field: FieldSpec, structures: list) -> None:
+    """A caller-supplied F[E_n]: the transport loops index field tables
+    directly, so a foreign entry must raise here rather than wrap around."""
+    for s, _w in structures:
+        _check_entries(field, s)
+
+
+def _transport(e: SpeciesExpr, s: Structure, g: Matrix,
+               inv: Callable[[], Matrix]) -> Structure:
+    """F[g](s); ``inv()`` returns g⁻¹."""
     field = g.field
     if isinstance(e, Builtin):
         tag = s[0]
@@ -214,8 +251,7 @@ def _transport(e: SpeciesExpr, s: Structure, g: Matrix) -> Structure:
             sub = Subspace(field, g.ncols, s[1])
             return ("sub", sub.image(g).basis)
         if tag == "mat":
-            a = Matrix(field, s[1])
-            return ("mat", (g * a * g.inverse()).entries)
+            return ("mat", (g * Matrix(field, s[1]) * inv()).entries)
         if tag == "bas":
             return ("bas", tuple(g.matvec(v) for v in s[1]))
         if tag in ("spc", "scl"):
@@ -224,31 +260,31 @@ def _transport(e: SpeciesExpr, s: Structure, g: Matrix) -> Structure:
     if isinstance(e, Sum):
         side, inner = s[0], s[1]
         sub = e.left if side == "L" else e.right
-        return (side, _transport(sub, inner, g))
+        return (side, _transport(sub, inner, g, inv))
     if isinstance(e, Product):
-        return _transport_product(e.left, e.right, s, g)
+        return _transport_product(e.left, e.right, s, g, inv)
     if isinstance(e, Power):
-        return _transport(_power_as_products(e), s, g)
+        return _transport(_power_as_products(e), s, g, inv)
     if isinstance(e, (SymPower, Assembly)):
         members = []
         for rows, enc in s[1]:
-            w_img, h = _chart_map(g, rows)
-            members.append((w_img.basis, _transport(e.base, enc, h)))
+            img_rows, h = _chart_map(g, rows)
+            members.append((img_rows, _transport(e.base, enc, h, h.inverse)))
         return ("mset", tuple(sorted(members)))
     if isinstance(e, (Plus, Mark)):
-        return _transport(e.base, s, g)
+        return _transport(e.base, s, g, inv)
     raise TypeError(f"unknown species node {e!r}")
 
 
-def _transport_product(left, right, s, g):
+def _transport_product(left, right, s, g, inv):
     (rows1, s1), (rows2, s2) = s[1], s[2]
     out_parts = []
     for rows, enc, sub_e in ((rows1, s1, left), (rows2, s2, right)):
-        w_img, h = _chart_map(g, rows)
+        img_rows, h = _chart_map(g, rows)
         if not rows:
-            out_parts.append((w_img.basis, enc))
+            out_parts.append((img_rows, enc))
         else:
-            out_parts.append((w_img.basis, _transport(sub_e, enc, h)))
+            out_parts.append((img_rows, _transport(sub_e, enc, h, h.inverse)))
     return ("prod", out_parts[0], out_parts[1])
 
 
@@ -270,10 +306,13 @@ def inventory_bf(e: SpeciesExpr, field: FieldSpec, n: int,
 def fix_count_bf(e: SpeciesExpr, field: FieldSpec, n: int, sigma: Matrix,
                  budget: int = DEFAULT_BUDGET, structures: list | None = None) -> int:
     """Structures on E_n fixed by sigma; ``structures`` is F[E_n] when the
-    caller has already enumerated it."""
+    caller has already enumerated it (its entries must be elements of F_q)."""
     if structures is None:
         structures = enumerate_structures(e, field, n, budget)
-    return sum(1 for s, _w in structures if _transport(e, s, sigma) == s)
+    else:
+        _check_structures(field, structures)
+    inv = _given(sigma.inverse())
+    return sum(1 for s, _w in structures if _transport(e, s, sigma, inv) == s)
 
 
 @lru_cache(maxsize=None)
@@ -302,8 +341,10 @@ def orbit_partition(e: SpeciesExpr, field: FieldSpec, n: int,
     Returns one dict per orbit: representative (minimal encoding), size, weight."""
     if structures is None:
         structures = enumerate_structures(e, field, n, budget)
+    else:
+        _check_structures(field, structures)
     weights = dict(structures)
-    gens = _gl_generators(field, n)
+    gens = [(g, _given(g.inverse())) for g in _gl_generators(field, n)]
     unseen = set(weights)
     orbits = []
     while unseen:
@@ -312,8 +353,8 @@ def orbit_partition(e: SpeciesExpr, field: FieldSpec, n: int,
         orbit = {start}
         while frontier:
             cur = frontier.pop()
-            for g in gens:
-                nxt = _transport(e, cur, g)
+            for g, inv in gens:
+                nxt = _transport(e, cur, g, inv)
                 if nxt not in orbit:
                     orbit.add(nxt)
                     frontier.append(nxt)

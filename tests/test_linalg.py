@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import qspecies
 from qspecies.field import field_make
 from qspecies.linalg import (BudgetExceededError, Matrix, Subspace,
                              companion_matrix, enumerate_decompositions,
@@ -9,6 +15,7 @@ from qspecies.poly import Poly, monic_irreducibles
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
+F4 = field_make(2, 2)
 
 
 def M2(*rows):
@@ -22,6 +29,39 @@ def test_rank_and_inverse():
     assert a * a.inverse() == Matrix.identity(F2, 2)
     with pytest.raises(ValueError):
         M2((1, 1), (1, 1)).inverse()
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=["q2", "q3", "q4"])
+def test_make_checks_every_entry(field):
+    # products and elimination index the field tables without a check, and a
+    # negative index would read a table silently, so make is the range check
+    top = field.q - 1
+    assert Matrix.make(field, [(0, top), (top, 1)]).entries == ((0, top), (top, 1))
+    for bad in (field.q, field.q + 1, -1, -field.q):
+        for rows in ([(bad, 0), (0, 1)], [(0, 1), (1, bad)], [(bad,)]):
+            with pytest.raises(ValueError):
+                Matrix.make(field, rows)
+
+
+def test_make_range_check_survives_python_O():
+    script = (
+        "import sys\n"
+        "from qspecies.field import field_make\n"
+        "from qspecies.linalg import Matrix\n"
+        "for p, k in ((2, 1), (3, 1), (2, 2)):\n"
+        "    field = field_make(p, k)\n"
+        "    for bad in (field.q, -1):\n"
+        "        try:\n"
+        "            Matrix.make(field, [(1, bad)])\n"
+        "        except ValueError:\n"
+        "            print('ValueError', sys.flags.optimize)\n"
+    )
+    src = str(Path(qspecies.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["ValueError", "1"] * 6
 
 
 def test_kernel():

@@ -2,12 +2,13 @@ import pytest
 
 from qspecies import oracle
 from qspecies.classes import enumerate_classes
-from qspecies.field import field_make
-from qspecies.linalg import Matrix, enumerate_matrices, gl_order
+from qspecies.field import ConsistencyError, field_make
+from qspecies.linalg import Matrix, Subspace, enumerate_matrices, gl_order
 from qspecies.parser import parse
+from qspecies.series import TPoly
 from qspecies.cycleindex import z_build
-from qspecies.species import (Builtin, class_fix, cycle_index, gen_series,
-                              structure_count, type_series)
+from qspecies.species import (Assembly, Builtin, Plus, Product, class_fix,
+                              cycle_index, gen_series, structure_count, type_series)
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -165,6 +166,97 @@ def test_rep_cyclic_counts():
                        if g ** 3 == Matrix.identity(F2, n))
         assert oracle.structure_count_bf(e, F2, n) == expected
     assert oracle.structure_count_bf(e, F2, 2) == 3  # I and the two order-3 elements
+
+
+def reference_transport(e, s, g):
+    """F[g](s) with g inverted for every "mat" structure, g * a * g.inverse(),
+    and each part's chart built from the coordinates of its image, for the
+    expressions of CONJUGATED."""
+    if isinstance(e, Builtin):
+        if s[0] == "mat":
+            return ("mat", (g * Matrix.make(g.field, s[1]) * g.inverse()).entries)
+        return s
+    if isinstance(e, Plus):
+        return reference_transport(e.base, s, g)
+    if isinstance(e, Product):
+        return ("prod",) + tuple(reference_part(part_e, rows, enc, g)
+                                 for part_e, (rows, enc) in zip((e.left, e.right), s[1:]))
+    if isinstance(e, Assembly):
+        return ("mset", tuple(sorted(reference_part(e.base, rows, enc, g)
+                                     for rows, enc in s[1])))
+    raise TypeError(e)
+
+
+def reference_part(e, rows, enc, g):
+    images = [g.matvec(b) for b in rows]
+    image = Subspace.from_vectors(g.field, g.ncols, images)
+    if not rows:
+        return (image.basis, enc)
+    chart = Matrix.make(g.field, [[v[p] for v in images] for p in image.pivots])
+    return (image.basis, reference_transport(e, enc, chart))
+
+
+# E needs an operand without structures in dimension 0, so E(End) is E(plus(End))
+CONJUGATED = ["End", "Aut", "E(plus(End))", "Vplus*End"]
+
+
+@pytest.mark.parametrize("text", CONJUGATED)
+@pytest.mark.parametrize("field, n", [(F2, 0), (F2, 1), (F2, 2), (F4, 0), (F4, 1)],
+                         ids=["q2n0", "q2n1", "q2n2", "q4n0", "q4n1"])
+def test_inverse_once_per_group_element_matches_per_structure(text, field, n):
+    e = parse(text)
+    structures = oracle.enumerate_structures(e, field, n)
+    plain = [s for s, _w in structures]
+    group = list(enumerate_matrices(field, n, True))
+    orbit_of = {}
+    for sigma in group:
+        moved = [reference_transport(e, s, sigma) for s in plain]
+        assert [oracle.transport(e, s, sigma) for s in plain] == moved
+        assert oracle.fix_count_bf(e, field, n, sigma, structures=structures) == sum(
+            t == s for s, t in zip(plain, moved))
+        for s, t in zip(plain, moved):
+            orbit_of.setdefault(s, set()).add(t)
+    reference = sorted({(min(orbit), len(orbit)) for orbit in map(frozenset, orbit_of.values())})
+    assert sorted((o["rep"], o["size"]) for o in oracle.orbit_partition(e, field, n)) == reference
+
+
+def test_transport_rejects_singular_matrices_and_foreign_entries():
+    e = parse("End")
+    s = ("mat", ((1, 0), (0, 1)))
+    with pytest.raises(ValueError):
+        oracle.transport(e, s, Matrix.make(F2, [(1, 1), (1, 1)]))
+    g = Matrix.make(F2, [(1, 1), (0, 1)])
+    for bad in (2, -1):
+        with pytest.raises(ValueError):
+            oracle.transport(e, ("mat", ((1, 0), (bad, 1))), g)
+    with pytest.raises(ValueError):
+        oracle.transport(parse("Elem"), ("vec", (0, -1)), g)
+    # caller-supplied structures meet the same check before any transport
+    one = TPoly.const(1)
+    for bad in (2, -1):
+        structures = [(("mat", ((1, 0), (0, 1))), one), (("mat", ((1, 0), (bad, 1))), one)]
+        with pytest.raises(ValueError):
+            oracle.fix_count_bf(e, F2, 2, g, structures=structures)
+        with pytest.raises(ValueError):
+            oracle.orbit_partition(e, F2, 2, structures=structures)
+
+
+def test_orbit_count_runs_the_burnside_cross_check(monkeypatch):
+    e = parse("End")
+    calls = []
+    fix_count_bf = oracle.fix_count_bf
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return fix_count_bf(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "fix_count_bf", counted)
+    assert oracle.orbit_count_bf(e, F2, 2) == 6
+    assert sorted(g.entries for g in calls) == sorted(
+        g.entries for g in enumerate_matrices(F2, 2, True))
+    monkeypatch.setattr(oracle, "fix_count_bf", lambda *args, **kwargs: 1)
+    with pytest.raises(ConsistencyError):
+        oracle.orbit_count_bf(e, F2, 2)
 
 
 def test_budget_enforced():
