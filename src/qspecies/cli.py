@@ -39,20 +39,27 @@ def _cycle_index_output(z: CycleIndexSeries, q: int, fmt: str) -> str:
     return "\n".join(z.render_lines()) or "0"
 
 
+def _size(text: str) -> int:
+    """The argparse type of dimensions and truncation orders."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_options(p: argparse.ArgumentParser, *, field: bool = True, order: bool = False,
-                 budget: bool = False, formats: tuple = ("text", "json")) -> None:
+                 formats: tuple = ("text", "json")) -> None:
     """Register the common options the command reads; any other is a usage error."""
     if field:
         p.add_argument("--q", type=int, default=2, help="field characteristic base (default 2)")
         p.add_argument("--ext-k", type=int, default=1,
                        help="extension degree k, q = p^k (default 1)")
     if order:
-        p.add_argument("--order", type=int, default=8,
+        p.add_argument("--order", type=_size, default=8,
                        help="series truncation order (default 8)")
-    if budget:
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="cap on each oracle enumeration, for oracle commands and for "
-                            "zindex of RepCyclic(m), whose fixed points have no closed form")
     p.add_argument("--format", choices=list(formats), default="text")
 
 
@@ -67,11 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
                            ("zindex", "cycle index series of EXPR")]:
         p = sub.add_parser(cmd, help=help_text)
         p.add_argument("expr")
-        _add_options(p, order=True, budget=cmd == "zindex",
+        _add_options(p, order=True,
                      formats=("text", "json") if cmd == "zindex" else ("text", "json", "csv"))
 
     p = sub.add_parser("classes", help="conjugacy class table of Aut(E_n)")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_size)
     p.add_argument("--kind", choices=["aut", "end"], default="aut")
     _add_options(p)
 
@@ -83,11 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive-enumeration ground truth")
     p.add_argument("what", choices=["count", "fix", "orbits", "zindex"])
     p.add_argument("expr")
-    p.add_argument("n", type=int)
-    _add_options(p, budget=True, formats=("text", "json", "csv"))
+    p.add_argument("n", type=_size)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="cap on each oracle enumeration")
+    _add_options(p, formats=("text", "json", "csv"))
 
     p = sub.add_parser("verify", help="oracle-vs-closed-form identity suite")
-    p.add_argument("--max-dim", type=int, default=3)
+    p.add_argument("--max-dim", type=_size, default=3)
     _add_options(p)
 
     p = sub.add_parser("selftest", help="the acceptance criteria: the verify identities "
@@ -127,7 +136,7 @@ def _dispatch(args) -> int:
 
     if args.command == "zindex":
         e = parse(args.expr)
-        z = cycle_index(e, field, args.order, oracle_budget=args.budget)
+        z = cycle_index(e, field, args.order)
         print(_cycle_index_output(z, field.q, fmt))
         return 0
 

@@ -219,9 +219,11 @@ def _factor_at_power(psi: Poly, r: int) -> tuple[tuple[Poly, int], ...]:
 
 def z_build(field: FieldSpec, fix, order: int) -> CycleIndexSeries:
     """Cycle index from a fix-count class function:
-    sum over Aut classes of (fix(c)/centralizer_order(c)) * monomial(c)."""
+    sum over Aut classes of (fix(c)/centralizer_order(c)) * monomial(c).
+    Dimensions are walked from the top down, so that a fix count that fails on
+    its budget fails before it has spent any work on lower dimensions."""
     terms: dict[InvariantData, Fraction] = {}
-    for n in range(order + 1):
+    for n in range(order, -1, -1):
         for c in enumerate_classes(field, n, "aut"):
             v = Fraction(fix(c), c.centralizer_order)
             if v:

@@ -117,16 +117,17 @@ class Matrix:
     def __pow__(self, e: int) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("power of a non-square matrix")
-        out = Matrix.identity(self.field, self.nrows)
         base = self
         if e < 0:
             base, e = base.inverse(), -e
+        out = None  # the identity, until a factor arrives
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if e:
+                base = base * base
+        return Matrix.identity(self.field, self.nrows) if out is None else out
 
     # -- elimination ---------------------------------------------------------
 
@@ -218,10 +219,6 @@ class Subspace:
     @property
     def pivots(self) -> tuple[int, ...]:
         return tuple(next(i for i, x in enumerate(row) if x) for row in self.basis)
-
-    def image(self, g: Matrix) -> "Subspace":
-        return Subspace.from_vectors(self.field, self.ambient,
-                                     [g.matvec(row) for row in self.basis])
 
 
 # -- group orders and counts ------------------------------------------------

@@ -26,8 +26,8 @@ from typing import Callable
 
 from .field import FieldSpec
 from .linalg import (BudgetExceededError, DEFAULT_BUDGET, InvariantData, Matrix,
-                     Subspace, enumerate_decompositions, enumerate_matrices,
-                     enumerate_subspaces, gl_order, invariant_data, require)
+                     enumerate_decompositions, enumerate_matrices, enumerate_subspaces,
+                     gl_order, invariant_data, require)
 from .series import TPoly
 from .cycleindex import CycleIndexSeries, monomial
 from .species import (Assembly, Builtin, Mark, Plus, Power, Product, SpeciesExpr,
@@ -103,8 +103,6 @@ def _enum_builtin(e: Builtin, field: FieldSpec, n: int, budget: int) -> list[Str
             return []
         return [("sub", s.basis) for s in enumerate_subspaces(field, n, k, budget)]
     if name == "End":
-        if q ** (n * n) > budget:
-            raise BudgetExceededError("endomorphism enumeration exceeds budget")
         return [("mat", m.entries) for m in enumerate_matrices(field, n, False, budget)]
     if name == "Aut":
         return [("mat", m.entries) for m in enumerate_matrices(field, n, True, budget)]
@@ -248,8 +246,7 @@ def _transport(e: SpeciesExpr, s: Structure, g: Matrix,
         if tag == "vec":
             return ("vec", g.matvec(s[1]))
         if tag == "sub":
-            sub = Subspace(field, g.ncols, s[1])
-            return ("sub", sub.image(g).basis)
+            return ("sub", _chart_map(g, s[1])[0])
         if tag == "mat":
             return ("mat", (g * Matrix(field, s[1]) * inv()).entries)
         if tag == "bas":

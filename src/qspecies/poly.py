@@ -74,10 +74,6 @@ class Poly:
                     out[i + j] = F.add(out[i + j], F.mul(ai, bj))
         return Poly.make(F, out)
 
-    def scale(self, c: int) -> "Poly":
-        F = self.field
-        return Poly.make(F, [F.mul(c, a) for a in self.coeffs])
-
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._same_field(other)
         if other.is_zero:
@@ -97,9 +93,6 @@ class Poly:
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
 
     def __pow__(self, e: int) -> "Poly":
         out = Poly(self.field, (1,))

@@ -5,14 +5,15 @@ cycle index series are one fold over it, ``_fold``: F+G adds, FG multiplies,
 F^n is a power and plus(F) drops the constant term.  Each series supplies only
 its leaves (builtins, sym, E and mark).  Builtins carry closed-form structure
 counts and a fixed-point count per conjugacy class: Sub(k) and Proj = Sub(1)
-by Birkhoff's count of submodules.  E(F) and sym(m, F) are one plethysm rule,
-``_plethysm``, applied to F's cycle index or to F's type series: the type
-specialisation sends the Adams operation Psi_r to x -> x^r, so the type series
-never builds a cycle index.  The one fixed-point count without a closed form,
-RepCyclic(m)'s, comes from ``class_fix``: the oracle counts the structures each
-class representative fixes, with F[E_n] enumerated once per dimension.  Only
-RepCyclic(m)'s cycle index needs it; its type series counts classes instead.
-The oracle's literal sums over all of GL_n stay the independent check.
+by Birkhoff's count of submodules, RepCyclic(m) as a product over the primary
+parts of sigma of the g with g^m = 1 in that part's commutant.  E(F) and
+sym(m, F) are one plethysm rule, ``_plethysm``, applied to F's cycle index or
+to F's type series: the type specialisation sends the Adams operation Psi_r to
+x -> x^r, so the type series never builds a cycle index.  Nothing here uses
+the oracle; the only enumeration is RepCyclic(m)'s, of the commutant of each
+non-scalar primary part, bounded by DEFAULT_BUDGET per dimension, and only its
+cycle index needs it: its type series counts classes instead.  The oracle's
+literal sums over all of GL_n stay the independent check.
 
 Weights have one rule: mark(F) multiplies weights by t in the weighted
 generating series, and the type series and cycle index of any expression
@@ -29,7 +30,8 @@ from math import factorial
 
 from .classes import ConjClass, class_weighted_sum, enumerate_classes, partitions
 from .field import FieldSpec, field_make
-from .linalg import (DEFAULT_BUDGET, gaussian_binomial, gl_order, q_int, qbinomial,
+from .linalg import (DEFAULT_BUDGET, BudgetExceededError, Matrix, block_diagonal,
+                     companion_matrix, gaussian_binomial, gl_order, q_int, qbinomial,
                      require)
 from .poly import Poly, poly_z, poly_z_minus
 from .series import POLY_T, RATIONAL, PowerSeries, TPoly, ring_one
@@ -240,16 +242,84 @@ def _birkhoff(lam: tuple, nu: tuple, Q: int) -> int:
     return out
 
 
+def _commutant_dim(phi: Poly, lam: tuple) -> int:
+    """F_q-dimension of the commutant of a phi-primary part of type lam."""
+    return phi.degree * sum(min(a, b) for a in lam for b in lam)
+
+
 def _fix_end(field, c, arg):
-    """Matrices commuting with sigma: q^(dim of the commutant algebra)."""
-    dim = 0
-    for phi, parts in c.invariant.partitions:
-        dim += phi.degree * sum(min(a, b) for a in parts for b in parts)
-    return field.q**dim
+    """Matrices commuting with sigma: q^(dim of the commutant algebra), which
+    is block diagonal over sigma's primary parts."""
+    return field.q ** sum(_commutant_dim(phi, lam) for phi, lam in c.invariant.partitions)
 
 
 def _fix_aut(field, c, arg):
     return c.centralizer_order
+
+
+def _fix_rep_cyclic(field, c, m):
+    """The g with g^m = 1 that commute with sigma.  The commutant is block
+    diagonal over sigma's primary parts, since Hom between different primary
+    components is zero (Macdonald, ch. IV), so the count is a product over the
+    parts.  Everything commutes with a scalar part (deg phi = 1, lam = 1^k),
+    which gives the closed count on k dimensions; any other part's commutant is
+    enumerated, once the whole of dimension n is within DEFAULT_BUDGET.  For
+    m = 0 every g in the centralizer counts, and no singular one."""
+    if m == 0:
+        return c.centralizer_order
+    work = _commutant_work(field, c.n)
+    if work > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"enumerating {work} commutant elements in dimension {c.n} "
+            f"exceeds budget {DEFAULT_BUDGET}")
+    out = 1
+    for phi, lam in c.invariant.partitions:
+        if _is_scalar(phi, lam):
+            out *= _count_rep_cyclic(field, len(lam), m)
+        else:
+            out *= _commutant_roots(field, phi, lam, m)
+    return out
+
+
+def _is_scalar(phi: Poly, lam: tuple) -> bool:
+    return phi.degree == 1 and lam[0] == 1
+
+
+@lru_cache(maxsize=None)
+def _commutant_work(field: FieldSpec, n: int) -> int:
+    """Sum of q^dim over the non-scalar primary parts of every Aut class of
+    dimension n: what ``_fix_rep_cyclic`` enumerates there."""
+    return sum(field.q ** _commutant_dim(phi, lam)
+               for c in enumerate_classes(field, n, "aut")
+               for phi, lam in c.invariant.partitions if not _is_scalar(phi, lam))
+
+
+@lru_cache(maxsize=None)
+def _commutant_roots(field: FieldSpec, phi: Poly, lam: tuple, m: int) -> int:
+    """The g with g^m = 1 among the matrices commuting with s, the direct sum of
+    the companion matrices of phi^i for i in lam: every F_q-combination of a
+    basis of the kernel of X -> sX - Xs is tried."""
+    s = block_diagonal(field, [companion_matrix(phi**i) for i in lam]).entries
+    size = len(s)
+    cells = [(i, j) for i in range(size) for j in range(size)]
+    # row (i, j): (sX - Xs)_ij = sum_k s_ik X_kj - sum_l X_il s_lj
+    commutator = Matrix.make(field, [
+        [field.sub(s[i][k] if l == j else 0, s[l][j] if k == i else 0) for k, l in cells]
+        for i, j in cells])
+    basis = commutator.kernel_basis().basis
+    require(len(basis) == _commutant_dim(phi, lam),
+            f"commutant of ({phi}, {lam}) has dimension {len(basis)}")
+    matrices = [Matrix(field, tuple(v[i * size:(i + 1) * size] for i in range(size)))
+                for v in basis]
+    multiples = [[x.scale(a) for a in range(1, field.q)] for x in matrices]
+    ident = Matrix.identity(field, size)
+
+    def count(j: int, g: Matrix) -> int:
+        if j == len(multiples):
+            return 1 if g**m == ident else 0
+        return count(j + 1, g) + sum(count(j + 1, g + b) for b in multiples[j])
+
+    return count(0, Matrix.zero(field, size, size))
 
 
 def _fix_bases(field, c, arg):
@@ -266,7 +336,7 @@ def _fix_count_equals(count):
 class BuiltinSpec:
     name: str
     count: object            # (field, n, arg) -> int
-    fix: object | None       # (field, class, arg) -> int; None: oracle on class representatives
+    fix: object              # (field, class, arg) -> int
     needs_arg: bool = False
     types: object | None = None  # (field, n, arg) -> orbit count; None: Burnside over fix
 
@@ -284,7 +354,7 @@ BUILTINS: dict[str, BuiltinSpec] = {
     "Sub": BuiltinSpec("Sub", _count_sub, _fix_sub, needs_arg=True),
     "Fscalar": BuiltinSpec("Fscalar", _count_fscalar, _fix_count_equals(_count_fscalar)),
     "Fstar": BuiltinSpec("Fstar", _count_fstar, _fix_count_equals(_count_fstar)),
-    "RepCyclic": BuiltinSpec("RepCyclic", _count_rep_cyclic, None, needs_arg=True,
+    "RepCyclic": BuiltinSpec("RepCyclic", _count_rep_cyclic, _fix_rep_cyclic, needs_arg=True,
                              types=_types_rep_cyclic),
 }
 
@@ -410,22 +480,10 @@ def weighted_gen_series(e: SpeciesExpr, field: FieldSpec, order: int) -> PowerSe
 
 # -- fix counts per class -------------------------------------------------------
 
-def class_fix(e: Builtin, field: FieldSpec, c: ConjClass,
-              budget: int = DEFAULT_BUDGET, structures: dict | None = None) -> int:
-    """fix F[sigma] for a builtin F and sigma in the given Aut conjugacy class:
-    the builtin's closed form, which every builtin but RepCyclic(m) has, else
-    the oracle's count on the class representative.  A walk over many classes
-    passes one ``structures`` dict, which keeps F[E_n] per dimension, so that
-    each n is enumerated once."""
-    spec = BUILTINS[e.name]
-    if spec.fix is not None:
-        return spec.fix(field, c, e.arg)
-    from . import oracle
-    structures = {} if structures is None else structures
-    if c.n not in structures:
-        structures[c.n] = oracle.enumerate_structures(e, field, c.n, budget)
-    return oracle.fix_count_bf(e, field, c.n, c.representative(field), budget,
-                               structures[c.n])
+def class_fix(e: Builtin, field: FieldSpec, c: ConjClass) -> int:
+    """fix F[sigma] for a builtin F and sigma in the given Aut conjugacy class,
+    from the builtin's count per class."""
+    return BUILTINS[e.name].fix(field, c, e.arg)
 
 
 # -- plethysm ---------------------------------------------------------------------
@@ -504,23 +562,21 @@ def _burnside_types(e: Builtin, field: FieldSpec, order: int) -> list[int]:
 
 # -- cycle index series -----------------------------------------------------------
 
-def cycle_index(e: SpeciesExpr, field: FieldSpec, order: int,
-                oracle_budget: int = DEFAULT_BUDGET) -> CycleIndexSeries:
+def cycle_index(e: SpeciesExpr, field: FieldSpec, order: int) -> CycleIndexSeries:
     """The cycle index series, truncated by graded degree.
 
-    Builtins are built class by class with ``z_build`` over ``class_fix``:
-    closed forms for every builtin but RepCyclic(m), whose fixed points the
-    oracle counts on class representatives, each enumeration of F[E_n] bounded
-    by ``oracle_budget``.  E(F) and sym(m, F) are ``_plethysm`` of Z_F.  The
-    other nodes go through ``_fold`` (Z_{F+G} = Z_F + Z_G, Z_{FG} = Z_F Z_G).
-    An expression that contains ``mark`` raises UnsupportedOperationError."""
+    Builtins are built class by class with ``z_build`` over ``class_fix``.
+    E(F) and sym(m, F) are ``_plethysm`` of Z_F.  The other nodes go through
+    ``_fold`` (Z_{F+G} = Z_F + Z_G, Z_{FG} = Z_F Z_G).  Only RepCyclic(m)'s
+    fixed points enumerate anything, the commutants of non-scalar primary parts,
+    and a dimension whose enumeration would exceed DEFAULT_BUDGET raises
+    BudgetExceededError.  An expression that contains ``mark`` raises
+    UnsupportedOperationError."""
     _validate_unweighted(e, "cycle index")
 
     def leaf(x: SpeciesExpr) -> CycleIndexSeries:
         if isinstance(x, (Assembly, SymPower)):
             return _plethysm(x, _fold(x.base, leaf), z_one(field, order))
-        structures: dict = {}
-        return z_build(field, lambda c: class_fix(x, field, c, oracle_budget, structures),
-                       order)
+        return z_build(field, lambda c: class_fix(x, field, c), order)
 
     return _fold(e, leaf)

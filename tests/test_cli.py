@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import qspecies
+from qspecies import species
 from qspecies.cli import main
 
 F4_IRREDUCIBLE_COUNT = 6  # monic irreducible quadratics over F_4
@@ -152,10 +153,38 @@ def test_budget_exit_code(capsys):
     assert code != 0
 
 
-def test_budget_zero_means_zero(capsys):
-    # RepCyclic(m)'s cycle index is the one production path that still enumerates
-    assert main(["zindex", "RepCyclic(2)", "--order", "2", "--budget", "0"]) == 1
+def test_budget_zero_means_zero(monkeypatch, capsys):
+    # RepCyclic(m)'s cycle index is the one production path that still enumerates,
+    # the commutants of non-scalar primary parts, under the fixed DEFAULT_BUDGET
+    monkeypatch.setattr(species, "DEFAULT_BUDGET", 0)
+    assert main(["zindex", "RepCyclic(2)", "--order", "2"]) == 1
     assert main(["oracle", "count", "End", "2", "--budget", "0"]) == 1
+
+
+def test_over_budget_zindex_fails_before_enumerating(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("enumerated a commutant")
+    monkeypatch.setattr(species, "_commutant_roots", refuse)
+    assert main(["zindex", "RepCyclic(2)", "--order", "6"]) == 1
+    assert "exceeds budget" in capsys.readouterr().err
+
+
+NEGATIVE_SIZES = [
+    ["gen", "Elem", "--order", "-1"],
+    ["zindex", "Elem", "--order", "-1"],
+    ["oracle", "count", "Elem", "-1"],
+    ["classes", "-1"],
+    ["verify", "--max-dim", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SIZES, ids=[" ".join(a) for a in NEGATIVE_SIZES])
+def test_negative_size_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "expected a non-negative integer" in captured.err
 
 
 IGNORED_OPTIONS = [
@@ -167,6 +196,7 @@ IGNORED_OPTIONS = [
     ["irreducibles", "2", "--order", "3"],
     ["oracle", "count", "End", "2", "--order", "3"],
     ["gen", "Elem", "--budget", "5"],
+    ["zindex", "Elem", "--budget", "5"],
     ["type", "Elem", "--budget", "5"],
     ["wgen", "E(mark(Vplus))", "--budget", "5"],
     ["classes", "2", "--budget", "5"],

@@ -31,6 +31,17 @@ def test_rank_and_inverse():
         M2((1, 1), (1, 1)).inverse()
 
 
+def test_power_matches_repeated_products():
+    ident = Matrix.identity(F3, 2)
+    for g in enumerate_matrices(F3, 2, True):
+        power, inverse_power = ident, ident
+        for e in range(6):
+            assert g**e == power and g**-e == inverse_power
+            power, inverse_power = power * g, inverse_power * g.inverse()
+    singular = Matrix.make(F3, ((1, 2), (2, 1)))
+    assert singular**0 == ident and singular**3 == singular * singular * singular
+
+
 @pytest.mark.parametrize("field", [F2, F3, F4], ids=["q2", "q3", "q4"])
 def test_make_checks_every_entry(field):
     # products and elimination index the field tables without a check, and a

@@ -62,8 +62,8 @@ def test_fix_counts_constant_on_classes(text):
         assert seen == c.class_size
 
 
-@pytest.mark.parametrize("text", ["Elem", "Proj", "End", "Aut", "Bases",
-                                  "V", "Vplus"])
+@pytest.mark.parametrize("text", ["Elem", "Proj", "End", "Aut", "Bases", "V", "Vplus"]
+                         + [f"RepCyclic({m})" for m in range(5)])
 def test_closed_fix_matches_brute_force(text):
     e = parse(text)
     for field, n in ((F2, 1), (F2, 2), (F3, 1), (F3, 2)):
@@ -98,11 +98,12 @@ def test_zindex_bf_matches_closed(text):
 
 
 @pytest.mark.parametrize("text", ["E(Vplus)", "sym(2, Vplus)", "sym(3, Proj)",
-                                  "E(plus(Elem))", "E(Sub(1)*Vplus)", "Sub(2)"])
+                                  "E(plus(Elem))", "E(Sub(1)*Vplus)", "Sub(2)",
+                                  "RepCyclic(2)", "RepCyclic(3)"])
 @pytest.mark.parametrize("field, order", [(F2, 3), (F3, 2), (F4, 2)], ids=["q2", "q3", "q4"])
 def test_class_representative_zindex_matches_literal(text, field, order):
-    # production: cycle index over class representatives, from the plethysm of Z_F
-    # and Birkhoff's count; oracle: a sum over all of GL_n
+    # production: cycle index over class representatives, from the plethysm of Z_F,
+    # Birkhoff's count and the commutants of primary parts; oracle: a sum over GL_n
     e = parse(text)
     assert cycle_index(e, field, order) == oracle.zindex_bf(e, field, order)
 

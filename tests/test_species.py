@@ -234,6 +234,21 @@ def test_e_sym_sub_and_rep_cyclic_types_never_enumerate(monkeypatch):
         [1, 1, 3, 5, 11, 18, 35]
 
 
+def test_rep_cyclic_cycle_index_never_loads_the_oracle():
+    script = (
+        "import sys\n"
+        "from qspecies import cycle_index, field_make, parse\n"
+        "cycle_index(parse('RepCyclic(2)'), field_make(2, 1), 4)\n"
+        "print('qspecies.oracle' in sys.modules)\n"
+    )
+    src = str(Path(qspecies.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]
+
+
 @pytest.mark.parametrize("field, order", [(F3, 5), (field_make(2, 2), 4)], ids=["q3", "q4"])
 @pytest.mark.parametrize("text", ["sym(3,Proj)", "E(plus(Elem))", "sym(2,E(Vplus)*Vplus)"])
 def test_type_plethysm_is_the_type_specialisation_of_the_cycle_index(field, order, text):
