@@ -10,7 +10,7 @@ from .poly import Poly, is_irreducible, irreducible_count, monic_irreducibles
 from .linalg import (InvariantData, Matrix, Subspace, companion_matrix,
                      enumerate_decompositions, enumerate_matrices,
                      enumerate_subspaces, gl_order, invariant_data, qbinomial)
-from .classes import ConjClass, centralizer_order, class_weighted_sum, enumerate_classes
+from .classes import ConjClass, centralizer_order, enumerate_classes
 from .series import POLY_T, RATIONAL, PowerSeries, TPoly, euler_product
 from .cycleindex import CycleIndexSeries, z_build
 from .species import (Assembly, Builtin, Mark, Plus, Power, Product, SpeciesExpr,
@@ -24,7 +24,7 @@ __all__ = [
     "InvariantData", "Matrix", "Subspace", "companion_matrix",
     "enumerate_decompositions", "enumerate_matrices", "enumerate_subspaces",
     "gl_order", "invariant_data", "qbinomial",
-    "ConjClass", "centralizer_order", "class_weighted_sum", "enumerate_classes",
+    "ConjClass", "centralizer_order", "enumerate_classes",
     "POLY_T", "RATIONAL", "PowerSeries", "TPoly", "euler_product",
     "CycleIndexSeries", "z_build",
     "Assembly", "Builtin", "Mark", "Plus", "Power", "Product", "SpeciesExpr",

@@ -3,9 +3,11 @@
 A class is its rational canonical invariant (``linalg.InvariantData``): a
 partition lambda_phi for each monic irreducible phi with
 sum deg(phi)*|lambda_phi| = n.  The same value is the class's cycle-index
-monomial.  The centralizer order is the standard product formula per
-irreducible, validated against brute-force commutant counts in the test suite
-before being trusted at dimensions where GL enumeration is impossible.
+monomial.  The centralizer order is a product over the primary parts of one
+formula per part, ``part_centralizer_order``, validated against brute-force
+commutant counts in the test suite before being trusted at dimensions where
+GL enumeration is impossible.  The species' type and generating series use
+the per-part formula alone, without walking classes.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
+from math import prod
 
 from .field import FieldSpec
 from .linalg import (ConsistencyError, InvariantData, Matrix, block_diagonal,
@@ -57,24 +60,31 @@ def partitions(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def centralizer_order(field: FieldSpec, inv: InvariantData) -> int:
-    """Product over irreducibles phi of
+@lru_cache(maxsize=None)
+def part_centralizer_order(Q: int, parts: tuple[int, ...]) -> int:
+    """The centralizer order of one primary part, of type l over a residue field
+    F_Q (Q = q^deg(phi)):
     Q^(|l| + 2n(l) - sum_i m_i(l)(m_i(l)+1)/2) * prod_i prod_{k=1}^{m_i(l)} (Q^k - 1),
-    Q = q^deg(phi): Q^(|l| + 2n(l)) * prod_i prod_k (1 - Q^-k) with the
-    powers of Q collected, so that every factor is an integer."""
+    which is Q^(|l| + 2n(l)) * prod_i prod_k (1 - Q^-k) with the powers of Q
+    collected, so that every factor is an integer."""
     total = 1
-    for phi, parts in inv.partitions:
-        Q = field.q ** phi.degree
-        exponent = sum(parts) + 2 * sum(j * part for j, part in enumerate(parts))
-        for _part, run in groupby(parts):
-            m = len(list(run))
-            exponent -= m * (m + 1) // 2
-            for k in range(1, m + 1):
-                total *= Q**k - 1
-        if exponent < 0:
-            raise ConsistencyError(f"centralizer order of {inv} is not a positive integer")
-        total *= Q**exponent
-    return total
+    exponent = sum(parts) + 2 * sum(j * part for j, part in enumerate(parts))
+    for _part, run in groupby(parts):
+        m = len(list(run))
+        exponent -= m * (m + 1) // 2
+        for k in range(1, m + 1):
+            total *= Q**k - 1
+    if exponent < 0:
+        raise ConsistencyError(f"centralizer order of a part {parts} over F_{Q} "
+                               "is not a positive integer")
+    return total * Q**exponent
+
+
+def centralizer_order(field: FieldSpec, inv: InvariantData) -> int:
+    """The product of ``part_centralizer_order`` over the primary parts of ``inv``:
+    the centralizer is block diagonal over them."""
+    return prod(part_centralizer_order(field.q ** phi.degree, parts)
+                for phi, parts in inv.partitions)
 
 
 @lru_cache(maxsize=None)
@@ -116,15 +126,3 @@ def enumerate_classes(field: FieldSpec, n: int, kind: str = "aut") -> tuple[Conj
     classes.sort(key=lambda c: c.invariant.sort_key())
     return tuple(classes)
 
-
-def class_weighted_sum(field: FieldSpec, n: int, kind: str, f):
-    """Sum of class_size * f(class) over the conjugacy classes of weight n.
-
-    Equals a sum over all of Aut(E_n) (or End) of a class function."""
-    total = None
-    for c in enumerate_classes(field, n, kind):
-        term = f(c) * c.class_size
-        total = term if total is None else total + term
-    if total is None:
-        total = 0
-    return total

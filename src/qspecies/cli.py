@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=["count", "fix", "orbits", "zindex"])
     p.add_argument("expr")
     p.add_argument("n", type=_size)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_size, default=DEFAULT_BUDGET,
                    help="cap on each oracle enumeration")
     _add_options(p, formats=("text", "json", "csv"))
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 from typing import Callable
 
 from .field import FieldSpec
@@ -87,14 +87,10 @@ def _enum(e: SpeciesExpr, field: FieldSpec, n: int, budget: int) -> list:
 
 
 def _enum_builtin(e: Builtin, field: FieldSpec, n: int, budget: int) -> list[Structure]:
+    """F[E_n] for a builtin; raises BudgetExceededError before enumerating more
+    than ``budget`` structures (or, for matrices and bases, candidates)."""
     q = field.q
     name = e.name
-    if name == "One":
-        return [("spc",)] if n == 0 else []
-    if name == "Zero":
-        return []
-    if name == "Elem":
-        return [("vec", v) for v in _all_vectors(field, n)]
     if name == "Proj":
         return [("sub", s.basis) for s in enumerate_subspaces(field, n, 1, budget)] if n else []
     if name == "Sub":
@@ -102,10 +98,8 @@ def _enum_builtin(e: Builtin, field: FieldSpec, n: int, budget: int) -> list[Str
         if k > n:
             return []
         return [("sub", s.basis) for s in enumerate_subspaces(field, n, k, budget)]
-    if name == "End":
-        return [("mat", m.entries) for m in enumerate_matrices(field, n, False, budget)]
-    if name == "Aut":
-        return [("mat", m.entries) for m in enumerate_matrices(field, n, True, budget)]
+    if name in ("End", "Aut"):
+        return [("mat", m.entries) for m in enumerate_matrices(field, n, name == "Aut", budget)]
     if name == "Bases":
         if q ** (n * n) > budget:
             raise BudgetExceededError("basis enumeration exceeds budget")
@@ -114,14 +108,6 @@ def _enum_builtin(e: Builtin, field: FieldSpec, n: int, budget: int) -> list[Str
             if n == 0 or Matrix.make(field, vs).rank() == n:
                 out.append(("bas", vs))
         return out
-    if name == "V":
-        return [("spc",)]
-    if name == "Vplus":
-        return [("spc",)] if n >= 1 else []
-    if name == "Fscalar":
-        return [("scl", c) for c in range(q)] if n == 1 else []
-    if name == "Fstar":
-        return [("scl", c) for c in range(1, q)] if n == 1 else []
     if name == "RepCyclic":
         m = e.arg
         out = []
@@ -130,7 +116,20 @@ def _enum_builtin(e: Builtin, field: FieldSpec, n: int, budget: int) -> list[Str
             if g**m == ident:
                 out.append(("mat", g.entries))
         return out
-    raise ValueError(f"unknown builtin {name}")
+    # the rest have at most q^n structures: enumerate one more than the budget
+    if name == "Elem":
+        structures = (("vec", v) for v in _all_vectors(field, n))
+    elif name in ("Fscalar", "Fstar"):
+        structures = [("scl", c) for c in range(1 if name == "Fstar" else 0, q)] if n == 1 else []
+    elif name in ("One", "Zero", "V", "Vplus"):
+        exists = {"One": n == 0, "Zero": False, "V": True, "Vplus": n >= 1}[name]
+        structures = [("spc",)] if exists else []
+    else:
+        raise ValueError(f"unknown builtin {name}")
+    out = list(islice(structures, budget + 1))
+    if len(out) > budget:
+        raise BudgetExceededError(f"{name} on E_{n} has more structures than budget {budget}")
+    return out
 
 
 def _enum_product(left: SpeciesExpr, right: SpeciesExpr, field: FieldSpec,

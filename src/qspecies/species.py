@@ -4,16 +4,21 @@ A species expression is a small immutable AST.  The generating, type and
 cycle index series are one fold over it, ``_fold``: F+G adds, FG multiplies,
 F^n is a power and plus(F) drops the constant term.  Each series supplies only
 its leaves (builtins, sym, E and mark).  Builtins carry closed-form structure
-counts and a fixed-point count per conjugacy class: Sub(k) and Proj = Sub(1)
-by Birkhoff's count of submodules, RepCyclic(m) as a product over the primary
-parts of sigma of the g with g^m = 1 in that part's commutant.  E(F) and
+counts and, unless fix(sigma) depends on the dimension alone, one count per
+primary part of sigma (``BuiltinSpec``): Sub(k) and Proj = Sub(1) by
+Birkhoff's count of submodules.  fix(sigma) is the product over sigma's parts,
+and so is the centralizer order, so the type series, Burnside's sum over
+classes, is an Euler product over the monic irreducibles (``_class_sum``) that
+enumerates no class.  RepCyclic(m)'s type and generating series are the same
+product over the indicator of g^m = 1 on each part.  Only the cycle index
+walks the classes, with fix(sigma) per class (``class_fix``).  E(F) and
 sym(m, F) are one plethysm rule, ``_plethysm``, applied to F's cycle index or
 to F's type series: the type specialisation sends the Adams operation Psi_r to
 x -> x^r, so the type series never builds a cycle index.  Nothing here uses
-the oracle; the only enumeration is RepCyclic(m)'s, of the commutant of each
-non-scalar primary part, bounded by DEFAULT_BUDGET per dimension, and only its
-cycle index needs it: its type series counts classes instead.  The oracle's
-literal sums over all of GL_n stay the independent check.
+the oracle; the only enumeration is RepCyclic(m)'s cycle index, of the
+commutant of each non-scalar primary part, bounded by DEFAULT_BUDGET per
+dimension.  The oracle's literal sums over all of GL_n stay the independent
+check.
 
 Weights have one rule: mark(F) multiplies weights by t in the weighted
 generating series, and the type series and cycle index of any expression
@@ -28,14 +33,14 @@ from functools import lru_cache
 from itertools import groupby
 from math import factorial
 
-from .classes import ConjClass, class_weighted_sum, enumerate_classes, partitions
+from .classes import ConjClass, enumerate_classes, part_centralizer_order, partitions
 from .field import FieldSpec, field_make
 from .linalg import (DEFAULT_BUDGET, BudgetExceededError, Matrix, block_diagonal,
                      companion_matrix, gaussian_binomial, gl_order, q_int, qbinomial,
                      require)
-from .poly import Poly, poly_z, poly_z_minus
-from .series import POLY_T, RATIONAL, PowerSeries, TPoly, ring_one
-from .cycleindex import CycleIndexSeries, z_build, z_one
+from .poly import Poly, irreducible_count, poly_z_minus
+from .series import POLY_T, RATIONAL, PowerSeries, TPoly, ring_one, ring_zero
+from .cycleindex import CycleIndexSeries, _factor_at_power, z_build, z_one
 
 
 class SpeciesExpr:
@@ -98,114 +103,42 @@ class Mark(SpeciesExpr):
 
 # -- builtin semantics --------------------------------------------------------
 
-def _count_one(field, n, arg):
-    return 1 if n == 0 else 0
-
-
-def _count_zero(field, n, arg):
-    return 0
-
-
-def _count_elem(field, n, arg):
-    return field.q**n
-
-
-def _count_proj(field, n, arg):
-    return q_int(field.q, n)
-
-
-def _count_end(field, n, arg):
-    return field.q ** (n * n)
-
-
-def _count_aut(field, n, arg):
-    return gl_order(field, n)
-
-
-def _count_sub(field, n, arg):
-    return qbinomial(field, n, arg) if arg <= n else 0
-
-
-def _count_v(field, n, arg):
-    return 1
-
-
-def _count_vplus(field, n, arg):
-    return 1 if n >= 1 else 0
-
-
-def _count_fscalar(field, n, arg):
-    return field.q if n == 1 else 0
-
-
-def _count_fstar(field, n, arg):
-    return field.q - 1 if n == 1 else 0
-
-
-def _rep_cyclic_fixed(field, m):
-    """The class predicate g^m = 1: z^m - 1 is a multiple of g's minimal
-    polynomial, so of every elementary divisor phi^i of g, that is of phi^i
-    for the largest part i of each lambda_phi."""
-    z_m_minus_1 = poly_z(field) ** m - Poly(field, (1,))
-
-    @lru_cache(maxsize=None)
-    def divides(phi: Poly, i: int) -> bool:
-        return (z_m_minus_1 % phi**i).is_zero
-
-    def fixed(c: ConjClass) -> bool:
-        return all(divides(phi, lam[0]) for phi, lam in c.invariant.partitions)
-    return fixed
-
-
+@lru_cache(maxsize=None)
 def _count_rep_cyclic(field, n, m):
-    """Automorphisms g with g^m = 1, counted class by class."""
-    return class_weighted_sum(field, n, "aut", _rep_cyclic_fixed(field, m))
+    """Automorphisms g with g^m = 1: gamma_n times the x^n coefficient of
+    ``_rep_cyclic_gen``."""
+    c = _rep_cyclic_gen(field, n, m).coeffs[n] * gl_order(field, n)
+    require(c.denominator == 1, f"RepCyclic({m}) count {c} at n={n} is not an integer")
+    return c.numerator
 
 
-def _types_rep_cyclic(field, n, m):
-    """Structures up to conjugacy: one per Aut class whose elements have g^m = 1."""
-    return sum(map(_rep_cyclic_fixed(field, m), enumerate_classes(field, n, "aut")))
+def _is_root(lam, v, m):
+    """Whether g^m = 1 on a part: z^m - 1 is a multiple of every elementary
+    divisor phi^i, i in lam, so lam_1 <= v_phi.  Always, for m = 0."""
+    return m == 0 or all(i <= v for i in lam)
 
 
-def _fix_one(field, c, arg):
-    return 1 if c.n == 0 else 0
+def _part_root(q, d, lam, v, m):
+    """The part's centralizer order if g^m = 1 on it, else 0: as a class function,
+    [sigma^m = 1] |C(sigma)|.  For m = 1 this is Bases' fixed-point count.  For
+    RepCyclic(m) it is not the fixed-point count (``_fix_rep_cyclic``), but it has
+    the same Burnside sum: both count the classes with sigma^m = 1."""
+    return part_centralizer_order(q**d, lam) if _is_root(lam, v, m) else 0
 
 
-def _fix_zero(field, c, arg):
-    return 0
-
-
-def _fix_elem(field, c, arg):
-    """Fixed vectors of sigma: the kernel of sigma - 1, of dimension
-    = number of parts of the partition at z-1."""
-    z_minus_1 = poly_z_minus(field, 1)
-    ell = sum(len(lam) for phi, lam in c.invariant.partitions if phi == z_minus_1)
-    return field.q**ell
-
-
-def _fix_sub(field, c, k):
-    """Birkhoff's count: the sigma-invariant k-subspaces are the F_q[z]-submodules
-    of dimension k of V = sum_phi M_phi.  A submodule is the sum of its phi-parts,
-    each of some type nu_phi inside the type lambda_phi of M_phi and of dimension
-    deg phi * |nu_phi|; sum over choices with total dimension k of the product of
-    the counts per phi.  Parts with deg phi > k contribute only nu_phi = 0."""
-    counts = (1,) + (0,) * k  # counts[j]: submodules of dimension j of the parts so far
-    for phi, lam in c.invariant.partitions:
-        d = phi.degree
-        if d > k:
-            continue
-        per_phi = _submodule_counts(lam, field.q**d, d, k)
-        counts = [sum(counts[i] * per_phi[j - i] for i in range(j + 1))
-                  for j in range(k + 1)]
-    return counts[k]
+@lru_cache(maxsize=None)
+def _cyclotomic(field, m):
+    """The phi dividing z^m - 1, with their multiplicities v_phi; none for m = 0."""
+    return _factor_at_power(poly_z_minus(field, 1), m) if m else ()
 
 
 @lru_cache(maxsize=None)
 def _submodule_counts(lam: tuple, Q: int, d: int, k: int) -> tuple[int, ...]:
     """Entry j <= k: the submodules of F_q-dimension j of a phi-primary module of
-    type lam, where deg phi = d and Q = q^d."""
-    out = [0] * (k + 1)
-    for nu in _subpartitions(lam, k // d):
+    type lam, where deg phi = d and Q = q^d.  A submodule of type nu inside lam
+    has dimension d|nu|; nu = 0 is the zero submodule alone."""
+    out = [1] + [0] * k
+    for nu in _subpartitions(lam, k // d)[1:]:
         out[d * sum(nu)] += _birkhoff(lam, nu, Q)
     return tuple(out)
 
@@ -224,6 +157,7 @@ def _subpartitions(lam: tuple, most: int) -> list[tuple]:
     return out
 
 
+@lru_cache(maxsize=None)
 def _conjugate(lam: tuple) -> tuple:
     return tuple(sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0))
 
@@ -233,28 +167,17 @@ def _birkhoff(lam: tuple, nu: tuple, Q: int) -> int:
     ring with residue field F_Q (Butler, Mem. AMS 539; Macdonald, ch. II):
     prod_i Q^(nu'_{i+1}(lam'_i - nu'_i)) [lam'_i - nu'_{i+1} choose nu'_i - nu'_{i+1}]_Q."""
     lc = _conjugate(lam)
-    nc = _conjugate(nu)
-    nc += (0,) * (len(lc) + 1 - len(nc))
+    nc = _conjugate(nu) + (0,)  # the factors past nu'_i = 0 are 1
     out = 1
-    for i, li in enumerate(lc):
-        out *= (Q ** (nc[i + 1] * (li - nc[i]))
-                * gaussian_binomial(Q, li - nc[i + 1], nc[i] - nc[i + 1]))
+    for i in range(len(nc) - 1):
+        out *= (Q ** (nc[i + 1] * (lc[i] - nc[i]))
+                * gaussian_binomial(Q, lc[i] - nc[i + 1], nc[i] - nc[i + 1]))
     return out
 
 
-def _commutant_dim(phi: Poly, lam: tuple) -> int:
-    """F_q-dimension of the commutant of a phi-primary part of type lam."""
-    return phi.degree * sum(min(a, b) for a in lam for b in lam)
-
-
-def _fix_end(field, c, arg):
-    """Matrices commuting with sigma: q^(dim of the commutant algebra), which
-    is block diagonal over sigma's primary parts."""
-    return field.q ** sum(_commutant_dim(phi, lam) for phi, lam in c.invariant.partitions)
-
-
-def _fix_aut(field, c, arg):
-    return c.centralizer_order
+def _commutant_dim(d: int, lam: tuple) -> int:
+    """F_q-dimension of the commutant of a phi-primary part of type lam, deg phi = d."""
+    return d * sum(min(a, b) for a in lam for b in lam)
 
 
 def _fix_rep_cyclic(field, c, m):
@@ -289,7 +212,7 @@ def _is_scalar(phi: Poly, lam: tuple) -> bool:
 def _commutant_work(field: FieldSpec, n: int) -> int:
     """Sum of q^dim over the non-scalar primary parts of every Aut class of
     dimension n: what ``_fix_rep_cyclic`` enumerates there."""
-    return sum(field.q ** _commutant_dim(phi, lam)
+    return sum(field.q ** _commutant_dim(phi.degree, lam)
                for c in enumerate_classes(field, n, "aut")
                for phi, lam in c.invariant.partitions if not _is_scalar(phi, lam))
 
@@ -307,7 +230,7 @@ def _commutant_roots(field: FieldSpec, phi: Poly, lam: tuple, m: int) -> int:
         [field.sub(s[i][k] if l == j else 0, s[l][j] if k == i else 0) for k, l in cells]
         for i, j in cells])
     basis = commutator.kernel_basis().basis
-    require(len(basis) == _commutant_dim(phi, lam),
+    require(len(basis) == _commutant_dim(phi.degree, lam),
             f"commutant of ({phi}, {lam}) has dimension {len(basis)}")
     matrices = [Matrix(field, tuple(v[i * size:(i + 1) * size] for i in range(size)))
                 for v in basis]
@@ -322,40 +245,52 @@ def _commutant_roots(field: FieldSpec, phi: Poly, lam: tuple, m: int) -> int:
     return count(0, Matrix.zero(field, size, size))
 
 
-def _fix_bases(field, c, arg):
-    return gl_order(field, c.n) if c.invariant.is_identity() else 0
-
-
-def _fix_count_equals(count):
-    def fix(field, c, arg):
-        return count(field, c.n, arg)
-    return fix
-
-
 @dataclass(frozen=True)
 class BuiltinSpec:
+    """A builtin: its closed count |F[E_n]| and, unless fix F[sigma] depends on
+    n alone, its count on one primary part (phi, lam) of sigma, whose product
+    over sigma's parts is fix F[sigma].  A part count depends on q, deg phi,
+    lam and v_phi, which is 0 except at the ``special`` phi: z - 1 for Elem and
+    Bases, the phi dividing z^m - 1 for RepCyclic(m), each with its multiplicity
+    there.  The centralizer order is a product over parts too, so Burnside's
+    sum over classes is an Euler product over the phi (``_class_sum``)."""
     name: str
-    count: object            # (field, n, arg) -> int
-    fix: object              # (field, class, arg) -> int
+    count: object                  # (field, n, arg) -> |F[E_n]|
+    part: object = None            # (q, deg phi, lam, v_phi, arg) -> count on one part
+    special: object = lambda field, arg: ()  # (field, arg) -> ((phi, v_phi), ...)
     needs_arg: bool = False
-    types: object | None = None  # (field, n, arg) -> orbit count; None: Burnside over fix
+
+
+def _z_minus_1(field, arg):
+    return _cyclotomic(field, 1)
 
 
 BUILTINS: dict[str, BuiltinSpec] = {
-    "One": BuiltinSpec("One", _count_one, _fix_one),
-    "Zero": BuiltinSpec("Zero", _count_zero, _fix_zero),
-    "Elem": BuiltinSpec("Elem", _count_elem, _fix_elem),
-    "Proj": BuiltinSpec("Proj", _count_proj, lambda field, c, arg: _fix_sub(field, c, 1)),
-    "End": BuiltinSpec("End", _count_end, _fix_end),
-    "Aut": BuiltinSpec("Aut", _count_aut, _fix_aut),
-    "Bases": BuiltinSpec("Bases", _count_aut, _fix_bases),
-    "V": BuiltinSpec("V", _count_v, _fix_count_equals(_count_v)),
-    "Vplus": BuiltinSpec("Vplus", _count_vplus, _fix_count_equals(_count_vplus)),
-    "Sub": BuiltinSpec("Sub", _count_sub, _fix_sub, needs_arg=True),
-    "Fscalar": BuiltinSpec("Fscalar", _count_fscalar, _fix_count_equals(_count_fscalar)),
-    "Fstar": BuiltinSpec("Fstar", _count_fstar, _fix_count_equals(_count_fstar)),
-    "RepCyclic": BuiltinSpec("RepCyclic", _count_rep_cyclic, _fix_rep_cyclic, needs_arg=True,
-                             types=_types_rep_cyclic),
+    "One": BuiltinSpec("One", lambda field, n, arg: 1 if n == 0 else 0),
+    "Zero": BuiltinSpec("Zero", lambda field, n, arg: 0),
+    # fixed vectors: the kernel of sigma - 1, one dimension per part of lam at z - 1
+    "Elem": BuiltinSpec("Elem", lambda field, n, arg: field.q**n,
+                        lambda q, d, lam, v, arg: q ** len(lam) if v else 1, _z_minus_1),
+    # invariant subspaces of dimension k are F_q[z]-submodules, sums of their
+    # phi-parts: the per-part counts are vectors by dimension, which convolve
+    "Proj": BuiltinSpec("Proj", lambda field, n, arg: q_int(field.q, n),
+                        lambda q, d, lam, v, arg: _submodule_counts(lam, q**d, d, 1)),
+    "Sub": BuiltinSpec("Sub", lambda field, n, k: qbinomial(field, n, k) if k <= n else 0,
+                       lambda q, d, lam, v, k: _submodule_counts(lam, q**d, d, k),
+                       needs_arg=True),
+    # matrices commuting with sigma: its commutant algebra, and the units there
+    "End": BuiltinSpec("End", lambda field, n, arg: field.q ** (n * n),
+                       lambda q, d, lam, v, arg: q ** _commutant_dim(d, lam)),
+    "Aut": BuiltinSpec("Aut", lambda field, n, arg: gl_order(field, n),
+                       lambda q, d, lam, v, arg: part_centralizer_order(q**d, lam)),
+    "Bases": BuiltinSpec("Bases", lambda field, n, arg: gl_order(field, n),
+                         lambda q, d, lam, v, arg: _part_root(q, d, lam, v, 1), _z_minus_1),
+    "V": BuiltinSpec("V", lambda field, n, arg: 1),
+    "Vplus": BuiltinSpec("Vplus", lambda field, n, arg: 1 if n >= 1 else 0),
+    "Fscalar": BuiltinSpec("Fscalar", lambda field, n, arg: field.q if n == 1 else 0),
+    "Fstar": BuiltinSpec("Fstar", lambda field, n, arg: field.q - 1 if n == 1 else 0),
+    "RepCyclic": BuiltinSpec("RepCyclic", _count_rep_cyclic, _part_root, _cyclotomic,
+                             needs_arg=True),
 }
 
 
@@ -450,17 +385,21 @@ def gen_series(e: SpeciesExpr, field: FieldSpec, order: int,
                ring: str = RATIONAL) -> PowerSeries:
     """The generating series sum f_n x^n / gamma_n, truncated.
 
-    Builtins use their closed counts, sym(n, F) is F^n / n!, E(F) is exp(F)
-    and mark(F) multiplies F's series by t, which needs ``ring=POLY_T``."""
+    Builtins use their closed counts, and RepCyclic(m) ``_rep_cyclic_gen``.
+    sym(n, F) is F^n / n!, E(F) is exp(F) and mark(F) multiplies F's series
+    by t, which needs ``ring=POLY_T``."""
     validate(e)
     one = ring_one(ring)
 
     def leaf(x: SpeciesExpr) -> PowerSeries:
         if isinstance(x, Builtin):
-            count = BUILTINS[x.name].count
-            return PowerSeries(ring, order, [
-                one * Fraction(count(field, n, x.arg), gl_order(field, n))
-                for n in range(order + 1)])
+            if x.name == "RepCyclic":
+                coeffs = _rep_cyclic_gen(field, order, x.arg).coeffs
+            else:
+                count = BUILTINS[x.name].count
+                coeffs = [Fraction(count(field, n, x.arg), gl_order(field, n))
+                          for n in range(order + 1)]
+            return PowerSeries(ring, order, [one * c for c in coeffs])
         if isinstance(x, SymPower):
             return (_fold(x.base, leaf) ** x.n).scale(Fraction(1, factorial(x.n)))
         if isinstance(x, Assembly):
@@ -478,12 +417,85 @@ def weighted_gen_series(e: SpeciesExpr, field: FieldSpec, order: int) -> PowerSe
     return gen_series(e, field, order, POLY_T)
 
 
-# -- fix counts per class -------------------------------------------------------
+# -- sums over classes as products over parts ----------------------------------
 
 def class_fix(e: Builtin, field: FieldSpec, c: ConjClass) -> int:
-    """fix F[sigma] for a builtin F and sigma in the given Aut conjugacy class,
-    from the builtin's count per class."""
-    return BUILTINS[e.name].fix(field, c, e.arg)
+    """fix F[sigma] for a builtin F and sigma in the Aut class c: the product of
+    the builtin's per-part counts over sigma's primary parts, where Sub(k)'s and
+    Proj's vectors convolve up to dimension k; the count on E_n for a builtin
+    without per-part counts; RepCyclic(m) from ``_fix_rep_cyclic``."""
+    if e.name == "RepCyclic":
+        return _fix_rep_cyclic(field, c, e.arg)
+    spec = BUILTINS[e.name]
+    if spec.part is None:
+        return spec.count(field, c.n, e.arg)
+    q, arg, special = field.q, e.arg, dict(spec.special(field, e.arg))
+    out = spec.part(q, 1, (), 0, arg)  # the empty part: 1, or (1, 0, ..., 0)
+    for phi, lam in c.invariant.partitions:
+        count = spec.part(q, phi.degree, lam, special.get(phi, 0), arg)
+        if isinstance(out, int):
+            out *= count
+        elif any(count[1:]):  # else the part's only submodule of dimension <= k is 0
+            out = [sum(out[i] * count[j - i] for i in range(j + 1)) for j in range(len(out))]
+    return out if isinstance(out, int) else out[-1]
+
+
+def _class_sum(field: FieldSpec, order: int, weight, special) -> PowerSeries:
+    """sum_n sum_c prod_{(phi, lam) in c} weight(q, deg phi, lam, v_phi) x^n over
+    the Aut classes c of dimension n <= order.  A class is a partition lam_phi
+    for each monic irreducible phi != z, of dimension sum_phi deg(phi)|lam_phi|,
+    so the sum is the Euler product over phi of
+    g_phi(x) = sum_lam weight(q, deg phi, lam, v_phi) x^(deg phi |lam|)
+    (Kung, Geom. Dedicata 1981; Stong, JCTA 1988; Macdonald, ch. IV).  Each
+    ``special`` (phi, v_phi) is its own factor.  Every other phi has v_phi = 0,
+    so the phi of degree d share one factor, raised to their number N_d from
+    ``irreducible_count``.  The product is exp of the sum of the factors' logs.
+    No class is enumerated."""
+    q = field.q
+    ring = POLY_T if isinstance(weight(q, 1, (), 0), TPoly) else RATIONAL
+    factors = [(phi.degree, v, 1) for phi, v in special] + [
+        (d, 0, irreducible_count(field, d) - (d == 1)
+         - sum(phi.degree == d for phi, _v in special)) for d in range(1, order + 1)]
+    log = PowerSeries.zero(ring, order)  # sum over the factors of power * log g(x^d)
+    for d, v, power in factors:
+        if d <= order:
+            g = PowerSeries(ring, order // d, [
+                sum((weight(q, d, lam, v) for lam in partitions(k)), ring_zero(ring))
+                for k in range(order // d + 1)])
+            log = log + PowerSeries.from_coeffs(ring, order, g.log().scale(power).coeffs).adams(d)
+    return log.exp()
+
+
+def _rep_cyclic_gen(field: FieldSpec, order: int, m: int) -> PowerSeries:
+    """sum_n #{g in GL_n : g^m = 1} x^n / gamma_n, that is sum_c [c^m = 1] / |C(c)|
+    over classes: ``_class_sum`` of [lam_1 <= v_phi] / c_Q(lam), whose factors
+    are 1 except at the phi dividing z^m - 1 (at every phi, for m = 0)."""
+    return _class_sum(field, order, lambda q, d, lam, v: Fraction(
+        _is_root(lam, v, m), part_centralizer_order(q**d, lam)), _cyclotomic(field, m))
+
+
+def _burnside(e: Builtin, field: FieldSpec, order: int) -> PowerSeries:
+    """Orbit counts sum_c fix(c)/|C(c)| over Aut classes: ``_class_sum`` of the
+    per-part count over the part's centralizer order, each coefficient checked
+    to be a nonnegative integer.  Sub(k)'s and Proj's per-part counts become
+    polynomials in t, and the orbits of k-subspaces are the coefficients of t^k."""
+    spec = BUILTINS[e.name]
+
+    def weight(q, d, lam, v):
+        count = spec.part(q, d, lam, v, e.arg)
+        c = part_centralizer_order(q**d, lam)
+        if isinstance(count, tuple):
+            return TPoly({j: Fraction(x, c) for j, x in enumerate(count)})
+        return Fraction(count, c)
+
+    coeffs = _class_sum(field, order, weight, spec.special(field, e.arg)).coeffs
+    unit = spec.part(field.q, 1, (), 0, e.arg)
+    if isinstance(unit, tuple):
+        coeffs = [c.coeffs.get(len(unit) - 1, Fraction(0)) for c in coeffs]
+    for n, c in enumerate(coeffs):
+        require(c.denominator == 1 and c >= 0,
+                f"Burnside sum {c} at n={n} is not a nonnegative integer")
+    return PowerSeries(RATIONAL, order, coeffs)
 
 
 # -- plethysm ---------------------------------------------------------------------
@@ -522,11 +534,12 @@ def _z_lambda(lam: tuple) -> int:
 def type_series(e: SpeciesExpr, field: FieldSpec, order: int) -> PowerSeries:
     """The type generating series sum ftilde_n x^n, truncated, over Q.
 
-    Builtins count orbits by Burnside's lemma over conjugacy classes, with
-    fixed points from ``class_fix`` (RepCyclic(m) counts classes instead);
-    E(F) and sym(m, F) are ``_plethysm`` of F's type series, each coefficient
-    checked to be a nonnegative integer; the other nodes go through ``_fold``.
-    No cycle index is built and nothing is enumerated.  An expression that
+    A builtin with per-part counts sums fix(c)/|C(c)| over conjugacy classes
+    (Burnside) as an Euler product over the irreducibles, ``_burnside``; for
+    the others fix(c) is the count on E_n, and sum_c 1/|C(c)| = 1.  E(F) and
+    sym(m, F) are ``_plethysm`` of F's type series, each coefficient checked to
+    be a nonnegative integer; the other nodes go through ``_fold``.  No cycle
+    index is built and no class or structure is enumerated.  An expression that
     contains ``mark`` raises UnsupportedOperationError."""
     _validate_unweighted(e, "type series")
 
@@ -539,25 +552,12 @@ def type_series(e: SpeciesExpr, field: FieldSpec, order: int) -> PowerSeries:
                         f"{what} type coefficient {c} at n={n} is not a nonnegative integer")
             return types
         spec = BUILTINS[x.name]
-        counts = ([spec.types(field, n, x.arg) for n in range(order + 1)]
-                  if spec.types is not None else _burnside_types(x, field, order))
-        return PowerSeries(RATIONAL, order, [Fraction(v) for v in counts])
+        if spec.part is not None:
+            return _burnside(x, field, order)
+        return PowerSeries(RATIONAL, order, [Fraction(spec.count(field, n, x.arg))
+                                             for n in range(order + 1)])
 
     return _fold(e, leaf)
-
-
-def _burnside_types(e: Builtin, field: FieldSpec, order: int) -> list[int]:
-    """Orbit counts sum_c fix(c)/|C(c)| over Aut classes, from the builtin's
-    closed fixed-point count."""
-    out = []
-    for n in range(order + 1):
-        total = Fraction(0)
-        for c in enumerate_classes(field, n, "aut"):
-            total += Fraction(class_fix(e, field, c), c.centralizer_order)
-        require(total.denominator == 1 and total >= 0,
-                f"Burnside sum {total} at n={n} is not a nonnegative integer")
-        out.append(total.numerator)
-    return out
 
 
 # -- cycle index series -----------------------------------------------------------

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qspecies.classes import (centralizer_order, class_weighted_sum,
-                              enumerate_classes)
+from qspecies.classes import (centralizer_order, enumerate_classes,
+                              part_centralizer_order)
 from qspecies.field import field_make
 from qspecies.linalg import enumerate_matrices, gl_order, invariant_data
 
@@ -73,8 +73,8 @@ def test_representative_has_right_invariant():
 
 def test_class_weighted_sum_identity():
     # Summing 1 over each matrix weighted by class size recovers |End| and |Aut|.
-    assert class_weighted_sum(F2, 3, "end", lambda c: 1) == 2 ** 9
-    assert class_weighted_sum(F2, 3, "aut", lambda c: 1) == gl_order(F2, 3)
+    assert sum(c.class_size for c in enumerate_classes(F2, 3, "end")) == 2 ** 9
+    assert sum(c.class_size for c in enumerate_classes(F2, 3, "aut")) == gl_order(F2, 3)
 
 
 def test_bad_kind_rejected():
@@ -102,6 +102,18 @@ def test_centralizer_order_matches_fraction_formula(field, top, kind):
         for c in enumerate_classes(field, n, kind):
             assert centralizer_order(field, c.invariant) == fraction_centralizer_order(
                 field, c.invariant)
+
+
+def test_centralizer_order_is_the_product_of_part_orders():
+    for n in range(6):
+        for c in enumerate_classes(F3, n, "end"):
+            product = 1
+            for phi, parts in c.invariant.partitions:
+                product *= part_centralizer_order(3 ** phi.degree, parts)
+            assert product == c.centralizer_order
+    # one part of type 1^k is GL_k(F_Q), of type (k) the units of F_Q[t]/(t^k)
+    assert part_centralizer_order(4, (1, 1, 1)) == gl_order(F4, 3)
+    assert part_centralizer_order(3, (4,)) == 3**3 * 2
 
 
 def test_class_sizes_sum_to_gl12_order():

@@ -161,6 +161,18 @@ def test_budget_zero_means_zero(monkeypatch, capsys):
     assert main(["oracle", "count", "End", "2", "--budget", "0"]) == 1
 
 
+ON_E1 = ["Elem", "Proj", "End", "Aut", "Bases", "V", "Vplus", "Sub(0)", "Sub(1)",
+         "Fscalar", "Fstar", "RepCyclic(2)"]
+
+
+@pytest.mark.parametrize("text", ON_E1)
+def test_oracle_budget_zero_enumerates_nothing(capsys, text):
+    # every builtin with a structure on E_1 has one too many for a budget of 0
+    assert main(["oracle", "count", text, "1", "--budget", "0"]) == 1
+    assert "budget" in capsys.readouterr().err
+    assert main(["oracle", "count", text, "1", "--budget", "1000"]) == 0
+
+
 def test_over_budget_zindex_fails_before_enumerating(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("enumerated a commutant")
@@ -175,6 +187,7 @@ NEGATIVE_SIZES = [
     ["oracle", "count", "Elem", "-1"],
     ["classes", "-1"],
     ["verify", "--max-dim", "-1"],
+    ["oracle", "count", "Elem", "1", "--budget", "-1"],
 ]
 
 

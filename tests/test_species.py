@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -195,9 +196,15 @@ def test_type_of_marked_assembly_unsupported():
         cycle_index(Mark(B("Vplus")), F2, 2)
 
 
+def _wrong_proj_part(q, d, lam, v, arg):
+    """Not a count of invariant lines: at n=2 over F_2 the Burnside sum is
+    2/6 + 1/2 + 1/3 = 7/6 over the classes (z+1, 11), (z+1, 2), (z^2+z+1, 1)."""
+    return (1, len(lam))
+
+
 def test_non_integral_burnside_sum_is_a_failed_check(monkeypatch, capsys):
-    # class sizes are not a fixed-point count: over GL_2(F_2), sum size/|C| = 7/3
-    monkeypatch.setattr(species, "class_fix", lambda e, field, c, *rest: c.class_size)
+    monkeypatch.setitem(species.BUILTINS, "Proj",
+                        replace(species.BUILTINS["Proj"], part=_wrong_proj_part))
     with pytest.raises(ConsistencyError) as info:
         type_series(B("Proj"), F2, 2)
     assert not isinstance(info.value, UnsupportedOperationError)
@@ -234,6 +241,41 @@ def test_e_sym_sub_and_rep_cyclic_types_never_enumerate(monkeypatch):
         [1, 1, 3, 5, 11, 18, 35]
 
 
+F4 = field_make(2, 2)
+ALL_BUILTINS = ["One", "Zero", "Elem", "Proj", "End", "Aut", "Bases", "V", "Vplus", "Fscalar",
+                "Fstar", "Sub(0)", "Sub(1)", "Sub(2)", "Sub(3)"]
+REP_CYCLIC = ["RepCyclic(0)", "RepCyclic(2)", "RepCyclic(3)"]
+
+
+@pytest.mark.parametrize("field, top, texts", [
+    (F2, 8, ALL_BUILTINS), (F3, 5, ALL_BUILTINS), (F4, 4, ALL_BUILTINS),
+    # a RepCyclic(m) cycle index enumerates commutants: at q=2 n=5 it takes seconds
+    (F2, 4, REP_CYCLIC), (F3, 3, REP_CYCLIC), (F4, 3, REP_CYCLIC)],
+    ids=["q2", "q3", "q4", "q2-RepCyclic", "q3-RepCyclic", "q4-RepCyclic"])
+def test_euler_products_are_the_class_sums(field, top, texts):
+    # two routes: Euler products over irreducibles, and z_build over every class
+    for text in texts:
+        e = parse(text)
+        z = cycle_index(e, field, top)
+        assert type_series(e, field, top) == z.specialize_type(), text
+        assert gen_series(e, field, top) == z.specialize_generating(), text
+
+
+def test_type_and_gen_never_walk_classes(monkeypatch):
+    from qspecies import classes, cycleindex
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated conjugacy classes")
+    for module in (classes, species, cycleindex):
+        monkeypatch.setattr(module, "enumerate_classes", refuse)
+    for field in (F2, F3, F4):
+        for text in ALL_BUILTINS + REP_CYCLIC + ["E(plus(RepCyclic(2)))", "sym(2,Proj)*Elem"]:
+            for command in ("type", "gen", "wgen"):
+                assert main([command, text, "--order", "6", "--q", str(field.p),
+                             "--ext-k", str(field.k)]) == 0, (command, text)
+    assert main(["wgen", "E(mark(Sub(2)))*Bases", "--order", "6"]) == 0
+
+
 def test_rep_cyclic_cycle_index_never_loads_the_oracle():
     script = (
         "import sys\n"
@@ -260,13 +302,16 @@ def test_type_plethysm_is_the_type_specialisation_of_the_cycle_index(field, orde
 @pytest.mark.parametrize("field, top", [(F2, 7), (F3, 4), (field_make(2, 2), 3)],
                          ids=["q2", "q3", "q4"])
 def test_rep_cyclic_predicate_matches_representative_powers(field, top):
-    # g^m = 1 read from the elementary divisors, against the matrix power
+    # g^m = 1 read from the elementary divisors, lam_1 <= v_phi for the
+    # multiplicity v_phi of phi in z^m - 1, against the matrix power
     for m in range(7):
-        fixed = species._rep_cyclic_fixed(field, m)
+        v = dict(species._cyclotomic(field, m))
         for n in range(top + 1):
             for c in enumerate_classes(field, n, "aut"):
-                assert fixed(c) == (c.representative(field) ** m
-                                    == Matrix.identity(field, n)), (m, c)
+                fixed = all(species._is_root(lam, v.get(phi, 0), m)
+                            for phi, lam in c.invariant.partitions)
+                assert fixed == (c.representative(field) ** m
+                                 == Matrix.identity(field, n)), (m, c)
 
 
 def test_non_integral_sym_type_is_a_failed_check(monkeypatch, capsys):
@@ -280,7 +325,7 @@ def test_non_integral_sym_type_is_a_failed_check(monkeypatch, capsys):
 
 def test_plethysm_checks_survive_python_O():
     script = (
-        "import sys\n"
+        "import dataclasses, sys\n"
         "from qspecies import cycleindex, species\n"
         "from qspecies.cli import main\n"
         "species._z_lambda = lambda lam: 3\n"
@@ -289,11 +334,15 @@ def test_plethysm_checks_survive_python_O():
         "cycleindex.monic_irreducibles = lambda field, d, exclude_z=False: [\n"
         "    f for f in irreducibles(field, d, exclude_z) if f.coeffs != (1, 1, 1)]\n"
         "print(main(['zindex', 'E(Vplus)', '--order', '4']), sys.flags.optimize)\n"
+        "species.BUILTINS['Proj'] = dataclasses.replace(\n"
+        "    species.BUILTINS['Proj'], part=lambda q, d, lam, v, arg: (1, len(lam)))\n"
+        "print(main(['type', 'Proj', '--order', '2']))\n"
     )
     src = str(Path(qspecies.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["1", "1", "1"]
+    assert out.stdout.split() == ["1", "1", "1", "1"]
     assert "sym type coefficient" in out.stderr and "account for degree" in out.stderr
+    assert "Burnside sum 7/6 at n=2" in out.stderr
