@@ -4,7 +4,9 @@ Elements are canonical integer indices in [0, q).  For a prime field the
 index is the residue; for an extension field F_{p^k} the index encodes the
 coefficient vector (c_0, ..., c_{k-1}) of the polynomial representative as
 c_0 + c_1*p + ... + c_{k-1}*p^(k-1).  Thus 0 and 1 always have indices
-0 and 1.
+0 and 1.  In characteristic 2 the index is the coefficient bit-vector, so
+the sum of two elements is the XOR of their indices, and alpha^t (the class
+of z^t) has index 2^t.
 
 All fields are small (q <= MAX_Q by default), so addition, multiplication
 and inversion are table lookups built once at construction.
@@ -12,10 +14,13 @@ and inversion are table lookups built once at construction.
 Range checks happen at the API boundary: the public element operations
 (``add``, ``mul``, ``inv``, ...) check their arguments, and
 ``linalg.Matrix.make`` checks every entry of a matrix once.  The inner loops
-of matrix products, matrix-vector products and elimination index the tables
-``_add``, ``_mul``, ``_neg`` and ``_inv`` directly, without a check.  A table
-lookup accepts a negative index silently, so values must pass one of those
-checks before they reach the tables.
+of matrix arithmetic and elimination check nothing.  In odd characteristic
+they index the tables ``_add``, ``_mul``, ``_neg`` and ``_inv`` directly;
+in characteristic 2 they work on rows packed into one int (entry j at bit
+offset k*j), where a sum is an XOR.  A table lookup accepts a negative
+index silently and a packed row does not see an entry that overflows its
+k bits, so values must pass one of those checks before they reach the
+inner loops.
 """
 
 from __future__ import annotations
@@ -102,7 +107,7 @@ class FieldSpec:
     Use :func:`field_make` rather than calling the constructor directly.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "_add", "_mul", "_neg", "_inv", "_hash")
+    __slots__ = ("p", "k", "q", "modulus", "_add", "_mul", "_neg", "_inv", "_hash", "_rows")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
         self.p = p
@@ -110,6 +115,7 @@ class FieldSpec:
         self.q = p**k
         self.modulus = modulus
         self._hash = hash((p, k, modulus))  # every Poly key hashes its field
+        self._rows = None  # linalg's packed-row codec in characteristic 2, made on first use
         self._build_tables()
 
     def _digits(self, rep: int) -> list[int]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, groupby, product
+from operator import xor
 from typing import Iterator
 
 from .field import ConsistencyError, FieldSpec, require  # re-exports ConsistencyError
@@ -27,19 +28,184 @@ class BudgetExceededError(RuntimeError):
     """Raised when an exhaustive enumeration would be too large."""
 
 
-@dataclass(frozen=True)
+class _Char2Rows:
+    """Packed rows over F_(2^k): entry j of a row at bit offset k*j, so adding
+    rows is an XOR.  The maps between row tuples and ints are memos filled from
+    the rows actually met; nothing is built over all q^n rows."""
+
+    __slots__ = ("k", "times", "_packed", "_unpacked", "_multiples")
+
+    def __init__(self, field: FieldSpec):
+        self.k = field.k
+        # times[c][t] = c * alpha^t, and alpha^t has index 2^t
+        self.times = [tuple(field._mul[c][1 << t] for t in range(field.k))
+                      for c in range(field.q)]
+        self._packed: dict[tuple[int, ...], int] = {}
+        self._unpacked: dict[int, dict[int, tuple[int, ...]]] = {}  # by row length
+        self._multiples: dict[int, tuple[int, ...]] = {}
+
+    def pack_row(self, row: tuple[int, ...]) -> int:
+        r = self._packed.get(row)
+        if r is None:
+            r = self._packed[row] = sum(x << (self.k * j) for j, x in enumerate(row))
+        return r
+
+    def unpack_row(self, r: int, ncols: int) -> tuple[int, ...]:
+        memo = self._unpacked.setdefault(ncols, {})
+        row = memo.get(r)
+        if row is None:
+            lane = (1 << self.k) - 1
+            row = memo[r] = tuple((r >> (self.k * j)) & lane for j in range(ncols))
+        return row
+
+    def pack(self, rows: tuple) -> tuple[int, ...]:
+        memo = self._packed
+        try:
+            return tuple([memo[row] for row in rows])
+        except KeyError:
+            return tuple([self.pack_row(row) for row in rows])
+
+    def unpack(self, rows: tuple[int, ...], ncols: int) -> tuple:
+        memo = self._unpacked.get(ncols, {})
+        try:
+            return tuple([memo[r] for r in rows])
+        except KeyError:
+            return tuple([self.unpack_row(r, ncols) for r in rows])
+
+    def picks(self, rows: tuple[int, ...]) -> tuple[int, ...]:
+        """alpha^t times rows[j] at index k*j + t: what a product with these rows
+        on the right picks from."""
+        if self.k == 1:
+            return rows
+        memo = self._multiples
+        for r in rows:
+            if r not in memo:
+                memo[r] = tuple(self.scale(1 << t, r) for t in range(self.k))
+        return sum([memo[r] for r in rows], ())
+
+    def scale(self, c: int, r: int) -> int:
+        """c times the packed row r.  Multiplication by c is F_2-linear on an
+        entry's k bits: c*x is the XOR of c*alpha^t over the set bits t of x.
+        ``(r >> t) & ones`` holds bit t of every entry at its offset, and an
+        integer product by c*alpha^t < 2^k copies that value into each entry
+        whose bit is set, without carries between entries."""
+        k = self.k
+        entries = -(-r.bit_length() // k)
+        ones = ((1 << (k * entries)) - 1) // ((1 << k) - 1)  # bit k*j for each entry j
+        out = 0
+        for t, m in enumerate(self.times[c]):
+            out ^= ((r >> t) & ones) * m
+        return out
+
+
+def _char2(field: FieldSpec) -> _Char2Rows:
+    codec = field._rows
+    if codec is None:
+        codec = field._rows = _Char2Rows(field)
+    return codec
+
+
+def _echelon2(field: FieldSpec, rows: list[int], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination of packed rows in place; the pivot columns."""
+    codec, inv, k = field._rows, field._inv, field.k
+    lane = (1 << k) - 1
+    m = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        shift = k * c
+        for pr in range(r, m):
+            if rows[pr] >> shift & lane:
+                break
+        else:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot_row = rows[r]
+        x = pivot_row >> shift & lane
+        if x != 1:
+            rows[r] = pivot_row = codec.scale(inv[x], pivot_row)
+        for i in range(m):
+            f = rows[i] >> shift & lane
+            if f and i != r:  # -f = f in characteristic 2
+                rows[i] ^= pivot_row if f == 1 else codec.scale(f, pivot_row)
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots
+
+
+def _echelon(field: FieldSpec, rows: list[list[int]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination of table rows in place; the pivot columns."""
+    add, mul, neg = field._add, field._mul, field._neg
+    m = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        for pr in range(r, m):
+            if rows[pr][c]:
+                break
+        else:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot_row = rows[r]
+        if pivot_row[c] != 1:
+            times_inv = mul[field._inv[pivot_row[c]]]
+            rows[r] = pivot_row = [times_inv[x] for x in pivot_row]
+        for i in range(m):
+            f = rows[i][c]
+            if f and i != r:
+                times_minus_f = mul[neg[f]]
+                rows[i] = [add[x][times_minus_f[y]] for x, y in zip(rows[i], pivot_row)]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots
+
+
 class Matrix:
     """A matrix over F_q with entries in [0, q), row-major.
 
-    Entries are range-checked once, in :meth:`make`, the constructor for
-    outside values.  Arithmetic and elimination index the field's tables
-    directly and check nothing in their inner loops: their inputs are checked
-    matrices and their outputs are table values, so they stay in range.  The
-    bare constructor ``Matrix(field, entries)`` checks nothing; it is for
-    entries already known to be in range, as is the vector ``matvec`` takes."""
+    ``entries``, a tuple of rows that are tuples of field indices, is the
+    canonical value: equality and every encoding go by it.  Entries are
+    range-checked once, in :meth:`make`, the constructor for outside values.
+    The bare constructor ``Matrix(field, entries)`` checks nothing; it is for
+    entries already known to be in range, as is the vector ``matvec`` takes.
 
-    field: FieldSpec
-    entries: tuple[tuple[int, ...], ...]  # row-major
+    Over characteristic 2, products, sums, ``matvec`` and elimination work on
+    rows packed into one int (see :class:`_Char2Rows`).  A sum is a row-wise
+    XOR.  A product row is the XOR of the rows of the right factor scaled by
+    the matching entries of the left row: for each entry j and bit t the
+    right factor keeps alpha^t times its row j at index k*j + t, so the
+    product picks the rows named by the set bits of the packed left row (over
+    F_2, plainly the rows of the right factor).  A matrix packs its rows when
+    it is made; it builds those picks, and a computed result decodes its
+    entries, on first use, and keeps them.  Odd characteristic indexes the
+    field's tables in plain loops.  Neither path checks ranges in its inner
+    loops: the inputs are checked matrices and the outputs are field values."""
+
+    __slots__ = ("field", "nrows", "ncols", "_entries", "_rows", "_right", "_cols", "_hash")
+
+    def __init__(self, field: FieldSpec, entries: tuple[tuple[int, ...], ...]):
+        self.field = field
+        self.nrows = len(entries)
+        self.ncols = len(entries[0]) if entries else 0
+        self._entries = entries
+        self._rows = (field._rows or _char2(field)).pack(entries) if field.p == 2 else None
+        self._right = None  # what a product with self on the right reads
+        self._cols = self._hash = None
+
+    @staticmethod
+    def _packed(field: FieldSpec, rows: tuple[int, ...], ncols: int) -> "Matrix":
+        """The matrix with these packed rows; its entries are decoded on demand."""
+        m = Matrix.__new__(Matrix)
+        m.field = field
+        m.nrows = len(rows)
+        m.ncols = ncols if rows else 0
+        m._rows = rows
+        m._entries = m._right = m._cols = m._hash = None
+        return m
 
     @staticmethod
     def make(field: FieldSpec, rows) -> "Matrix":
@@ -59,44 +225,78 @@ class Matrix:
         return Matrix(field, tuple((0,) * cols for _ in range(rows)))
 
     @property
-    def nrows(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        entries = self._entries
+        if entries is None:
+            entries = self._entries = self.field._rows.unpack(self._rows, self.ncols)
+        return entries
 
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if (self.field is not other.field and self.field != other.field
+                or self.nrows != other.nrows or self.ncols != other.ncols):
+            return False
+        if self.field.p == 2:
+            return self._rows == other._rows
+        return self._entries == other._entries
 
-    def _compat(self, other: "Matrix", mul: bool = False) -> None:
-        if self.field is not other.field and self.field != other.field:
-            raise ValueError("matrices over different fields")
-        if mul:
-            if self.ncols != other.nrows:
-                raise ValueError("dimension mismatch in matrix product")
-        elif (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("dimension mismatch in matrix sum")
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.entries)
+        return h
+
+    def __repr__(self) -> str:
+        return f"Matrix(field={self.field!r}, entries={self.entries!r})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._compat(other)
-        add = self.field._add
-        return Matrix(self.field, tuple(
+        F = self.field
+        if F is not other.field and F != other.field:
+            raise ValueError("matrices over different fields")
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError("dimension mismatch in matrix sum")
+        if F.p == 2:
+            return Matrix._packed(F, tuple(map(xor, self._rows, other._rows)), self.ncols)
+        add = F._add
+        return Matrix(F, tuple(
             tuple(add[a][b] for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+            for ra, rb in zip(self._entries, other._entries)))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        self._compat(other, mul=True)
-        add, mul = self.field._add, self.field._mul
-        bt = tuple(zip(*other.entries))
+        F = self.field
+        if F is not other.field and F != other.field:
+            raise ValueError("matrices over different fields")
+        if self.ncols != other.nrows:
+            raise ValueError("dimension mismatch in matrix product")
+        right = other._right
+        if F.p == 2:
+            if right is None:  # alpha^t times row j of other at index k*j + t
+                right = other._right = F._rows.picks(other._rows)
+            out = []
+            for r in self._rows:  # XOR of right[i] over the set bits i of r
+                acc = i = 0
+                while r:
+                    if r & 1:
+                        acc ^= right[i]
+                    r >>= 1
+                    i += 1
+                out.append(acc)
+            return Matrix._packed(F, tuple(out), other.ncols)
+        if right is None:  # the columns of other
+            right = other._right = tuple(zip(*other._entries))
+        add, mul = F._add, F._mul
         out = []
-        for row in self.entries:
+        for row in self._entries:
             new = []
-            for col in bt:
+            for col in right:
                 s = 0
                 for a, b in zip(row, col):
                     if a and b:
                         s = add[s][mul[a][b]]
                 new.append(s)
             out.append(tuple(new))
-        return Matrix(self.field, tuple(out))
+        return Matrix(F, tuple(out))
 
     def scale(self, c: int) -> "Matrix":
         self.field._check(c)
@@ -104,9 +304,23 @@ class Matrix:
         return Matrix(self.field, tuple(tuple(times_c[a] for a in row) for row in self.entries))
 
     def matvec(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        add, mul = self.field._add, self.field._mul
+        F = self.field
+        if F.p == 2:
+            # A v is the XOR of v_j times column j: v picks from the packed columns
+            codec = F._rows
+            cols = self._cols
+            if cols is None:
+                cols = self._cols = codec.picks(codec.pack(tuple(zip(*self.entries))))
+            r, acc, i = codec.pack_row(v), 0, 0
+            while r:
+                if r & 1:
+                    acc ^= cols[i]
+                r >>= 1
+                i += 1
+            return codec.unpack_row(acc, self.nrows)
+        add, mul = F._add, F._mul
         out = []
-        for row in self.entries:
+        for row in self._entries:
             s = 0
             for a, b in zip(row, v):
                 if a and b:
@@ -134,32 +348,13 @@ class Matrix:
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and its pivot columns."""
         F = self.field
-        add, mul, neg = F._add, F._mul, F._neg
-        rows = [list(r) for r in self.entries]
-        m, n = self.nrows, self.ncols
-        pivots: list[int] = []
-        r = 0
-        for c in range(n):
-            for pr in range(r, m):
-                if rows[pr][c]:
-                    break
-            else:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            pivot_row = rows[r]
-            if pivot_row[c] != 1:
-                times_inv = mul[F._inv[pivot_row[c]]]
-                rows[r] = pivot_row = [times_inv[x] for x in pivot_row]
-            for i in range(m):
-                f = rows[i][c]
-                if f and i != r:
-                    times_minus_f = mul[neg[f]]
-                    rows[i] = [add[x][times_minus_f[y]] for x, y in zip(rows[i], pivot_row)]
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
-        return Matrix(self.field, tuple(map(tuple, rows))), pivots
+        if F.p == 2:
+            rows = list(self._rows)
+            pivots = _echelon2(F, rows, self.ncols)
+            return Matrix._packed(F, tuple(rows), self.ncols), pivots
+        table_rows = [list(r) for r in self._entries]
+        pivots = _echelon(F, table_rows, self.ncols)
+        return Matrix(F, tuple(map(tuple, table_rows))), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -170,14 +365,21 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
+        F = self.field
         n = self.nrows
-        aug = Matrix(self.field, tuple(
-            row + tuple(1 if i == j else 0 for j in range(n))
-            for i, row in enumerate(self.entries)))
-        red, pivots = aug.rref()
+        if F.p == 2:
+            k = F.k
+            rows = [r | (1 << (k * (n + i))) for i, r in enumerate(self._rows)]
+            pivots = _echelon2(F, rows, 2 * n)
+            if pivots != list(range(n)):
+                raise ValueError("matrix is singular")
+            return Matrix._packed(F, tuple(r >> (k * n) for r in rows), n)
+        table_rows = [list(row) + [1 if i == j else 0 for j in range(n)]
+                      for i, row in enumerate(self._entries)]
+        pivots = _echelon(F, table_rows, 2 * n)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(self.field, tuple(row[n:] for row in red.entries))
+        return Matrix(F, tuple(tuple(row[n:]) for row in table_rows))
 
     def kernel_basis(self) -> "Subspace":
         """Right kernel {v : A v = 0} as a Subspace of F_q^ncols."""
@@ -469,7 +671,7 @@ def enumerate_decompositions(field: FieldSpec, n: int, dims: tuple[int, ...],
         k = dims[idx]
         used = sum(dims[:idx])
         for w in enumerate_subspaces(field, n, k, budget):
-            stacked = Matrix.make(field, span_rows + w.basis)
+            stacked = Matrix(field, span_rows + w.basis)
             if stacked.entries and stacked.rank() != used + k:
                 continue
             yield from rec(idx + 1, chosen + (w,), span_rows + w.basis)

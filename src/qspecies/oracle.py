@@ -20,7 +20,7 @@ Encodings (first element is a tag):
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import islice, product as iproduct
 from typing import Callable
 
@@ -105,7 +105,7 @@ def _enum_builtin(e: Builtin, field: FieldSpec, n: int, budget: int) -> list[Str
             raise BudgetExceededError("basis enumeration exceeds budget")
         out = []
         for vs in iproduct(_all_vectors(field, n), repeat=n):
-            if n == 0 or Matrix.make(field, vs).rank() == n:
+            if n == 0 or Matrix(field, vs).rank() == n:
                 out.append(("bas", vs))
         return out
     if name == "RepCyclic":
@@ -152,6 +152,8 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
     per_dim: dict[int, list] = {}
     for d in range(1, n + 1):
         per_dim[d] = _enum(base, field, d, budget)
+    bases = {d: [w.basis for w in enumerate_subspaces(field, n, d, budget)]
+             for d in per_dim if per_dim[d]}
 
     out = []
 
@@ -165,15 +167,14 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
         for d in range(1, n - used + 1):
             if not per_dim[d]:
                 continue
-            for w_sub in enumerate_subspaces(field, n, d, budget):
-                if parts and w_sub.basis <= parts[-1][0]:
+            for basis in bases[d]:
+                if parts and basis <= parts[-1][0]:
                     continue
-                stacked = Matrix.make(field, remaining_rows + w_sub.basis)
+                stacked = Matrix(field, remaining_rows + basis)
                 if stacked.rank() != used + d:
                     continue
                 for s, ws in per_dim[d]:
-                    rec(remaining_rows + w_sub.basis, used + d,
-                        parts + ((w_sub.basis, s),), weight * ws)
+                    rec(remaining_rows + basis, used + d, parts + ((basis, s),), weight * ws)
 
     if n == 0:
         if min_parts == 0:
@@ -186,10 +187,14 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
 # -- transport -----------------------------------------------------------------
 #
 # A transport takes g together with ``inv``, a function of no arguments that
-# returns g⁻¹.  The counting loops invert each group element once, so a
-# matrix structure is conjugated as g * a * inv() without an inversion per
-# structure.  Under the chart h of g on a part W, a "mat" leaf gets h.inverse,
-# so h is inverted only when such a leaf asks for it.
+# returns g⁻¹, and ``charts``, a table of the charts computed so far.  The
+# counting loops invert each group element once, so a matrix structure is
+# conjugated as g * a * inv() without an inversion per structure.  A part W
+# of a split is moved by the chart h of g on W (see _chart_map), and the
+# parts inside W by the charts of h.  The table keeps each chart once per
+# (acting matrix, W) for its lifetime: one sigma's counting loop, one orbit
+# search over fixed generators, or one public ``transport`` call.  A chart's
+# inverse is computed once, when a "mat" leaf first asks for it.
 
 def _given(g_inv: Matrix) -> Callable[[], Matrix]:
     """``inv`` for a group element whose inverse is already computed."""
@@ -208,6 +213,16 @@ def _chart_map(g: Matrix, rows: tuple) -> tuple[tuple, Matrix]:
         tuple(v[p] for v in images) for p in pivots))
 
 
+def _chart(charts: dict, g: Matrix, rows: tuple) -> tuple[tuple, Matrix, Callable[[], Matrix]]:
+    """The RREF basis of g(W), the chart h and h's ``inv``, from the table."""
+    key = (g, rows)
+    hit = charts.get(key)
+    if hit is None:
+        img_rows, h = _chart_map(g, rows)
+        hit = charts[key] = (img_rows, h, cache(h.inverse))
+    return hit
+
+
 def transport(e: SpeciesExpr, s: Structure, g: Matrix) -> Structure:
     """F[g](s) for an invertible g of the matching dimension; raises ValueError
     for a singular g or for an entry of s outside F_q."""
@@ -216,7 +231,7 @@ def transport(e: SpeciesExpr, s: Structure, g: Matrix) -> Structure:
     except ValueError:
         raise ValueError("transport requires an invertible matrix") from None
     _check_entries(g.field, s)
-    return _transport(e, s, g, _given(g_inv))
+    return _transport(e, s, g, _given(g_inv), {})
 
 
 def _check_entries(field: FieldSpec, s: Structure) -> None:
@@ -230,24 +245,24 @@ def _check_entries(field: FieldSpec, s: Structure) -> None:
 
 
 def _check_structures(field: FieldSpec, structures: list) -> None:
-    """A caller-supplied F[E_n]: the transport loops index field tables
-    directly, so a foreign entry must raise here rather than wrap around."""
+    """A caller-supplied F[E_n]: the transport loops skip range checks, so a
+    foreign entry must raise here rather than wrap around.  The oracle's own
+    enumerations hold field elements only and are never checked."""
     for s, _w in structures:
         _check_entries(field, s)
 
 
 def _transport(e: SpeciesExpr, s: Structure, g: Matrix,
-               inv: Callable[[], Matrix]) -> Structure:
+               inv: Callable[[], Matrix], charts: dict) -> Structure:
     """F[g](s); ``inv()`` returns g⁻¹."""
-    field = g.field
     if isinstance(e, Builtin):
         tag = s[0]
         if tag == "vec":
             return ("vec", g.matvec(s[1]))
         if tag == "sub":
-            return ("sub", _chart_map(g, s[1])[0])
+            return ("sub", _chart(charts, g, s[1])[0])
         if tag == "mat":
-            return ("mat", (g * Matrix(field, s[1]) * inv()).entries)
+            return ("mat", (g * Matrix(g.field, s[1]) * inv()).entries)
         if tag == "bas":
             return ("bas", tuple(g.matvec(v) for v in s[1]))
         if tag in ("spc", "scl"):
@@ -256,31 +271,31 @@ def _transport(e: SpeciesExpr, s: Structure, g: Matrix,
     if isinstance(e, Sum):
         side, inner = s[0], s[1]
         sub = e.left if side == "L" else e.right
-        return (side, _transport(sub, inner, g, inv))
+        return (side, _transport(sub, inner, g, inv, charts))
     if isinstance(e, Product):
-        return _transport_product(e.left, e.right, s, g, inv)
+        return _transport_product(e.left, e.right, s, g, charts)
     if isinstance(e, Power):
-        return _transport(_power_as_products(e), s, g, inv)
+        return _transport(_power_as_products(e), s, g, inv, charts)
     if isinstance(e, (SymPower, Assembly)):
         members = []
         for rows, enc in s[1]:
-            img_rows, h = _chart_map(g, rows)
-            members.append((img_rows, _transport(e.base, enc, h, h.inverse)))
+            img_rows, h, h_inv = _chart(charts, g, rows)
+            members.append((img_rows, _transport(e.base, enc, h, h_inv, charts)))
         return ("mset", tuple(sorted(members)))
     if isinstance(e, (Plus, Mark)):
-        return _transport(e.base, s, g, inv)
+        return _transport(e.base, s, g, inv, charts)
     raise TypeError(f"unknown species node {e!r}")
 
 
-def _transport_product(left, right, s, g, inv):
+def _transport_product(left, right, s, g, charts):
     (rows1, s1), (rows2, s2) = s[1], s[2]
     out_parts = []
     for rows, enc, sub_e in ((rows1, s1, left), (rows2, s2, right)):
-        img_rows, h = _chart_map(g, rows)
         if not rows:
-            out_parts.append((img_rows, enc))
+            out_parts.append(((), enc))
         else:
-            out_parts.append((img_rows, _transport(sub_e, enc, h, h.inverse)))
+            img_rows, h, h_inv = _chart(charts, g, rows)
+            out_parts.append((img_rows, _transport(sub_e, enc, h, h_inv, charts)))
     return ("prod", out_parts[0], out_parts[1])
 
 
@@ -307,8 +322,14 @@ def fix_count_bf(e: SpeciesExpr, field: FieldSpec, n: int, sigma: Matrix,
         structures = enumerate_structures(e, field, n, budget)
     else:
         _check_structures(field, structures)
+    return _fix_count(e, sigma, structures)
+
+
+def _fix_count(e: SpeciesExpr, sigma: Matrix, structures: list) -> int:
+    """The members of ``structures`` fixed by sigma, which nothing checks here."""
     inv = _given(sigma.inverse())
-    return sum(1 for s, _w in structures if _transport(e, s, sigma, inv) == s)
+    charts: dict = {}
+    return sum(1 for s, _w in structures if _transport(e, s, sigma, inv, charts) == s)
 
 
 @lru_cache(maxsize=None)
@@ -339,8 +360,14 @@ def orbit_partition(e: SpeciesExpr, field: FieldSpec, n: int,
         structures = enumerate_structures(e, field, n, budget)
     else:
         _check_structures(field, structures)
+    return _orbits(e, field, n, structures)
+
+
+def _orbits(e: SpeciesExpr, field: FieldSpec, n: int, structures: list) -> list[dict]:
+    """``orbit_partition`` of ``structures``, which nothing checks here."""
     weights = dict(structures)
     gens = [(g, _given(g.inverse())) for g in _gl_generators(field, n)]
+    charts: dict = {}
     unseen = set(weights)
     orbits = []
     while unseen:
@@ -350,7 +377,7 @@ def orbit_partition(e: SpeciesExpr, field: FieldSpec, n: int,
         while frontier:
             cur = frontier.pop()
             for g, inv in gens:
-                nxt = _transport(e, cur, g, inv)
+                nxt = _transport(e, cur, g, inv, charts)
                 if nxt not in orbit:
                     orbit.add(nxt)
                     frontier.append(nxt)
@@ -364,11 +391,11 @@ def orbit_count_bf(e: SpeciesExpr, field: FieldSpec, n: int,
     """Orbit count, by explicit partition and by Burnside average over all of
     GL_n; both must agree."""
     structures = enumerate_structures(e, field, n, budget)
-    orbits = orbit_partition(e, field, n, budget, structures)
+    orbits = _orbits(e, field, n, structures)
     if gl_order(field, n) * field.q ** (n * n) <= budget:
         total = 0
         for sigma in enumerate_matrices(field, n, True, budget):
-            total += fix_count_bf(e, field, n, sigma, budget, structures)
+            total += _fix_count(e, sigma, structures)
         burnside, rest = divmod(total, gl_order(field, n))
         require(rest == 0, f"Burnside total {total} is not divisible by |GL_{n}|")
         require(burnside == len(orbits),
@@ -384,7 +411,7 @@ def zindex_bf(e: SpeciesExpr, field: FieldSpec, order: int,
         gn = gl_order(field, n)
         structures = enumerate_structures(e, field, n, budget)
         for sigma in enumerate_matrices(field, n, True, budget):
-            fix = fix_count_bf(e, field, n, sigma, budget, structures)
+            fix = _fix_count(e, sigma, structures)
             if fix:
                 m = monomial(invariant_data(sigma))
                 terms[m] = terms.get(m, Fraction(0)) + Fraction(fix, gn)

@@ -26,6 +26,14 @@ class TPoly:
         self.coeffs = cs
 
     @staticmethod
+    def _of(coeffs: dict) -> "TPoly":
+        """From ``Fraction`` coefficients, as arithmetic makes them: zeros are
+        dropped and nothing is coerced."""
+        out = TPoly.__new__(TPoly)
+        out.coeffs = {e: c for e, c in coeffs.items() if c}
+        return out
+
+    @staticmethod
     def const(c) -> "TPoly":
         return TPoly({0: Fraction(c)})
 
@@ -47,13 +55,13 @@ class TPoly:
             return NotImplemented
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return TPoly(out)
+            out[e] = out[e] + c if e in out else c
+        return TPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TPoly({e: -c for e, c in self.coeffs.items()})
+        return TPoly._of({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = TPoly._coerce(other)
@@ -71,14 +79,15 @@ class TPoly:
         out: dict[int, Fraction] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
-        return TPoly(out)
+                e = e1 + e2
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return TPoly._of(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return TPoly({e: c / other for e, c in self.coeffs.items()})
+            return TPoly._of({e: c / other for e, c in self.coeffs.items()})
         return NotImplemented
 
     def __eq__(self, other):
@@ -205,14 +214,17 @@ class PowerSeries:
         return PowerSeries(self.ring, self.order, (ring_zero(self.ring),) + self.coeffs[1:])
 
     def __pow__(self, e: int) -> "PowerSeries":
-        out = PowerSeries.one(self.ring, self.order)
         base = self
+        if e < 0:
+            base, e = base.inverse(), -e
+        out = None  # the one series, until a factor arrives
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if e:
+                base = base * base
+        return PowerSeries.one(self.ring, self.order) if out is None else out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PowerSeries)

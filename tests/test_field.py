@@ -49,6 +49,15 @@ def test_char2_and_f3_basics():
     assert F3.inv(2) == 2
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_characteristic_2_index_is_the_coefficient_bit_vector(k):
+    # linalg packs rows on this: a sum is an XOR of indices, alpha^t has index 2^t
+    F = field_make(2, k)
+    assert all(F.add(a, b) == a ^ b for a in F.elements() for b in F.elements())
+    if k > 1:
+        assert [F.pow(2, t) for t in range(k)] == [1 << t for t in range(k)]
+
+
 def test_closure_f4():
     F4 = field_make(2, 2)
     els = set(F4.elements())

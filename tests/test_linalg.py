@@ -1,9 +1,12 @@
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qspecies
 from qspecies.field import field_make
@@ -167,3 +170,169 @@ def test_subspace_canonical_equality():
 def test_enumeration_budget():
     with pytest.raises(BudgetExceededError):
         list(enumerate_matrices(F2, 3, budget=100))
+
+
+# -- the packed-row kernel against a table-loop reference ----------------------
+#
+# The reference below computes with the field's checked element operations in
+# plain loops, as Matrix did before characteristic 2 packed its rows.
+
+F8 = field_make(2, 3)
+
+
+def ref_add(F, a, b):
+    return tuple(tuple(F.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def ref_mul(F, a, b):
+    out = []
+    for row in a:
+        new = []
+        for col in zip(*b):
+            s = 0
+            for x, y in zip(row, col):
+                s = F.add(s, F.mul(x, y))
+            new.append(s)
+        out.append(tuple(new))
+    return tuple(out)
+
+
+def ref_matvec(F, a, v):
+    out = []
+    for row in a:
+        s = 0
+        for x, y in zip(row, v):
+            s = F.add(s, F.mul(x, y))
+        out.append(s)
+    return tuple(out)
+
+
+def ref_rref(F, a):
+    rows = [list(r) for r in a]
+    ncols = len(a[0]) if a else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(map(tuple, rows)), pivots
+
+
+def ref_inverse(F, a):
+    n = len(a)
+    aug = tuple(row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(a))
+    red, pivots = ref_rref(F, aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(row[n:] for row in red)
+
+
+def ref_pow(F, a, e):
+    n = len(a)
+    out = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    base = a if e >= 0 else ref_inverse(F, a)
+    for _ in range(abs(e)):
+        out = ref_mul(F, out, base)
+    return out
+
+
+def check_unary(F, a):
+    m = Matrix.make(F, a)
+    red, pivots = m.rref()
+    assert (red.entries, pivots) == ref_rref(F, a)
+    assert m.rank() == len(pivots)
+    if len(a) == len(a[0]):
+        inv = ref_inverse(F, a)
+        if inv is None:
+            with pytest.raises(ValueError):
+                m.inverse()
+        else:
+            assert m.inverse().entries == inv
+            assert (m**-2).entries == ref_pow(F, a, -2)
+        for e in range(4):
+            assert (m**e).entries == ref_pow(F, a, e)
+
+
+def check_binary(F, a, b, c):
+    """a * b and a + c."""
+    ma, mb, mc = Matrix.make(F, a), Matrix.make(F, b), Matrix.make(F, c)
+    s, p = ma + mc, ma * mb
+    assert s.entries == ref_add(F, a, c) and p.entries == ref_mul(F, a, b)
+    # a computed result equals, and hashes as, the same matrix made from entries
+    assert p == Matrix.make(F, p.entries) and hash(p) == hash(Matrix.make(F, p.entries))
+    assert (s == ma) == (s.entries == a)
+
+
+def check_kernel(F, a):
+    """kernel_basis is an RREF basis of vectors that a sends to 0, of dimension
+    ncols - rank."""
+    basis = Matrix.make(F, a).kernel_basis().basis
+    assert all(ref_matvec(F, a, v) == (0,) * len(a) for v in basis)
+    assert not basis or ref_rref(F, basis) == (basis, sorted(
+        next(j for j, x in enumerate(v) if x) for v in basis))
+    assert len(basis) == len(a[0]) - len(ref_rref(F, a)[1])
+
+
+def all_matrices(F, rows, cols):
+    return [tuple(flat[i * cols:(i + 1) * cols] for i in range(rows))
+            for flat in product(range(F.q), repeat=rows * cols)]
+
+
+KERNEL_FIELDS = [F2, F3, F4, F8]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=["q2", "q3", "q4", "q8"])
+def test_kernel_matches_table_loops_exhaustively_at_n_le_2(field):
+    for n in (1, 2):
+        mats = all_matrices(field, n, n)
+        vecs = list(product(range(field.q), repeat=n))
+        for i, a in enumerate(mats):
+            check_unary(field, a)
+            # every a against a spread of b, and every b once as the right factor
+            b = mats[(i * 7919 + 1) % len(mats)]
+            check_binary(field, a, b, b)
+            check_kernel(field, a)
+            m = Matrix.make(field, a)
+            some = vecs if len(mats) * len(vecs) <= 2**13 else vecs[i % 16::16]
+            assert [m.matvec(v) for v in some] == [ref_matvec(field, a, v) for v in some]
+        if len(mats) ** 2 <= 2**13:
+            for a in mats:
+                for b in mats:
+                    check_binary(field, a, b, b)
+
+
+@st.composite
+def kernel_cases(draw):
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    top = 4 if field is F2 else 3
+    rows, inner, cols = (draw(st.integers(1, top)) for _ in range(3))
+    entry = st.integers(0, field.q - 1)
+
+    def matrix(r, c):
+        return tuple(tuple(draw(st.lists(entry, min_size=c, max_size=c))) for _ in range(r))
+
+    return (field, matrix(rows, inner), matrix(rows, inner), matrix(inner, cols),
+            matrix(inner, inner))
+
+
+@given(kernel_cases())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_table_loops_on_drawn_matrices(case):
+    field, a, c, b, square = case
+    check_binary(field, a, b, c)
+    check_unary(field, a)
+    check_unary(field, square)
+    check_binary(field, square, square, square)
+    m = Matrix.make(field, a)
+    v = b[0] if len(b[0]) == len(a[0]) else tuple(r[0] for r in b)
+    assert m.matvec(v) == ref_matvec(field, a, v)
+    check_kernel(field, a)

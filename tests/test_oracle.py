@@ -243,21 +243,73 @@ def test_transport_rejects_singular_matrices_and_foreign_entries():
 
 
 def test_orbit_count_runs_the_burnside_cross_check(monkeypatch):
+    # the Burnside loop counts with _fix_count, fix_count_bf without its check
     e = parse("End")
     calls = []
-    fix_count_bf = oracle.fix_count_bf
+    fix_count = oracle._fix_count
 
-    def counted(*args, **kwargs):
-        calls.append(args[3])
-        return fix_count_bf(*args, **kwargs)
+    def counted(e, sigma, structures):
+        calls.append(sigma)
+        return fix_count(e, sigma, structures)
 
-    monkeypatch.setattr(oracle, "fix_count_bf", counted)
+    monkeypatch.setattr(oracle, "_fix_count", counted)
     assert oracle.orbit_count_bf(e, F2, 2) == 6
     assert sorted(g.entries for g in calls) == sorted(
         g.entries for g in enumerate_matrices(F2, 2, True))
-    monkeypatch.setattr(oracle, "fix_count_bf", lambda *args, **kwargs: 1)
+    monkeypatch.setattr(oracle, "_fix_count", lambda *args: 1)
     with pytest.raises(ConsistencyError):
         oracle.orbit_count_bf(e, F2, 2)
+
+
+def test_range_checks_run_once_per_public_call(monkeypatch):
+    top_level = []
+    depth = [0]
+    check_entries = oracle._check_entries
+
+    def counted(field, s):
+        if not depth[0]:
+            top_level.append(s)
+        depth[0] += 1
+        try:
+            return check_entries(field, s)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(oracle, "_check_entries", counted)
+    e = parse("End")
+    # the oracle's own enumeration is never checked
+    assert oracle.orbit_count_bf(e, F2, 2) == 6
+    oracle.zindex_bf(parse("E(Vplus)"), F2, 2)
+    assert top_level == []
+    # a caller-supplied list is checked once per call, not once per group element
+    structures = oracle.enumerate_structures(e, F2, 2)
+    g = Matrix.make(F2, [(1, 1), (0, 1)])
+    for count in (lambda: oracle.fix_count_bf(e, F2, 2, g, structures=structures),
+                  lambda: oracle.orbit_partition(e, F2, 2, structures=structures)):
+        top_level.clear()
+        count()
+        assert top_level == [s for s, _w in structures]
+
+
+@pytest.mark.parametrize("text", ["E(Vplus)", "E(plus(E(Vplus)))", "Vplus * E(Vplus)"])
+def test_one_chart_per_acting_matrix_and_part(monkeypatch, text):
+    charts = []  # per group element: (acting matrix, part) of each chart computed
+    chart_map, fix_count = oracle._chart_map, oracle._fix_count
+
+    def charted(g, rows):
+        charts[-1].append((g.entries, rows))
+        return chart_map(g, rows)
+
+    def counted(e, sigma, structures):
+        charts.append([])
+        return fix_count(e, sigma, structures)
+
+    monkeypatch.setattr(oracle, "_chart_map", charted)
+    monkeypatch.setattr(oracle, "_fix_count", counted)
+    e = parse(text)
+    assert oracle.zindex_bf(e, F2, 3) == cycle_index(e, F2, 3)
+    assert len(charts) == sum(gl_order(F2, n) for n in range(4))
+    assert all(len(set(per_sigma)) == len(per_sigma) for per_sigma in charts)
 
 
 def test_budget_enforced():

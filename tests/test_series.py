@@ -23,6 +23,16 @@ rational_series = st.lists(fractions, min_size=ORDER + 1, max_size=ORDER + 1).ma
 
 # ---------------------------------------------------------------- TPoly
 
+def test_tpoly_arithmetic_keeps_exact_coefficients():
+    # arithmetic builds results from Fractions directly; outside values are coerced
+    t = TPoly.t()
+    p = TPoly({0: 2, 1: Fraction(1, 2)})
+    assert all(type(c) is Fraction for c in p.coeffs.values())
+    for q in (p + t, p * p, -p, p / 3, p - p, p * 0):
+        assert all(type(c) is Fraction and c for c in q.coeffs.values())
+    assert (p * p).coeffs == {0: 4, 1: 2, 2: Fraction(1, 4)}
+    assert (p + (-t) / 2).coeffs == {0: 2}
+
 def test_tpoly_arithmetic():
     t = TPoly.t()
     p = (t + 1) * (t + 1)
@@ -50,6 +60,30 @@ def test_tpoly_mul_commutes(a, b):
 
 
 # ---------------------------------------------------------------- PowerSeries ring axioms
+
+@pytest.mark.parametrize("e, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+def test_power_makes_only_the_needed_products(monkeypatch, e, products):
+    s = PowerSeries.from_coeffs(RATIONAL, ORDER, [1, 2, Fraction(1, 3)])
+    expected = PowerSeries.one(RATIONAL, ORDER)
+    for _ in range(e):
+        expected = expected * s
+    count = [0]
+    mul = PowerSeries.__mul__
+
+    def counted(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(PowerSeries, "__mul__", counted)
+    assert s**e == expected
+    assert count[0] == products
+
+
+def test_negative_power_is_a_power_of_the_inverse():
+    s = PowerSeries.from_coeffs(RATIONAL, ORDER, [1, 2, Fraction(1, 3)])
+    assert s**-2 == s.inverse() * s.inverse()
+    assert s**-1 * s == PowerSeries.one(RATIONAL, ORDER)
+
 
 @given(rational_series, rational_series, rational_series)
 @settings(max_examples=40, deadline=None)
