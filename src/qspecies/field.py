@@ -51,56 +51,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_mul_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_divmod_mod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    # b monic, nonzero
-    r = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(r) >= len(b) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        shift = len(r) - len(b)
-        c = r[-1]
-        q[shift] = c
-        for i, bi in enumerate(b):
-            r[shift + i] = (r[shift + i] - c * bi) % p
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
-def _bootstrap_irreducible(coeffs: list[int], p: int) -> bool:
-    """Irreducibility over F_p by trial division, used only to pick moduli."""
-    k = len(coeffs) - 1
-    if k == 1:
-        return True
-    for d in range(1, k // 2 + 1):
-        # all monic divisors of degree d
-        for idx in range(p**d):
-            cand = [0] * (d + 1)
-            m = idx
-            for i in range(d):
-                cand[i] = m % p
-                m //= p
-            cand[d] = 1
-            _, rem = _poly_divmod_mod_p(coeffs, cand, p)
-            if not rem:
-                return False
-    return True
-
-
 class FieldSpec:
     """Immutable description of F_q with full arithmetic tables.
 
@@ -137,27 +87,16 @@ class FieldSpec:
             self._add = [[(a + b) % p for b in range(q)] for a in range(q)]
             self._mul = [[(a * b) % p for b in range(q)] for a in range(q)]
         else:
-            mod = list(self.modulus)  # type: ignore[arg-type]
+            from .poly import Poly  # poly imports this module
             self._add = [
                 [self._undigits([(x + y) % p for x, y in zip(self._digits(a), self._digits(b))])
                  for b in range(q)]
                 for a in range(q)
             ]
-            self._mul = []
-            for a in range(q):
-                row = []
-                da = self._digits(a)
-                while da and da[-1] == 0:
-                    da.pop()
-                for b in range(q):
-                    db = self._digits(b)
-                    while db and db[-1] == 0:
-                        db.pop()
-                    prod = _poly_mul_mod_p(da, db, p) if da and db else []
-                    _, rem = _poly_divmod_mod_p(prod, mod, p) if prod else ([], [])
-                    rem = rem + [0] * (self.k - len(rem))
-                    row.append(self._undigits(rem))
-                self._mul.append(row)
+            base = field_make(p, 1)
+            mod = Poly(base, self.modulus)
+            polys = [Poly.make(base, self._digits(a)) for a in range(q)]
+            self._mul = [[self._undigits((f * g % mod).coeffs) for g in polys] for f in polys]
         self._neg = [self._add[a].index(0) for a in range(q)]
         self._inv = [0] * q
         for a in range(1, q):
@@ -227,7 +166,9 @@ _FIELD_CACHE: dict[tuple[int, int], FieldSpec] = {}
 
 
 def field_make(p: int, k: int, max_q: int = MAX_Q) -> FieldSpec:
-    """Construct F_{p^k}, finding the lexicographically least modulus for k > 1."""
+    """Construct F_{p^k}.  For k > 1 the modulus is the least monic irreducible
+    of degree k over F_p, compared from the leading coefficient down, and the
+    multiplication table is polynomial arithmetic over F_p modulo it."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:
@@ -239,17 +180,10 @@ def field_make(p: int, k: int, max_q: int = MAX_Q) -> FieldSpec:
         return _FIELD_CACHE[key]
     modulus: tuple[int, ...] | None = None
     if k > 1:
-        for idx in range(p**k):
-            cand = [0] * (k + 1)
-            m = idx
-            for i in range(k):
-                cand[i] = m % p
-                m //= p
-            cand[k] = 1
-            if _bootstrap_irreducible(cand, p):
-                modulus = tuple(cand)
-                break
-        require(modulus is not None, f"no monic irreducible of degree {k} over F_{p}")
+        from .poly import monic_irreducibles  # poly imports this module
+        candidates = monic_irreducibles(field_make(p, 1), k)
+        require(bool(candidates), f"no monic irreducible of degree {k} over F_{p}")
+        modulus = min(candidates, key=lambda f: f.coeffs[::-1]).coeffs
     spec = FieldSpec(p, k, modulus)
     _FIELD_CACHE[key] = spec
     return spec

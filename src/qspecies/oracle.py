@@ -13,8 +13,13 @@ Encodings (first element is a tag):
     ("bas", (v_1, ..., v_n))   an ordered basis
     ("spc",)                   the unique structure of V / Vplus / One
     ("scl", c)                 a scalar, for Fscalar / Fstar
-    ("prod", (rows1, s), (rows2, t))          an ordered 2-part split
+    ("L", s), ("R", s)         a structure of the left or right side of a sum
+    ("prod", (rows1, s), (rows2, t))          an ordered 2-part split (F*G, F^n)
     ("mset", ((rows, s), ...)) sorted          an unordered split (sym/assembly)
+
+plus(F) and mark(F) add no tag: their structures are F's.  Every structure
+names its own construction, so transport reads only the tags and never the
+expression: F[g] is a function of the structure and g alone.
 """
 
 from __future__ import annotations
@@ -186,15 +191,16 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
 
 # -- transport -----------------------------------------------------------------
 #
-# A transport takes g together with ``inv``, a function of no arguments that
-# returns g⁻¹, and ``charts``, a table of the charts computed so far.  The
-# counting loops invert each group element once, so a matrix structure is
-# conjugated as g * a * inv() without an inversion per structure.  A part W
-# of a split is moved by the chart h of g on W (see _chart_map), and the
-# parts inside W by the charts of h.  The table keeps each chart once per
-# (acting matrix, W) for its lifetime: one sigma's counting loop, one orbit
-# search over fixed generators, or one public ``transport`` call.  A chart's
-# inverse is computed once, when a "mat" leaf first asks for it.
+# A transport dispatches on the structure's tag.  It takes g together with
+# ``inv``, a function of no arguments that returns g⁻¹, and ``charts``, a
+# table of the charts computed so far.  The counting loops invert each group
+# element once, so a matrix structure is conjugated as g * a * inv() without
+# an inversion per structure.  A part W of a split is moved by the chart h
+# of g on W (see _chart_map), and the parts inside W by the charts of h.  The
+# table keeps each chart once per (acting matrix, W) for its lifetime: one
+# sigma's counting loop, one orbit search over fixed generators, or one
+# public ``transport`` call.  A chart's inverse is computed once, when a
+# "mat" leaf first asks for it.
 
 def _given(g_inv: Matrix) -> Callable[[], Matrix]:
     """``inv`` for a group element whose inverse is already computed."""
@@ -223,7 +229,7 @@ def _chart(charts: dict, g: Matrix, rows: tuple) -> tuple[tuple, Matrix, Callabl
     return hit
 
 
-def transport(e: SpeciesExpr, s: Structure, g: Matrix) -> Structure:
+def transport(s: Structure, g: Matrix) -> Structure:
     """F[g](s) for an invertible g of the matching dimension; raises ValueError
     for a singular g or for an entry of s outside F_q."""
     try:
@@ -231,7 +237,7 @@ def transport(e: SpeciesExpr, s: Structure, g: Matrix) -> Structure:
     except ValueError:
         raise ValueError("transport requires an invertible matrix") from None
     _check_entries(g.field, s)
-    return _transport(e, s, g, _given(g_inv), {})
+    return _transport(s, g, _given(g_inv), {})
 
 
 def _check_entries(field: FieldSpec, s: Structure) -> None:
@@ -252,51 +258,36 @@ def _check_structures(field: FieldSpec, structures: list) -> None:
         _check_entries(field, s)
 
 
-def _transport(e: SpeciesExpr, s: Structure, g: Matrix,
-               inv: Callable[[], Matrix], charts: dict) -> Structure:
-    """F[g](s); ``inv()`` returns g⁻¹."""
-    if isinstance(e, Builtin):
-        tag = s[0]
-        if tag == "vec":
-            return ("vec", g.matvec(s[1]))
-        if tag == "sub":
-            return ("sub", _chart(charts, g, s[1])[0])
-        if tag == "mat":
-            return ("mat", (g * Matrix(g.field, s[1]) * inv()).entries)
-        if tag == "bas":
-            return ("bas", tuple(g.matvec(v) for v in s[1]))
-        if tag in ("spc", "scl"):
-            return s
-        raise ValueError(f"bad structure {s!r} for builtin {e.name}")
-    if isinstance(e, Sum):
-        side, inner = s[0], s[1]
-        sub = e.left if side == "L" else e.right
-        return (side, _transport(sub, inner, g, inv, charts))
-    if isinstance(e, Product):
-        return _transport_product(e.left, e.right, s, g, charts)
-    if isinstance(e, Power):
-        return _transport(_power_as_products(e), s, g, inv, charts)
-    if isinstance(e, (SymPower, Assembly)):
-        members = []
-        for rows, enc in s[1]:
-            img_rows, h, h_inv = _chart(charts, g, rows)
-            members.append((img_rows, _transport(e.base, enc, h, h_inv, charts)))
-        return ("mset", tuple(sorted(members)))
-    if isinstance(e, (Plus, Mark)):
-        return _transport(e.base, s, g, inv, charts)
-    raise TypeError(f"unknown species node {e!r}")
+def _transport(s: Structure, g: Matrix, inv: Callable[[], Matrix], charts: dict) -> Structure:
+    """F[g](s), read off the tags of s; ``inv()`` returns g⁻¹."""
+    tag = s[0]
+    if tag == "vec":
+        return ("vec", g.matvec(s[1]))
+    if tag == "sub":
+        return ("sub", _chart(charts, g, s[1])[0])
+    if tag == "mat":
+        return ("mat", (g * Matrix(g.field, s[1]) * inv()).entries)
+    if tag == "bas":
+        return ("bas", tuple(g.matvec(v) for v in s[1]))
+    if tag in ("spc", "scl"):
+        return s
+    if tag in ("L", "R"):
+        return (tag, _transport(s[1], g, inv, charts))
+    if tag == "prod":
+        return ("prod", _move_part(s[1], g, charts), _move_part(s[2], g, charts))
+    if tag == "mset":
+        return ("mset", tuple(sorted(_move_part(part, g, charts) for part in s[1])))
+    raise ValueError(f"bad structure {s!r}")
 
 
-def _transport_product(left, right, s, g, charts):
-    (rows1, s1), (rows2, s2) = s[1], s[2]
-    out_parts = []
-    for rows, enc, sub_e in ((rows1, s1, left), (rows2, s2, right)):
-        if not rows:
-            out_parts.append(((), enc))
-        else:
-            img_rows, h, h_inv = _chart(charts, g, rows)
-            out_parts.append((img_rows, _transport(sub_e, enc, h, h_inv, charts)))
-    return ("prod", out_parts[0], out_parts[1])
+def _move_part(part: tuple, g: Matrix, charts: dict) -> tuple:
+    """A part (rows of W, structure on W) moved to g(W) through the chart of g
+    on W; the zero part stays as it is."""
+    rows, enc = part
+    if not rows:
+        return part
+    img_rows, h, h_inv = _chart(charts, g, rows)
+    return (img_rows, _transport(enc, h, h_inv, charts))
 
 
 # -- counting ------------------------------------------------------------------
@@ -322,14 +313,14 @@ def fix_count_bf(e: SpeciesExpr, field: FieldSpec, n: int, sigma: Matrix,
         structures = enumerate_structures(e, field, n, budget)
     else:
         _check_structures(field, structures)
-    return _fix_count(e, sigma, structures)
+    return _fix_count(sigma, structures)
 
 
-def _fix_count(e: SpeciesExpr, sigma: Matrix, structures: list) -> int:
+def _fix_count(sigma: Matrix, structures: list) -> int:
     """The members of ``structures`` fixed by sigma, which nothing checks here."""
     inv = _given(sigma.inverse())
     charts: dict = {}
-    return sum(1 for s, _w in structures if _transport(e, s, sigma, inv, charts) == s)
+    return sum(1 for s, _w in structures if _transport(s, sigma, inv, charts) == s)
 
 
 @lru_cache(maxsize=None)
@@ -360,10 +351,10 @@ def orbit_partition(e: SpeciesExpr, field: FieldSpec, n: int,
         structures = enumerate_structures(e, field, n, budget)
     else:
         _check_structures(field, structures)
-    return _orbits(e, field, n, structures)
+    return _orbits(field, n, structures)
 
 
-def _orbits(e: SpeciesExpr, field: FieldSpec, n: int, structures: list) -> list[dict]:
+def _orbits(field: FieldSpec, n: int, structures: list) -> list[dict]:
     """``orbit_partition`` of ``structures``, which nothing checks here."""
     weights = dict(structures)
     gens = [(g, _given(g.inverse())) for g in _gl_generators(field, n)]
@@ -377,7 +368,7 @@ def _orbits(e: SpeciesExpr, field: FieldSpec, n: int, structures: list) -> list[
         while frontier:
             cur = frontier.pop()
             for g, inv in gens:
-                nxt = _transport(e, cur, g, inv, charts)
+                nxt = _transport(cur, g, inv, charts)
                 if nxt not in orbit:
                     orbit.add(nxt)
                     frontier.append(nxt)
@@ -391,11 +382,11 @@ def orbit_count_bf(e: SpeciesExpr, field: FieldSpec, n: int,
     """Orbit count, by explicit partition and by Burnside average over all of
     GL_n; both must agree."""
     structures = enumerate_structures(e, field, n, budget)
-    orbits = _orbits(e, field, n, structures)
+    orbits = _orbits(field, n, structures)
     if gl_order(field, n) * field.q ** (n * n) <= budget:
         total = 0
         for sigma in enumerate_matrices(field, n, True, budget):
-            total += _fix_count(e, sigma, structures)
+            total += _fix_count(sigma, structures)
         burnside, rest = divmod(total, gl_order(field, n))
         require(rest == 0, f"Burnside total {total} is not divisible by |GL_{n}|")
         require(burnside == len(orbits),
@@ -411,7 +402,7 @@ def zindex_bf(e: SpeciesExpr, field: FieldSpec, order: int,
         gn = gl_order(field, n)
         structures = enumerate_structures(e, field, n, budget)
         for sigma in enumerate_matrices(field, n, True, budget):
-            fix = _fix_count(e, sigma, structures)
+            fix = _fix_count(sigma, structures)
             if fix:
                 m = monomial(invariant_data(sigma))
                 terms[m] = terms.get(m, Fraction(0)) + Fraction(fix, gn)

@@ -54,14 +54,6 @@ class Poly:
         b = other.coeffs + (0,) * (n - len(other.coeffs))
         return Poly.make(F, [F.add(x, y) for x, y in zip(a, b)])
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        self._same_field(other)
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return Poly.make(F, [F.sub(x, y) for x, y in zip(a, b)])
-
     def __mul__(self, other: "Poly") -> "Poly":
         self._same_field(other)
         F = self.field

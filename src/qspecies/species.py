@@ -299,25 +299,10 @@ class UnsupportedOperationError(RuntimeError):
 
 
 def empty_at_zero(e: SpeciesExpr) -> bool:
-    """Static analysis: does F[0] = empty hold for this expression?"""
-    if isinstance(e, Builtin):
-        # structure counts at n = 0 do not depend on q
-        return BUILTINS[e.name].count(field_make(2, 1), 0, e.arg) == 0
-    if isinstance(e, Sum):
-        return empty_at_zero(e.left) and empty_at_zero(e.right)
-    if isinstance(e, Product):
-        return empty_at_zero(e.left) or empty_at_zero(e.right)
-    if isinstance(e, Power):
-        return e.n > 0 and empty_at_zero(e.base)
-    if isinstance(e, SymPower):
-        return e.n > 0
-    if isinstance(e, Assembly):
-        return False  # the empty assembly is a structure on the zero space
-    if isinstance(e, Plus):
-        return True
-    if isinstance(e, Mark):
-        return empty_at_zero(e.base)
-    raise TypeError(f"unknown species node {e!r}")
+    """Does F[0] = empty hold?  |F[E_0]| is the constant term of F's weighted
+    generating series, for every node and every q; e's own sym/E operands must
+    already satisfy the precondition (``validate`` checks children first)."""
+    return not _gen_series(e, field_make(2, 1), 0, POLY_T).coeffs[0]
 
 
 def _children(e: SpeciesExpr) -> tuple[SpeciesExpr, ...]:
@@ -389,6 +374,11 @@ def gen_series(e: SpeciesExpr, field: FieldSpec, order: int,
     sym(n, F) is F^n / n!, E(F) is exp(F) and mark(F) multiplies F's series
     by t, which needs ``ring=POLY_T``."""
     validate(e)
+    return _gen_series(e, field, order, ring)
+
+
+def _gen_series(e: SpeciesExpr, field: FieldSpec, order: int, ring: str) -> PowerSeries:
+    """``gen_series`` of an expression that has been validated."""
     one = ring_one(ring)
 
     def leaf(x: SpeciesExpr) -> PowerSeries:

@@ -331,12 +331,12 @@ def criterion_13_properties() -> CheckResult:
     units = list(enumerate_matrices(F2, 2, True))
     ident = units[0] ** 0
     for s, _w in structures:
-        if oracle.transport(e, s, ident) != s:
+        if oracle.transport(s, ident) != s:
             ok = False
         for g in units[:3]:
             for h in units[:3]:
-                lhs = oracle.transport(e, s, g * h)
-                rhs = oracle.transport(e, oracle.transport(e, s, h), g)
+                lhs = oracle.transport(s, g * h)
+                rhs = oracle.transport(oracle.transport(s, h), g)
                 if lhs != rhs:
                     ok = False
     # Burnside integrality

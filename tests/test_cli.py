@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import qspecies
-from qspecies import species
+from qspecies import oracle, species
 from qspecies.cli import main
 
 F4_IRREDUCIBLE_COUNT = 6  # monic irreducible quadratics over F_4
@@ -129,6 +129,21 @@ def test_oracle_fix(capsys):
     rows = json.loads(out)
     fixes = sorted(r["fix"] for r in rows)
     assert fixes == [1, 2, 4]  # irreducible, unipotent, identity classes
+
+
+def test_oracle_fix_enumerates_once(monkeypatch, capsys):
+    calls = []
+    enumerate_structures = oracle.enumerate_structures
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_structures(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "enumerate_structures", counted)
+    code, out = run(capsys, "oracle", "fix", "E(Vplus)", "3", "--format", "csv")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 6  # the 6 classes of GL_3(F_2)
+    assert len(calls) == 1
 
 
 def test_verify_passes(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from qspecies import field
+from qspecies import field, poly
 from qspecies.field import ConsistencyError, field_make
 
 
@@ -86,6 +86,25 @@ def test_element_range_checked():
 
 def test_missing_modulus_is_a_failed_check(monkeypatch):
     monkeypatch.setattr(field, "_FIELD_CACHE", {})
-    monkeypatch.setattr(field, "_bootstrap_irreducible", lambda coeffs, p: False)
+    monkeypatch.setattr(poly, "monic_irreducibles", lambda base, k: [])
     with pytest.raises(ConsistencyError):
         field_make(2, 2)
+
+
+# the lexicographically least monic irreducible of degree k, constant term first
+EXTENSION_MODULI = {(2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
+                    (2, 5): (1, 0, 1, 0, 0, 1), (2, 6): (1, 1, 0, 0, 0, 0, 1),
+                    (3, 2): (1, 0, 1), (3, 3): (1, 2, 0, 1), (5, 2): (2, 0, 1),
+                    (7, 2): (1, 0, 1)}
+
+
+@pytest.mark.parametrize("p, k", sorted(EXTENSION_MODULI))
+def test_extension_moduli_are_pinned(p, k):
+    F = field_make(p, k)
+    assert F.modulus == EXTENSION_MODULI[p, k]
+    # alpha, the class of z, is a root of the modulus: sum_i c_i alpha^i = 0
+    alpha = p
+    total = 0
+    for i, c in enumerate(F.modulus):
+        total = F.add(total, F.mul(c, F.pow(alpha, i)))
+    assert total == 0

@@ -7,8 +7,9 @@ from qspecies.linalg import Matrix, Subspace, enumerate_matrices, gl_order
 from qspecies.parser import parse
 from qspecies.series import TPoly
 from qspecies.cycleindex import z_build
-from qspecies.species import (Assembly, Builtin, Plus, Product, class_fix,
-                              cycle_index, gen_series, structure_count, type_series)
+from qspecies.species import (Assembly, Builtin, Mark, Plus, Power, Product, Sum, SymPower,
+                              class_fix, cycle_index, gen_series, structure_count,
+                              type_series)
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -36,14 +37,13 @@ def test_functor_laws(text):
     units = list(enumerate_matrices(F2, n, True))
     ident = Matrix.identity(F2, n)
     for s in structures:
-        assert oracle.transport(e, s, ident) == s
+        assert oracle.transport(s, ident) == s
     g, h = units[1], units[-1]
     for s in structures:
         # transport along a product equals transport twice (covariance)
-        assert oracle.transport(e, s, g * h) == oracle.transport(
-            e, oracle.transport(e, s, h), g)
+        assert oracle.transport(s, g * h) == oracle.transport(oracle.transport(s, h), g)
     # transport permutes the structure set
-    moved = {oracle.transport(e, s, g) for s in structures}
+    moved = {oracle.transport(s, g) for s in structures}
     assert moved == set(structures)
 
 
@@ -170,41 +170,60 @@ def test_rep_cyclic_counts():
 
 
 def reference_transport(e, s, g):
-    """F[g](s) with g inverted for every "mat" structure, g * a * g.inverse(),
-    and each part's chart built from the coordinates of its image, for the
-    expressions of CONJUGATED."""
+    """F[g](s) by the construction of e, walking the expression rather than
+    reading tags: g is inverted for every "mat" structure, g * a * g.inverse(),
+    and each subspace and part is moved by the image of its vectors."""
     if isinstance(e, Builtin):
-        if s[0] == "mat":
+        tag = s[0]
+        if tag == "vec":
+            return ("vec", g.matvec(s[1]))
+        if tag == "sub":
+            return ("sub", reference_image(g, s[1]).basis)
+        if tag == "mat":
             return ("mat", (g * Matrix.make(g.field, s[1]) * g.inverse()).entries)
+        if tag == "bas":
+            return ("bas", tuple(g.matvec(v) for v in s[1]))
         return s
-    if isinstance(e, Plus):
+    if isinstance(e, Sum):
+        return (s[0], reference_transport(e.left if s[0] == "L" else e.right, s[1], g))
+    if isinstance(e, (Plus, Mark)):
         return reference_transport(e.base, s, g)
+    if isinstance(e, Power):
+        return reference_transport(oracle._power_as_products(e), s, g)
     if isinstance(e, Product):
         return ("prod",) + tuple(reference_part(part_e, rows, enc, g)
                                  for part_e, (rows, enc) in zip((e.left, e.right), s[1:]))
-    if isinstance(e, Assembly):
+    if isinstance(e, (SymPower, Assembly)):
         return ("mset", tuple(sorted(reference_part(e.base, rows, enc, g)
                                      for rows, enc in s[1])))
     raise TypeError(e)
 
 
+def reference_image(g, rows):
+    return Subspace.from_vectors(g.field, g.ncols, [g.matvec(b) for b in rows])
+
+
 def reference_part(e, rows, enc, g):
-    images = [g.matvec(b) for b in rows]
-    image = Subspace.from_vectors(g.field, g.ncols, images)
+    image = reference_image(g, rows)
     if not rows:
         return (image.basis, enc)
+    images = [g.matvec(b) for b in rows]
     chart = Matrix.make(g.field, [[v[p] for v in images] for p in image.pivots])
     return (image.basis, reference_transport(e, enc, chart))
 
 
-# E needs an operand without structures in dimension 0, so E(End) is E(plus(End))
-CONJUGATED = ["End", "Aut", "E(plus(End))", "Vplus*End"]
+# every node type and every builtin tag; E needs an operand without structures
+# in dimension 0, so E(End) is E(plus(End))
+TRANSPORTED = ["End", "Aut", "E(plus(End))", "Vplus*End", "Vplus + Proj", "Elem^2",
+               "sym(2,Vplus)", "mark(Vplus)*Elem", "plus(Elem)", "Bases + Sub(0)",
+               "Fscalar * V"]
 
 
-@pytest.mark.parametrize("text", CONJUGATED)
+@pytest.mark.parametrize("text", TRANSPORTED)
 @pytest.mark.parametrize("field, n", [(F2, 0), (F2, 1), (F2, 2), (F4, 0), (F4, 1)],
                          ids=["q2n0", "q2n1", "q2n2", "q4n0", "q4n1"])
 def test_inverse_once_per_group_element_matches_per_structure(text, field, n):
+    # transport reads tags; the reference walks the expression
     e = parse(text)
     structures = oracle.enumerate_structures(e, field, n)
     plain = [s for s, _w in structures]
@@ -212,7 +231,7 @@ def test_inverse_once_per_group_element_matches_per_structure(text, field, n):
     orbit_of = {}
     for sigma in group:
         moved = [reference_transport(e, s, sigma) for s in plain]
-        assert [oracle.transport(e, s, sigma) for s in plain] == moved
+        assert [oracle.transport(s, sigma) for s in plain] == moved
         assert oracle.fix_count_bf(e, field, n, sigma, structures=structures) == sum(
             t == s for s, t in zip(plain, moved))
         for s, t in zip(plain, moved):
@@ -221,17 +240,24 @@ def test_inverse_once_per_group_element_matches_per_structure(text, field, n):
     assert sorted((o["rep"], o["size"]) for o in oracle.orbit_partition(e, field, n)) == reference
 
 
+def test_transport_rejects_unknown_tags():
+    g = Matrix.identity(F2, 1)
+    for s in (("foo",), ("prod2", ((), ("spc",))), ("X", ("spc",))):
+        with pytest.raises(ValueError):
+            oracle.transport(s, g)
+
+
 def test_transport_rejects_singular_matrices_and_foreign_entries():
     e = parse("End")
     s = ("mat", ((1, 0), (0, 1)))
     with pytest.raises(ValueError):
-        oracle.transport(e, s, Matrix.make(F2, [(1, 1), (1, 1)]))
+        oracle.transport(s, Matrix.make(F2, [(1, 1), (1, 1)]))
     g = Matrix.make(F2, [(1, 1), (0, 1)])
     for bad in (2, -1):
         with pytest.raises(ValueError):
-            oracle.transport(e, ("mat", ((1, 0), (bad, 1))), g)
+            oracle.transport(("mat", ((1, 0), (bad, 1))), g)
     with pytest.raises(ValueError):
-        oracle.transport(parse("Elem"), ("vec", (0, -1)), g)
+        oracle.transport(("vec", (0, -1)), g)
     # caller-supplied structures meet the same check before any transport
     one = TPoly.const(1)
     for bad in (2, -1):
@@ -248,9 +274,9 @@ def test_orbit_count_runs_the_burnside_cross_check(monkeypatch):
     calls = []
     fix_count = oracle._fix_count
 
-    def counted(e, sigma, structures):
+    def counted(sigma, structures):
         calls.append(sigma)
-        return fix_count(e, sigma, structures)
+        return fix_count(sigma, structures)
 
     monkeypatch.setattr(oracle, "_fix_count", counted)
     assert oracle.orbit_count_bf(e, F2, 2) == 6
@@ -300,9 +326,9 @@ def test_one_chart_per_acting_matrix_and_part(monkeypatch, text):
         charts[-1].append((g.entries, rows))
         return chart_map(g, rows)
 
-    def counted(e, sigma, structures):
+    def counted(sigma, structures):
         charts.append([])
-        return fix_count(e, sigma, structures)
+        return fix_count(sigma, structures)
 
     monkeypatch.setattr(oracle, "_chart_map", charted)
     monkeypatch.setattr(oracle, "_fix_count", counted)

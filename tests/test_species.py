@@ -13,9 +13,9 @@ from qspecies import oracle, species
 from qspecies.cli import main
 from qspecies.field import field_make
 from qspecies.classes import enumerate_classes
-from qspecies.linalg import ConsistencyError, Matrix, gl_order, qbinomial
+from qspecies.linalg import ConsistencyError, Matrix, enumerate_matrices, gl_order, qbinomial
 from qspecies.oracle import structure_count_bf
-from qspecies.parser import parse
+from qspecies.parser import parse, render
 from qspecies.series import POLY_T, RATIONAL, TPoly, aut_type_product
 from qspecies.species import (Assembly, Builtin, Mark, Plus, Power, Product,
                               Sum, SymPower, UnsupportedOperationError,
@@ -96,10 +96,38 @@ def test_validate_rejects_nonempty_base():
 
 @pytest.mark.parametrize("text", [name for name, spec in species.BUILTINS.items()
                                   if not spec.needs_arg]
-                         + ["Sub(0)", "Sub(2)", "RepCyclic(2)"])
+                         + ["Sub(0)", "Sub(2)", "RepCyclic(2)", "Vplus^0", "sym(0,Vplus)",
+                            "E(Vplus)", "plus(V)", "mark(V)", "Vplus + One", "Vplus*One",
+                            "(Vplus + V)^2"])
 def test_empty_at_zero_matches_the_oracle(text):
     e = parse(text)
     assert species.empty_at_zero(e) == (structure_count_bf(e, F2, 0) == 0)
+
+
+# one sample per AST node type: each walk over the AST must handle every type
+NODE_SAMPLES = {
+    Builtin: Builtin("Proj"),
+    Sum: Sum(B("Vplus"), B("Elem")),
+    Product: Product(B("Vplus"), B("Proj")),
+    Power: Power(B("Vplus"), 2),
+    SymPower: SymPower(B("Vplus"), 2),
+    Assembly: Assembly(B("Vplus")),
+    Plus: Plus(B("Elem")),
+    Mark: Mark(B("Vplus")),
+}
+
+
+@pytest.mark.parametrize("node", species.SpeciesExpr.__subclasses__(),
+                         ids=lambda node: node.__name__)
+def test_every_node_type_has_every_walk(node):
+    e = NODE_SAMPLES[node]  # a KeyError here: a new node type without a sample
+    assert parse(render(e)) == e
+    counts = weighted_gen_series(e, F2, 2).coeffs
+    for n in range(3):
+        structures = {s for s, _w in oracle.enumerate_structures(e, F2, n)}
+        assert len(structures) == counts[n].subs_t(1) * gl_order(F2, n)
+        for g in enumerate_matrices(F2, n, True):
+            assert {oracle.transport(s, g) for s in structures} == structures
 
 
 # ------------------------------------------------------------ type series
