@@ -175,11 +175,11 @@ def _dispatch(args) -> int:
                     for n in range(args.n + 1)]
             _table(rows, ["n", "orbits"], fmt)
         elif args.what == "fix":
-            structures = oracle_mod.enumerate_structures(e, field, args.n, args.budget)
-            rows = [{"class": str(c.invariant),
-                     "fix": oracle_mod.fix_count_bf(e, field, args.n, c.representative(field),
-                                                    structures=structures)}
-                    for c in enumerate_classes(field, args.n, "aut")]
+            classes = enumerate_classes(field, args.n, "aut")
+            fixes = oracle_mod.fix_counts_bf(e, field, args.n,
+                                             [c.representative(field) for c in classes],
+                                             args.budget)
+            rows = [{"class": str(c.invariant), "fix": fix} for c, fix in zip(classes, fixes)]
             _table(rows, ["class", "fix"], fmt)
         else:  # zindex
             if fmt == "csv":

@@ -25,9 +25,8 @@ expression: F[g] is a function of the structure and g alone.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import islice, product as iproduct
-from typing import Callable
 
 from .field import FieldSpec
 from .linalg import (BudgetExceededError, DEFAULT_BUDGET, InvariantData, Matrix,
@@ -192,19 +191,94 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
 # -- transport -----------------------------------------------------------------
 #
 # A transport dispatches on the structure's tag.  It takes g together with
-# ``inv``, a function of no arguments that returns g⁻¹, and ``charts``, a
-# table of the charts computed so far.  The counting loops invert each group
-# element once, so a matrix structure is conjugated as g * a * inv() without
-# an inversion per structure.  A part W of a split is moved by the chart h
-# of g on W (see _chart_map), and the parts inside W by the charts of h.  The
-# table keeps each chart once per (acting matrix, W) for its lifetime: one
-# sigma's counting loop, one orbit search over fixed generators, or one
-# public ``transport`` call.  A chart's inverse is computed once, when a
-# "mat" leaf first asks for it.
+# ``charts``, a table of what has been computed for each acting matrix so
+# far, and ``tables``, the row tables of the structure matrices met so far.
+# A part W of a split is moved by the chart h of g on W (see _chart_map),
+# and the parts inside W by the charts of h.
+#
+# A "mat" structure a goes to g a g⁻¹ through row tables, with no matrix
+# product.  A row v of F_q^d has the index idx(v) = sum_j v_j q^j; over
+# F_(2^k) that is linalg's packed row.  The row table of a d x d matrix M is
+# the list T_M[idx(v)] = idx(v M) over all q^d rows, built by linearity from
+# M's rows (_RowTables.build).  Row i of g a g⁻¹ is g_i a g⁻¹, so it is two
+# lookups: the decoded row of T_(g⁻¹)[T_a[idx(g_i)]].  T_(g⁻¹) is the
+# inverse permutation of T_g, so no inverse is computed.  A table on a
+# d-dimensional space has q^d entries, no more than the q^(d²) matrices the
+# oracle has already enumerated there.
+#
+# Lifetimes.  ``charts`` keeps each chart once per (acting matrix, W), and,
+# once a "mat" leaf first asks for them, each acting matrix's row indices
+# and T_(g⁻¹), for one sigma's counting loop, one orbit search over fixed
+# generators, or one public ``transport`` call.  ``tables`` keeps T_a for
+# each structure matrix a for one public call (``transport``,
+# ``fix_count_bf``, ``fix_counts_bf``, ``orbit_partition``,
+# ``orbit_count_bf``, ``zindex_bf``), so T_a is built once per call, not
+# once per sigma, and nothing outlives the call.
 
-def _given(g_inv: Matrix) -> Callable[[], Matrix]:
-    """``inv`` for a group element whose inverse is already computed."""
-    return lambda: g_inv
+
+class _RowTables:
+    """Row tables over one field for one public call: the rows of each
+    dimension by index, and T_a for each structure matrix a met."""
+
+    def __init__(self, field: FieldSpec):
+        self.field = field
+        self._spaces: dict[int, tuple[list, dict]] = {}
+        self._of: dict[tuple, list[int]] = {}
+
+    def space(self, d: int) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
+        """The rows of F_q^d listed by idx, and idx as a dict."""
+        hit = self._spaces.get(d)
+        if hit is None:
+            rows = [v[::-1] for v in iproduct(range(self.field.q), repeat=d)]
+            hit = self._spaces[d] = (rows, {v: i for i, v in enumerate(rows)})
+        return hit
+
+    def of(self, rows: tuple) -> list[int]:
+        """T_a for the structure matrix a with these rows."""
+        table = self._of.get(rows)
+        if table is None:
+            table = self._of[rows] = self.build(rows)
+        return table
+
+    def build(self, rows: tuple) -> list[int]:
+        """T_M for the square matrix M with these rows.  The rows of index
+        below q^(j+1) are u + c e_j with u below q^j, and (u + c e_j) M is
+        u M + c M_j, so the table grows one coordinate at a time."""
+        F = self.field
+        index = self.space(len(rows))[1]
+        if F.p == 2:
+            # idx is the packed row, so a sum is an XOR, and the table doubles
+            # once per F_2-basis vector alpha^t e_j, whose index is 2^(kj+t)
+            table = [0]
+            for row in rows:
+                for t in range(F.k):
+                    m = index[tuple([F._mul[1 << t][x] for x in row])]
+                    table += [x ^ m for x in table]
+            return table
+        add, mul = F._add, F._mul
+        images = [(0,) * len(rows)]
+        for row in rows:
+            multiples = [tuple([mul[c][x] for x in row]) for c in range(F.q)]
+            images = [tuple([add[a][b] for a, b in zip(u, m)])
+                      for m in multiples for u in images]
+        return [index[v] for v in images]
+
+    def conjugation(self, g: Matrix) -> tuple[list[int], list[tuple[int, ...]]]:
+        """idx of each row of the invertible g, and at idx(w) the row w g⁻¹:
+        T_(g⁻¹), decoded, as the inverse permutation of T_g."""
+        rows, index = self.space(g.nrows)
+        inverse_images = rows[:]
+        for i, j in enumerate(self.build(g.entries)):
+            inverse_images[j] = rows[i]
+        return [index[r] for r in g.entries], inverse_images
+
+
+def _conjugation(charts: dict, tables: _RowTables, g: Matrix) -> tuple[list, list]:
+    """g's row indices and decoded T_(g⁻¹), from the chart table."""
+    hit = charts.get(g)
+    if hit is None:
+        hit = charts[g] = tables.conjugation(g)
+    return hit
 
 
 def _chart_map(g: Matrix, rows: tuple) -> tuple[tuple, Matrix]:
@@ -219,25 +293,31 @@ def _chart_map(g: Matrix, rows: tuple) -> tuple[tuple, Matrix]:
         tuple(v[p] for v in images) for p in pivots))
 
 
-def _chart(charts: dict, g: Matrix, rows: tuple) -> tuple[tuple, Matrix, Callable[[], Matrix]]:
-    """The RREF basis of g(W), the chart h and h's ``inv``, from the table."""
+def _chart(charts: dict, g: Matrix, rows: tuple) -> tuple[tuple, Matrix]:
+    """The RREF basis of g(W) and the chart h, from the table."""
     key = (g, rows)
     hit = charts.get(key)
     if hit is None:
-        img_rows, h = _chart_map(g, rows)
-        hit = charts[key] = (img_rows, h, cache(h.inverse))
+        hit = charts[key] = _chart_map(g, rows)
     return hit
 
 
 def transport(s: Structure, g: Matrix) -> Structure:
     """F[g](s) for an invertible g of the matching dimension; raises ValueError
-    for a singular g or for an entry of s outside F_q."""
-    try:
-        g_inv = g.inverse()
-    except ValueError:
-        raise ValueError("transport requires an invertible matrix") from None
+    for a singular g, for an entry of s outside F_q, or for a matrix in s
+    whose shape is not that of the space it lives on."""
+    _check_acting(g, g.nrows)
     _check_entries(g.field, s)
-    return _transport(s, g, _given(g_inv), {})
+    _check_shape(s, g.nrows)
+    return _transport(s, g, {}, _RowTables(g.field))
+
+
+def _check_acting(g: Matrix, n: int) -> None:
+    """g is an automorphism of E_n."""
+    if g.nrows != n or g.ncols != n:
+        raise ValueError(f"dimension mismatch: a {g.nrows} x {g.ncols} matrix acting on E_{n}")
+    if not g.is_invertible():
+        raise ValueError("transport requires an invertible matrix")
 
 
 def _check_entries(field: FieldSpec, s: Structure) -> None:
@@ -250,44 +330,61 @@ def _check_entries(field: FieldSpec, s: Structure) -> None:
             field._check(x)
 
 
-def _check_structures(field: FieldSpec, structures: list) -> None:
-    """A caller-supplied F[E_n]: the transport loops skip range checks, so a
-    foreign entry must raise here rather than wrap around.  The oracle's own
-    enumerations hold field elements only and are never checked."""
+def _check_shape(s: Structure, d: int) -> None:
+    """Every matrix in s is d' x d', d' the dimension of the space it lives
+    on: d at the top, the dimension of its part inside a split."""
+    tag = s[0]
+    if tag == "mat":
+        if len(s[1]) != d or any(len(row) != d for row in s[1]):
+            raise ValueError(f"dimension mismatch: a matrix structure on E_{d} is {d} x {d}")
+    elif tag in ("L", "R"):
+        _check_shape(s[1], d)
+    elif tag in ("prod", "mset"):
+        for rows, enc in (s[1:] if tag == "prod" else s[1]):
+            _check_shape(enc, len(rows))
+
+
+def _check_structures(field: FieldSpec, n: int, structures: list) -> None:
+    """A caller-supplied F[E_n]: the transport loops check nothing, so a foreign
+    entry or a matrix of the wrong shape must raise here rather than wrap
+    around or be misread.  The oracle's own enumerations are never checked."""
     for s, _w in structures:
         _check_entries(field, s)
+        _check_shape(s, n)
 
 
-def _transport(s: Structure, g: Matrix, inv: Callable[[], Matrix], charts: dict) -> Structure:
-    """F[g](s), read off the tags of s; ``inv()`` returns g⁻¹."""
+def _transport(s: Structure, g: Matrix, charts: dict, tables: _RowTables) -> Structure:
+    """F[g](s), read off the tags of s."""
     tag = s[0]
     if tag == "vec":
         return ("vec", g.matvec(s[1]))
     if tag == "sub":
         return ("sub", _chart(charts, g, s[1])[0])
     if tag == "mat":
-        return ("mat", (g * Matrix(g.field, s[1]) * inv()).entries)
+        g_rows, inverse_images = _conjugation(charts, tables, g)
+        t_a = tables.of(s[1])
+        return ("mat", tuple([inverse_images[t_a[i]] for i in g_rows]))
     if tag == "bas":
         return ("bas", tuple(g.matvec(v) for v in s[1]))
     if tag in ("spc", "scl"):
         return s
     if tag in ("L", "R"):
-        return (tag, _transport(s[1], g, inv, charts))
+        return (tag, _transport(s[1], g, charts, tables))
     if tag == "prod":
-        return ("prod", _move_part(s[1], g, charts), _move_part(s[2], g, charts))
+        return ("prod", _move_part(s[1], g, charts, tables), _move_part(s[2], g, charts, tables))
     if tag == "mset":
-        return ("mset", tuple(sorted(_move_part(part, g, charts) for part in s[1])))
+        return ("mset", tuple(sorted(_move_part(part, g, charts, tables) for part in s[1])))
     raise ValueError(f"bad structure {s!r}")
 
 
-def _move_part(part: tuple, g: Matrix, charts: dict) -> tuple:
+def _move_part(part: tuple, g: Matrix, charts: dict, tables: _RowTables) -> tuple:
     """A part (rows of W, structure on W) moved to g(W) through the chart of g
     on W; the zero part stays as it is."""
     rows, enc = part
     if not rows:
         return part
-    img_rows, h, h_inv = _chart(charts, g, rows)
-    return (img_rows, _transport(enc, h, h_inv, charts))
+    img_rows, h = _chart(charts, g, rows)
+    return (img_rows, _transport(enc, h, charts, tables))
 
 
 # -- counting ------------------------------------------------------------------
@@ -312,15 +409,26 @@ def fix_count_bf(e: SpeciesExpr, field: FieldSpec, n: int, sigma: Matrix,
     if structures is None:
         structures = enumerate_structures(e, field, n, budget)
     else:
-        _check_structures(field, structures)
-    return _fix_count(sigma, structures)
+        _check_structures(field, n, structures)
+    _check_acting(sigma, n)
+    return _fix_count(sigma, structures, _RowTables(field))
 
 
-def _fix_count(sigma: Matrix, structures: list) -> int:
+def fix_counts_bf(e: SpeciesExpr, field: FieldSpec, n: int, sigmas: list[Matrix],
+                  budget: int = DEFAULT_BUDGET) -> list[int]:
+    """The structures on E_n fixed by each of ``sigmas``, over one enumeration
+    of F[E_n] and one set of row tables."""
+    for sigma in sigmas:
+        _check_acting(sigma, n)
+    structures = enumerate_structures(e, field, n, budget)
+    tables = _RowTables(field)
+    return [_fix_count(sigma, structures, tables) for sigma in sigmas]
+
+
+def _fix_count(sigma: Matrix, structures: list, tables: _RowTables) -> int:
     """The members of ``structures`` fixed by sigma, which nothing checks here."""
-    inv = _given(sigma.inverse())
     charts: dict = {}
-    return sum(1 for s, _w in structures if _transport(s, sigma, inv, charts) == s)
+    return sum(1 for s, _w in structures if _transport(s, sigma, charts, tables) == s)
 
 
 @lru_cache(maxsize=None)
@@ -350,14 +458,14 @@ def orbit_partition(e: SpeciesExpr, field: FieldSpec, n: int,
     if structures is None:
         structures = enumerate_structures(e, field, n, budget)
     else:
-        _check_structures(field, structures)
-    return _orbits(field, n, structures)
+        _check_structures(field, n, structures)
+    return _orbits(field, n, structures, _RowTables(field))
 
 
-def _orbits(field: FieldSpec, n: int, structures: list) -> list[dict]:
+def _orbits(field: FieldSpec, n: int, structures: list, tables: _RowTables) -> list[dict]:
     """``orbit_partition`` of ``structures``, which nothing checks here."""
     weights = dict(structures)
-    gens = [(g, _given(g.inverse())) for g in _gl_generators(field, n)]
+    gens = _gl_generators(field, n)
     charts: dict = {}
     unseen = set(weights)
     orbits = []
@@ -367,8 +475,8 @@ def _orbits(field: FieldSpec, n: int, structures: list) -> list[dict]:
         orbit = {start}
         while frontier:
             cur = frontier.pop()
-            for g, inv in gens:
-                nxt = _transport(cur, g, inv, charts)
+            for g in gens:
+                nxt = _transport(cur, g, charts, tables)
                 if nxt not in orbit:
                     orbit.add(nxt)
                     frontier.append(nxt)
@@ -382,11 +490,12 @@ def orbit_count_bf(e: SpeciesExpr, field: FieldSpec, n: int,
     """Orbit count, by explicit partition and by Burnside average over all of
     GL_n; both must agree."""
     structures = enumerate_structures(e, field, n, budget)
-    orbits = _orbits(field, n, structures)
+    tables = _RowTables(field)
+    orbits = _orbits(field, n, structures, tables)
     if gl_order(field, n) * field.q ** (n * n) <= budget:
         total = 0
         for sigma in enumerate_matrices(field, n, True, budget):
-            total += _fix_count(sigma, structures)
+            total += _fix_count(sigma, structures, tables)
         burnside, rest = divmod(total, gl_order(field, n))
         require(rest == 0, f"Burnside total {total} is not divisible by |GL_{n}|")
         require(burnside == len(orbits),
@@ -398,11 +507,12 @@ def zindex_bf(e: SpeciesExpr, field: FieldSpec, order: int,
               budget: int = DEFAULT_BUDGET) -> CycleIndexSeries:
     """Cycle index by literal summation over all of Aut(E_n), n <= order."""
     terms: dict[InvariantData, Fraction] = {}
+    tables = _RowTables(field)
     for n in range(order + 1):
         gn = gl_order(field, n)
         structures = enumerate_structures(e, field, n, budget)
         for sigma in enumerate_matrices(field, n, True, budget):
-            fix = _fix_count(sigma, structures)
+            fix = _fix_count(sigma, structures, tables)
             if fix:
                 m = monomial(invariant_data(sigma))
                 terms[m] = terms.get(m, Fraction(0)) + Fraction(fix, gn)

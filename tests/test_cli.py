@@ -146,6 +146,28 @@ def test_oracle_fix_enumerates_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_oracle_fix_checks_nothing_it_enumerated(monkeypatch, capsys):
+    # every class representative counts over the oracle's own enumeration, which
+    # needs no range check; the output is the one of the per-class counts
+    checked = []
+    check_entries = oracle._check_entries
+
+    def counted(field, s):
+        checked.append(s)
+        return check_entries(field, s)
+
+    monkeypatch.setattr(oracle, "_check_entries", counted)
+    code, out = run(capsys, "oracle", "fix", "E(Vplus)", "3")
+    assert code == 0
+    assert checked == []
+    assert out == ("class={(z+1, 1) -> 1, (z+1, 2) -> 1}  fix=9\n"
+                   "class={(z+1, 1) -> 1, (z^2+z+1, 1) -> 1}  fix=3\n"
+                   "class={(z+1, 1) -> 3}  fix=57\n"
+                   "class={(z+1, 3) -> 1}  fix=1\n"
+                   "class={(z^3+z+1, 1) -> 1}  fix=1\n"
+                   "class={(z^3+z^2+1, 1) -> 1}  fix=1\n")
+
+
 def test_verify_passes(capsys):
     code, out = run(capsys, "verify", "--max-dim", "2")
     assert code == 0

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from qspecies import oracle
@@ -214,9 +217,9 @@ def reference_part(e, rows, enc, g):
 
 # every node type and every builtin tag; E needs an operand without structures
 # in dimension 0, so E(End) is E(plus(End))
-TRANSPORTED = ["End", "Aut", "E(plus(End))", "Vplus*End", "Vplus + Proj", "Elem^2",
-               "sym(2,Vplus)", "mark(Vplus)*Elem", "plus(Elem)", "Bases + Sub(0)",
-               "Fscalar * V"]
+TRANSPORTED = ["End", "Aut", "E(plus(End))", "Vplus*End", "End*End", "sym(2,plus(Aut))",
+               "Vplus + Proj", "Elem^2", "sym(2,Vplus)", "mark(Vplus)*Elem", "plus(Elem)",
+               "Bases + Sub(0)", "Fscalar * V"]
 
 
 @pytest.mark.parametrize("text", TRANSPORTED)
@@ -238,6 +241,107 @@ def test_inverse_once_per_group_element_matches_per_structure(text, field, n):
             orbit_of.setdefault(s, set()).add(t)
     reference = sorted({(min(orbit), len(orbit)) for orbit in map(frozenset, orbit_of.values())})
     assert sorted((o["rep"], o["size"]) for o in oracle.orbit_partition(e, field, n)) == reference
+
+
+@pytest.mark.parametrize("text", ["End*End", "E(plus(End))", "sym(2,plus(Aut))"])
+def test_nested_matrices_move_as_the_reference_over_f3(text):
+    # matrices on the parts of a split are conjugated by charts, through the
+    # row tables of odd characteristic
+    e = parse(text)
+    for n in range(3):
+        plain = [s for s, _w in oracle.enumerate_structures(e, F3, n)]
+        for sigma in enumerate_matrices(F3, n, True):
+            assert ([oracle.transport(s, sigma) for s in plain]
+                    == [reference_transport(e, s, sigma) for s in plain])
+
+
+@pytest.mark.parametrize("field, top", [(F2, 3), (F3, 2), (F4, 2)], ids=["q2", "q3", "q4"])
+def test_row_tables_conjugate_as_matrix_products(field, top):
+    for n in range(top + 1):
+        tables = oracle._RowTables(field)
+        rows, index = tables.space(n)
+        assert [sum(x * field.q ** j for j, x in enumerate(v)) for v in rows] == list(
+            range(field.q ** n))
+        matrices = list(enumerate_matrices(field, n))
+        for a in matrices:
+            # T_a[idx(v)] = idx(v a)
+            assert tables.of(a.entries) == [index[(Matrix(field, (v,)) * a).entries[0]]
+                                            for v in rows]
+        for g in enumerate_matrices(field, n, True):
+            g_rows, inverse_images = tables.conjugation(g)
+            g_inv = g.inverse()
+            for a in matrices:
+                t_a = tables.of(a.entries)
+                assert tuple(inverse_images[t_a[i]] for i in g_rows) == (g * a * g_inv).entries
+
+
+def test_one_row_table_per_structure_matrix_and_call(monkeypatch):
+    # T_a is built once per public call however many sigma meet a, and the
+    # tables go with the call; T_g of an acting matrix is built by conjugation
+    builds, owners = [], []
+    acting = [False]
+    build, conjugation, init = (oracle._RowTables.build, oracle._RowTables.conjugation,
+                                oracle._RowTables.__init__)
+
+    def counted_build(self, rows):
+        if not acting[0]:
+            builds.append(rows)
+        return build(self, rows)
+
+    def counted_conjugation(self, g):
+        acting[0] = True
+        try:
+            return conjugation(self, g)
+        finally:
+            acting[0] = False
+
+    def counted_init(self, field):
+        owners.append(weakref.ref(self))
+        init(self, field)
+
+    monkeypatch.setattr(oracle._RowTables, "build", counted_build)
+    monkeypatch.setattr(oracle._RowTables, "conjugation", counted_conjugation)
+    monkeypatch.setattr(oracle._RowTables, "__init__", counted_init)
+    e = parse("Aut")
+    structures = sorted(s[1] for s, _w in oracle.enumerate_structures(e, F2, 3))
+    for call in (1, 2):
+        assert oracle.orbit_count_bf(e, F2, 3) == 6
+        gc.collect()
+        assert len(owners) == call and owners[-1]() is None
+        assert sorted(builds) == structures
+        builds.clear()
+
+
+def test_matrices_of_the_wrong_shape_are_rejected():
+    g = Matrix.make(F2, [(1, 1), (0, 1)])
+    wrong = [("mat", ((1, 0, 0), (0, 1, 0), (0, 0, 1))), ("mat", ((1,),)),
+             ("mat", ((1, 0), (0, 1, 0))), ("L", ("mat", ((1,),))),
+             # a matrix on a line of F_2^2 is 1 x 1
+             ("prod", (((1, 0),), ("mat", ((1, 0), (0, 1)))), (((0, 1),), ("mat", ((1,),)))),
+             ("mset", ((((0, 1),), ("mat", ((1,),))), (((1, 0),), ("mat", ())))),
+             ("prod", ((), ("spc",)), (((1, 0), (0, 1)), ("mat", ((1,),))))]
+    for s in wrong:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            oracle.transport(s, g)
+    # caller-supplied structures meet the same check before any transport
+    e = parse("End")
+    one = TPoly.const(1)
+    for s in wrong:
+        structures = [(("mat", ((1, 0), (0, 1))), one), (s, one)]
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            oracle.fix_count_bf(e, F2, 2, g, structures=structures)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            oracle.orbit_partition(e, F2, 2, structures=structures)
+    # so does an acting matrix of another dimension
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        oracle.fix_count_bf(e, F2, 3, g)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        oracle.fix_counts_bf(e, F2, 3, [g])
+    right = [("mat", ((1, 0), (1, 1))),
+             ("prod", (((1, 0),), ("mat", ((1,),))), (((0, 1),), ("mat", ((1,),))))]
+    assert [oracle.transport(s, g) for s in right] == [
+        ("mat", ((0, 1), (1, 0))), ("prod", (((1, 0),), ("mat", ((1,),))),
+                                    (((1, 1),), ("mat", ((1,),))))]
 
 
 def test_transport_rejects_unknown_tags():
@@ -274,9 +378,9 @@ def test_orbit_count_runs_the_burnside_cross_check(monkeypatch):
     calls = []
     fix_count = oracle._fix_count
 
-    def counted(sigma, structures):
+    def counted(sigma, structures, tables):
         calls.append(sigma)
-        return fix_count(sigma, structures)
+        return fix_count(sigma, structures, tables)
 
     monkeypatch.setattr(oracle, "_fix_count", counted)
     assert oracle.orbit_count_bf(e, F2, 2) == 6
@@ -326,9 +430,9 @@ def test_one_chart_per_acting_matrix_and_part(monkeypatch, text):
         charts[-1].append((g.entries, rows))
         return chart_map(g, rows)
 
-    def counted(sigma, structures):
+    def counted(sigma, structures, tables):
         charts.append([])
-        return fix_count(sigma, structures)
+        return fix_count(sigma, structures, tables)
 
     monkeypatch.setattr(oracle, "_chart_map", charted)
     monkeypatch.setattr(oracle, "_fix_count", counted)
