@@ -192,92 +192,49 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
 #
 # A transport dispatches on the structure's tag.  It takes g together with
 # ``charts``, a table of what has been computed for each acting matrix so
-# far, and ``tables``, the row tables of the structure matrices met so far.
-# A part W of a split is moved by the chart h of g on W (see _chart_map),
-# and the parts inside W by the charts of h.
+# far.  A part W of a split is moved by the chart h of g on W (see
+# _chart_map), and the parts inside W by the charts of h.
 #
-# A "mat" structure a goes to g a g⁻¹ through row tables, with no matrix
-# product.  A row v of F_q^d has the index idx(v) = sum_j v_j q^j; over
-# F_(2^k) that is linalg's packed row.  The row table of a d x d matrix M is
-# the list T_M[idx(v)] = idx(v M) over all q^d rows, built by linearity from
-# M's rows (_RowTables.build).  Row i of g a g⁻¹ is g_i a g⁻¹, so it is two
-# lookups: the decoded row of T_(g⁻¹)[T_a[idx(g_i)]].  T_(g⁻¹) is the
-# inverse permutation of T_g, so no inverse is computed.  A table on a
-# d-dimensional space has q^d entries, no more than the q^(d²) matrices the
-# oracle has already enumerated there.
+# A "mat" structure a goes to g a g⁻¹ = g (a g⁻¹) through two row maps of the
+# acting matrix, with no matrix product.  The row map of a d x d matrix M
+# sends each row v of F_q^d to v M; _row_map builds it over all q^d rows by
+# linearity from M's rows.  Row j of a g⁻¹ is the image of a_j under the row
+# map of g⁻¹, the inverse of g's, so no inverse is computed.  Column k of
+# g (a g⁻¹) is g c_k for column c_k of a g⁻¹, that is the image of c_k under
+# the row map of gᵀ.  So a costs 2d lookups and two transposes.
 #
 # Lifetimes.  ``charts`` keeps each chart once per (acting matrix, W), and,
-# once a "mat" leaf first asks for them, each acting matrix's row indices
-# and T_(g⁻¹), for one sigma's counting loop, one orbit search over fixed
-# generators, or one public ``transport`` call.  ``tables`` keeps T_a for
-# each structure matrix a for one public call (``transport``,
-# ``fix_count_bf``, ``fix_counts_bf``, ``orbit_partition``,
-# ``orbit_count_bf``, ``zindex_bf``), so T_a is built once per call, not
-# once per sigma, and nothing outlives the call.
+# once a "mat" leaf first asks for them, each acting matrix's two row maps,
+# for one sigma's counting loop, one orbit search over fixed generators, or
+# one public ``transport`` call.  The maps of one acting matrix on a
+# d-dimensional space hold 2 q^d rows, no more than the q^(d²) matrices the
+# oracle has already enumerated there; nothing is kept per structure.
 
 
-class _RowTables:
-    """Row tables over one field for one public call: the rows of each
-    dimension by index, and T_a for each structure matrix a met."""
-
-    def __init__(self, field: FieldSpec):
-        self.field = field
-        self._spaces: dict[int, tuple[list, dict]] = {}
-        self._of: dict[tuple, list[int]] = {}
-
-    def space(self, d: int) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
-        """The rows of F_q^d listed by idx, and idx as a dict."""
-        hit = self._spaces.get(d)
-        if hit is None:
-            rows = [v[::-1] for v in iproduct(range(self.field.q), repeat=d)]
-            hit = self._spaces[d] = (rows, {v: i for i, v in enumerate(rows)})
-        return hit
-
-    def of(self, rows: tuple) -> list[int]:
-        """T_a for the structure matrix a with these rows."""
-        table = self._of.get(rows)
-        if table is None:
-            table = self._of[rows] = self.build(rows)
-        return table
-
-    def build(self, rows: tuple) -> list[int]:
-        """T_M for the square matrix M with these rows.  The rows of index
-        below q^(j+1) are u + c e_j with u below q^j, and (u + c e_j) M is
-        u M + c M_j, so the table grows one coordinate at a time."""
-        F = self.field
-        index = self.space(len(rows))[1]
-        if F.p == 2:
-            # idx is the packed row, so a sum is an XOR, and the table doubles
-            # once per F_2-basis vector alpha^t e_j, whose index is 2^(kj+t)
-            table = [0]
-            for row in rows:
-                for t in range(F.k):
-                    m = index[tuple([F._mul[1 << t][x] for x in row])]
-                    table += [x ^ m for x in table]
-            return table
-        add, mul = F._add, F._mul
-        images = [(0,) * len(rows)]
-        for row in rows:
-            multiples = [tuple([mul[c][x] for x in row]) for c in range(F.q)]
-            images = [tuple([add[a][b] for a, b in zip(u, m)])
-                      for m in multiples for u in images]
-        return [index[v] for v in images]
-
-    def conjugation(self, g: Matrix) -> tuple[list[int], list[tuple[int, ...]]]:
-        """idx of each row of the invertible g, and at idx(w) the row w g⁻¹:
-        T_(g⁻¹), decoded, as the inverse permutation of T_g."""
-        rows, index = self.space(g.nrows)
-        inverse_images = rows[:]
-        for i, j in enumerate(self.build(g.entries)):
-            inverse_images[j] = rows[i]
-        return [index[r] for r in g.entries], inverse_images
+def _row_map(m: Matrix) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """v -> v m for every row v of F_q^d, m a d x d matrix.  The rows grow one
+    coordinate at a time: (u + c e_j) m = u m + c m_j."""
+    F = m.field
+    add, mul = F._add, F._mul
+    rows, images = [()], [(0,) * m.nrows]
+    for row in m.entries:
+        multiples = [tuple([mul[c][x] for x in row]) for c in range(F.q)]
+        rows = [u + (c,) for c in range(F.q) for u in rows]
+        images = [tuple([add[a][b] for a, b in zip(u, cm)]) for cm in multiples for u in images]
+    return dict(zip(rows, images))
 
 
-def _conjugation(charts: dict, tables: _RowTables, g: Matrix) -> tuple[list, list]:
-    """g's row indices and decoded T_(g⁻¹), from the chart table."""
+def _conjugation_maps(g: Matrix) -> tuple[dict, dict]:
+    """The row maps of g⁻¹ and of gᵀ, for the invertible g."""
+    inverse = {w: v for v, w in _row_map(g).items()}
+    return inverse, _row_map(Matrix(g.field, tuple(zip(*g.entries))))
+
+
+def _conjugation(charts: dict, g: Matrix) -> tuple[dict, dict]:
+    """g's two row maps, from the chart table."""
     hit = charts.get(g)
     if hit is None:
-        hit = charts[g] = tables.conjugation(g)
+        hit = charts[g] = _conjugation_maps(g)
     return hit
 
 
@@ -309,7 +266,7 @@ def transport(s: Structure, g: Matrix) -> Structure:
     _check_acting(g, g.nrows)
     _check_entries(g.field, s)
     _check_shape(s, g.nrows)
-    return _transport(s, g, {}, _RowTables(g.field))
+    return _transport(s, g, {})
 
 
 def _check_acting(g: Matrix, n: int) -> None:
@@ -353,7 +310,7 @@ def _check_structures(field: FieldSpec, n: int, structures: list) -> None:
         _check_shape(s, n)
 
 
-def _transport(s: Structure, g: Matrix, charts: dict, tables: _RowTables) -> Structure:
+def _transport(s: Structure, g: Matrix, charts: dict) -> Structure:
     """F[g](s), read off the tags of s."""
     tag = s[0]
     if tag == "vec":
@@ -361,30 +318,30 @@ def _transport(s: Structure, g: Matrix, charts: dict, tables: _RowTables) -> Str
     if tag == "sub":
         return ("sub", _chart(charts, g, s[1])[0])
     if tag == "mat":
-        g_rows, inverse_images = _conjugation(charts, tables, g)
-        t_a = tables.of(s[1])
-        return ("mat", tuple([inverse_images[t_a[i]] for i in g_rows]))
+        inverse, transposed = _conjugation(charts, g)
+        columns = zip(*map(inverse.__getitem__, s[1]))  # of a g⁻¹
+        return ("mat", tuple(zip(*map(transposed.__getitem__, columns))))
     if tag == "bas":
         return ("bas", tuple(g.matvec(v) for v in s[1]))
     if tag in ("spc", "scl"):
         return s
     if tag in ("L", "R"):
-        return (tag, _transport(s[1], g, charts, tables))
+        return (tag, _transport(s[1], g, charts))
     if tag == "prod":
-        return ("prod", _move_part(s[1], g, charts, tables), _move_part(s[2], g, charts, tables))
+        return ("prod", _move_part(s[1], g, charts), _move_part(s[2], g, charts))
     if tag == "mset":
-        return ("mset", tuple(sorted(_move_part(part, g, charts, tables) for part in s[1])))
+        return ("mset", tuple(sorted(_move_part(part, g, charts) for part in s[1])))
     raise ValueError(f"bad structure {s!r}")
 
 
-def _move_part(part: tuple, g: Matrix, charts: dict, tables: _RowTables) -> tuple:
+def _move_part(part: tuple, g: Matrix, charts: dict) -> tuple:
     """A part (rows of W, structure on W) moved to g(W) through the chart of g
     on W; the zero part stays as it is."""
     rows, enc = part
     if not rows:
         return part
     img_rows, h = _chart(charts, g, rows)
-    return (img_rows, _transport(enc, h, charts, tables))
+    return (img_rows, _transport(enc, h, charts))
 
 
 # -- counting ------------------------------------------------------------------
@@ -403,32 +360,26 @@ def inventory_bf(e: SpeciesExpr, field: FieldSpec, n: int,
 
 
 def fix_count_bf(e: SpeciesExpr, field: FieldSpec, n: int, sigma: Matrix,
-                 budget: int = DEFAULT_BUDGET, structures: list | None = None) -> int:
-    """Structures on E_n fixed by sigma; ``structures`` is F[E_n] when the
-    caller has already enumerated it (its entries must be elements of F_q)."""
-    if structures is None:
-        structures = enumerate_structures(e, field, n, budget)
-    else:
-        _check_structures(field, n, structures)
-    _check_acting(sigma, n)
-    return _fix_count(sigma, structures, _RowTables(field))
+                 budget: int = DEFAULT_BUDGET) -> int:
+    """Structures on E_n fixed by sigma."""
+    return fix_counts_bf(e, field, n, [sigma], budget)[0]
 
 
 def fix_counts_bf(e: SpeciesExpr, field: FieldSpec, n: int, sigmas: list[Matrix],
                   budget: int = DEFAULT_BUDGET) -> list[int]:
     """The structures on E_n fixed by each of ``sigmas``, over one enumeration
-    of F[E_n] and one set of row tables."""
+    of F[E_n]; raises ValueError for a sigma that is not in Aut(E_n) before
+    enumerating."""
     for sigma in sigmas:
         _check_acting(sigma, n)
     structures = enumerate_structures(e, field, n, budget)
-    tables = _RowTables(field)
-    return [_fix_count(sigma, structures, tables) for sigma in sigmas]
+    return [_fix_count(sigma, structures) for sigma in sigmas]
 
 
-def _fix_count(sigma: Matrix, structures: list, tables: _RowTables) -> int:
+def _fix_count(sigma: Matrix, structures: list) -> int:
     """The members of ``structures`` fixed by sigma, which nothing checks here."""
     charts: dict = {}
-    return sum(1 for s, _w in structures if _transport(s, sigma, charts, tables) == s)
+    return sum(1 for s, _w in structures if _transport(s, sigma, charts) == s)
 
 
 @lru_cache(maxsize=None)
@@ -459,10 +410,10 @@ def orbit_partition(e: SpeciesExpr, field: FieldSpec, n: int,
         structures = enumerate_structures(e, field, n, budget)
     else:
         _check_structures(field, n, structures)
-    return _orbits(field, n, structures, _RowTables(field))
+    return _orbits(field, n, structures)
 
 
-def _orbits(field: FieldSpec, n: int, structures: list, tables: _RowTables) -> list[dict]:
+def _orbits(field: FieldSpec, n: int, structures: list) -> list[dict]:
     """``orbit_partition`` of ``structures``, which nothing checks here."""
     weights = dict(structures)
     gens = _gl_generators(field, n)
@@ -476,7 +427,7 @@ def _orbits(field: FieldSpec, n: int, structures: list, tables: _RowTables) -> l
         while frontier:
             cur = frontier.pop()
             for g in gens:
-                nxt = _transport(cur, g, charts, tables)
+                nxt = _transport(cur, g, charts)
                 if nxt not in orbit:
                     orbit.add(nxt)
                     frontier.append(nxt)
@@ -490,12 +441,11 @@ def orbit_count_bf(e: SpeciesExpr, field: FieldSpec, n: int,
     """Orbit count, by explicit partition and by Burnside average over all of
     GL_n; both must agree."""
     structures = enumerate_structures(e, field, n, budget)
-    tables = _RowTables(field)
-    orbits = _orbits(field, n, structures, tables)
+    orbits = _orbits(field, n, structures)
     if gl_order(field, n) * field.q ** (n * n) <= budget:
         total = 0
         for sigma in enumerate_matrices(field, n, True, budget):
-            total += _fix_count(sigma, structures, tables)
+            total += _fix_count(sigma, structures)
         burnside, rest = divmod(total, gl_order(field, n))
         require(rest == 0, f"Burnside total {total} is not divisible by |GL_{n}|")
         require(burnside == len(orbits),
@@ -507,12 +457,11 @@ def zindex_bf(e: SpeciesExpr, field: FieldSpec, order: int,
               budget: int = DEFAULT_BUDGET) -> CycleIndexSeries:
     """Cycle index by literal summation over all of Aut(E_n), n <= order."""
     terms: dict[InvariantData, Fraction] = {}
-    tables = _RowTables(field)
     for n in range(order + 1):
         gn = gl_order(field, n)
         structures = enumerate_structures(e, field, n, budget)
         for sigma in enumerate_matrices(field, n, True, budget):
-            fix = _fix_count(sigma, structures, tables)
+            fix = _fix_count(sigma, structures)
             if fix:
                 m = monomial(invariant_data(sigma))
                 terms[m] = terms.get(m, Fraction(0)) + Fraction(fix, gn)

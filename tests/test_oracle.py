@@ -1,6 +1,3 @@
-import gc
-import weakref
-
 import pytest
 
 from qspecies import oracle
@@ -114,9 +111,12 @@ def test_class_representative_zindex_matches_literal(text, field, order):
 @pytest.mark.parametrize("text", ["E(Vplus)", "sym(2, Vplus)"])
 def test_plethysm_matches_class_representatives_at_n4(text):
     e = parse(text)
-    structures = {n: oracle.enumerate_structures(e, F2, n) for n in range(5)}
-    reference = z_build(F2, lambda c: oracle.fix_count_bf(
-        e, F2, c.n, c.representative(F2), structures=structures[c.n]), 4)
+    fix = {}
+    for n in range(5):
+        classes = enumerate_classes(F2, n, "aut")
+        counts = oracle.fix_counts_bf(e, F2, n, [c.representative(F2) for c in classes])
+        fix.update(zip((c.invariant for c in classes), counts))
+    reference = z_build(F2, lambda c: fix[c.invariant], 4)
     assert cycle_index(e, F2, 4) == reference
 
 
@@ -126,10 +126,9 @@ def test_birkhoff_matches_oracle_fix(field, top):
     for n in range(top + 1):
         for k in range(n + 1):
             e = Builtin("Sub", k)
-            structures = oracle.enumerate_structures(e, field, n)
-            for c in enumerate_classes(field, n, "aut"):
-                assert class_fix(e, field, c) == oracle.fix_count_bf(
-                    e, field, n, c.representative(field), structures=structures), (n, k, c)
+            classes = enumerate_classes(field, n, "aut")
+            fixes = oracle.fix_counts_bf(e, field, n, [c.representative(field) for c in classes])
+            assert [class_fix(e, field, c) for c in classes] == fixes, (n, k)
 
 
 def test_sym_type_series_matches_orbits():
@@ -232,21 +231,22 @@ def test_inverse_once_per_group_element_matches_per_structure(text, field, n):
     plain = [s for s, _w in structures]
     group = list(enumerate_matrices(field, n, True))
     orbit_of = {}
+    fixed = []
     for sigma in group:
         moved = [reference_transport(e, s, sigma) for s in plain]
         assert [oracle.transport(s, sigma) for s in plain] == moved
-        assert oracle.fix_count_bf(e, field, n, sigma, structures=structures) == sum(
-            t == s for s, t in zip(plain, moved))
+        fixed.append(sum(t == s for s, t in zip(plain, moved)))
         for s, t in zip(plain, moved):
             orbit_of.setdefault(s, set()).add(t)
     reference = sorted({(min(orbit), len(orbit)) for orbit in map(frozenset, orbit_of.values())})
     assert sorted((o["rep"], o["size"]) for o in oracle.orbit_partition(e, field, n)) == reference
+    assert oracle.fix_counts_bf(e, field, n, group) == fixed
 
 
 @pytest.mark.parametrize("text", ["End*End", "E(plus(End))", "sym(2,plus(Aut))"])
 def test_nested_matrices_move_as_the_reference_over_f3(text):
     # matrices on the parts of a split are conjugated by charts, through the
-    # row tables of odd characteristic
+    # row maps of odd characteristic
     e = parse(text)
     for n in range(3):
         plain = [s for s, _w in oracle.enumerate_structures(e, F3, n)]
@@ -256,60 +256,47 @@ def test_nested_matrices_move_as_the_reference_over_f3(text):
 
 
 @pytest.mark.parametrize("field, top", [(F2, 3), (F3, 2), (F4, 2)], ids=["q2", "q3", "q4"])
-def test_row_tables_conjugate_as_matrix_products(field, top):
+def test_row_maps_conjugate_as_matrix_products(field, top):
     for n in range(top + 1):
-        tables = oracle._RowTables(field)
-        rows, index = tables.space(n)
-        assert [sum(x * field.q ** j for j, x in enumerate(v)) for v in rows] == list(
-            range(field.q ** n))
         matrices = list(enumerate_matrices(field, n))
         for a in matrices:
-            # T_a[idx(v)] = idx(v a)
-            assert tables.of(a.entries) == [index[(Matrix(field, (v,)) * a).entries[0]]
-                                            for v in rows]
+            # the row map of a sends v to v a, for each of the q^n rows v
+            row_map = oracle._row_map(a)
+            assert len(row_map) == field.q ** n
+            assert all(row_map[v] == (Matrix(field, (v,)) * a).entries[0] for v in row_map)
         for g in enumerate_matrices(field, n, True):
-            g_rows, inverse_images = tables.conjugation(g)
+            charts = {}
             g_inv = g.inverse()
             for a in matrices:
-                t_a = tables.of(a.entries)
-                assert tuple(inverse_images[t_a[i]] for i in g_rows) == (g * a * g_inv).entries
+                assert oracle._transport(("mat", a.entries), g, charts) == (
+                    "mat", (g * a * g_inv).entries)
 
 
-def test_one_row_table_per_structure_matrix_and_call(monkeypatch):
-    # T_a is built once per public call however many sigma meet a, and the
-    # tables go with the call; T_g of an acting matrix is built by conjugation
-    builds, owners = [], []
-    acting = [False]
-    build, conjugation, init = (oracle._RowTables.build, oracle._RowTables.conjugation,
-                                oracle._RowTables.__init__)
+@pytest.mark.parametrize("text", ["End", "End*End", "E(plus(End))"])
+def test_row_maps_once_per_acting_matrix(monkeypatch, text):
+    # an acting matrix's row maps are built once per chart table, whatever the
+    # number of matrix structures, and no call reuses another's
+    maps = []  # per group element: the acting matrix of each pair of maps built
+    conjugation_maps, fix_count = oracle._conjugation_maps, oracle._fix_count
 
-    def counted_build(self, rows):
-        if not acting[0]:
-            builds.append(rows)
-        return build(self, rows)
+    def counted_maps(g):
+        maps[-1].append(g.entries)
+        return conjugation_maps(g)
 
-    def counted_conjugation(self, g):
-        acting[0] = True
-        try:
-            return conjugation(self, g)
-        finally:
-            acting[0] = False
+    def counted(sigma, structures):
+        maps.append([])
+        return fix_count(sigma, structures)
 
-    def counted_init(self, field):
-        owners.append(weakref.ref(self))
-        init(self, field)
-
-    monkeypatch.setattr(oracle._RowTables, "build", counted_build)
-    monkeypatch.setattr(oracle._RowTables, "conjugation", counted_conjugation)
-    monkeypatch.setattr(oracle._RowTables, "__init__", counted_init)
-    e = parse("Aut")
-    structures = sorted(s[1] for s, _w in oracle.enumerate_structures(e, F2, 3))
-    for call in (1, 2):
-        assert oracle.orbit_count_bf(e, F2, 3) == 6
-        gc.collect()
-        assert len(owners) == call and owners[-1]() is None
-        assert sorted(builds) == structures
-        builds.clear()
+    monkeypatch.setattr(oracle, "_conjugation_maps", counted_maps)
+    monkeypatch.setattr(oracle, "_fix_count", counted)
+    e = parse(text)
+    for _call in (1, 2):
+        maps.clear()
+        assert oracle.zindex_bf(e, F2, 2) == cycle_index(e, F2, 2)
+        assert len(maps) == sum(gl_order(F2, n) for n in range(3))
+        assert all(len(set(per_sigma)) == len(per_sigma) for per_sigma in maps)
+        # each sigma acting on a matrix structure builds its maps
+        assert all(maps[1:])
 
 
 def test_matrices_of_the_wrong_shape_are_rejected():
@@ -329,14 +316,11 @@ def test_matrices_of_the_wrong_shape_are_rejected():
     for s in wrong:
         structures = [(("mat", ((1, 0), (0, 1))), one), (s, one)]
         with pytest.raises(ValueError, match="dimension mismatch"):
-            oracle.fix_count_bf(e, F2, 2, g, structures=structures)
-        with pytest.raises(ValueError, match="dimension mismatch"):
             oracle.orbit_partition(e, F2, 2, structures=structures)
-    # so does an acting matrix of another dimension
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        oracle.fix_count_bf(e, F2, 3, g)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        oracle.fix_counts_bf(e, F2, 3, [g])
+    # so does an acting matrix of another dimension, before any enumeration
+    for count in (oracle.fix_count_bf, lambda *args: oracle.fix_counts_bf(*args[:3], [args[3]])):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            count(e, F2, 3, g, 1)
     right = [("mat", ((1, 0), (1, 1))),
              ("prod", (((1, 0),), ("mat", ((1,),))), (((0, 1),), ("mat", ((1,),))))]
     assert [oracle.transport(s, g) for s in right] == [
@@ -367,9 +351,10 @@ def test_transport_rejects_singular_matrices_and_foreign_entries():
     for bad in (2, -1):
         structures = [(("mat", ((1, 0), (0, 1))), one), (("mat", ((1, 0), (bad, 1))), one)]
         with pytest.raises(ValueError):
-            oracle.fix_count_bf(e, F2, 2, g, structures=structures)
-        with pytest.raises(ValueError):
             oracle.orbit_partition(e, F2, 2, structures=structures)
+    # a singular sigma raises before the enumeration could exceed its budget
+    with pytest.raises(ValueError):
+        oracle.fix_count_bf(e, F2, 2, Matrix.make(F2, [(1, 1), (1, 1)]), budget=1)
 
 
 def test_orbit_count_runs_the_burnside_cross_check(monkeypatch):
@@ -378,9 +363,9 @@ def test_orbit_count_runs_the_burnside_cross_check(monkeypatch):
     calls = []
     fix_count = oracle._fix_count
 
-    def counted(sigma, structures, tables):
+    def counted(sigma, structures):
         calls.append(sigma)
-        return fix_count(sigma, structures, tables)
+        return fix_count(sigma, structures)
 
     monkeypatch.setattr(oracle, "_fix_count", counted)
     assert oracle.orbit_count_bf(e, F2, 2) == 6
@@ -411,14 +396,10 @@ def test_range_checks_run_once_per_public_call(monkeypatch):
     assert oracle.orbit_count_bf(e, F2, 2) == 6
     oracle.zindex_bf(parse("E(Vplus)"), F2, 2)
     assert top_level == []
-    # a caller-supplied list is checked once per call, not once per group element
+    # a caller-supplied list is checked once per call, not once per generator
     structures = oracle.enumerate_structures(e, F2, 2)
-    g = Matrix.make(F2, [(1, 1), (0, 1)])
-    for count in (lambda: oracle.fix_count_bf(e, F2, 2, g, structures=structures),
-                  lambda: oracle.orbit_partition(e, F2, 2, structures=structures)):
-        top_level.clear()
-        count()
-        assert top_level == [s for s, _w in structures]
+    oracle.orbit_partition(e, F2, 2, structures=structures)
+    assert top_level == [s for s, _w in structures]
 
 
 @pytest.mark.parametrize("text", ["E(Vplus)", "E(plus(E(Vplus)))", "Vplus * E(Vplus)"])
@@ -430,9 +411,9 @@ def test_one_chart_per_acting_matrix_and_part(monkeypatch, text):
         charts[-1].append((g.entries, rows))
         return chart_map(g, rows)
 
-    def counted(sigma, structures, tables):
+    def counted(sigma, structures):
         charts.append([])
-        return fix_count(sigma, structures, tables)
+        return fix_count(sigma, structures)
 
     monkeypatch.setattr(oracle, "_chart_map", charted)
     monkeypatch.setattr(oracle, "_fix_count", counted)
