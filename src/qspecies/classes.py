@@ -102,7 +102,7 @@ def enumerate_classes(field: FieldSpec, n: int, kind: str = "aut") -> tuple[Conj
 
     def rec(start: int, weight: int):
         if weight == 0:
-            invariants.append(InvariantData(tuple(acc)))
+            invariants.append(InvariantData(tuple(acc), n))
             return
         for j in range(start, len(polys)):
             phi, d = polys[j], polys[j].degree

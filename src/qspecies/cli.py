@@ -109,6 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # exact outputs print integers of any length: Python (3.11+) refuses to
+    # convert one of more than 4300 digits to text unless the limit is lifted
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _dispatch(args)
     except (ParseError, ValueError) as exc:
@@ -117,6 +122,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceededError, ConsistencyError, UnsupportedOperationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def _dispatch(args) -> int:

@@ -31,7 +31,7 @@ from .classes import enumerate_classes
 from .field import FieldSpec, require
 from .linalg import InvariantData
 from .poly import Poly, monic_irreducibles
-from .series import RATIONAL, PowerSeries, ring_zero
+from .series import RATIONAL, PowerSeries, _dot, ring_zero
 
 
 def monomial(inv: InvariantData) -> InvariantData:
@@ -56,8 +56,8 @@ class CycleIndexSeries:
     def __init__(self, field: FieldSpec, order: int, terms: dict):
         self.field = field
         self.order = order
-        self.terms = {m: Fraction(c) for m, c in terms.items()
-                      if c and m.degree <= order}
+        self.terms = {m: c if type(c) is Fraction else Fraction(c)
+                      for m, c in terms.items() if c and m.degree <= order}
 
     def _compat(self, other: "CycleIndexSeries") -> None:
         if self.field != other.field:
@@ -80,17 +80,18 @@ class CycleIndexSeries:
 
     def __mul__(self, other: "CycleIndexSeries") -> "CycleIndexSeries":
         self._compat(other)
-        buckets = sorted(other._by_degree().items())
-        out: dict[InvariantData, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            room = self.order - m1.degree
-            for d2, bucket in buckets:
-                if d2 > room:
-                    break
-                for m2, c2 in bucket:
-                    m = m1.mul(m2)
-                    out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return CycleIndexSeries(self.field, self.order, out)
+        a, b = self._by_degree(), other._by_degree()
+        terms: dict[InvariantData, Fraction] = {}
+        for n in range(self.order + 1):  # one degree's pairs held at a time
+            pairs: dict[InvariantData, list] = {}
+            for d1, part in a.items():
+                bucket = b.get(n - d1)
+                if bucket:
+                    for m1, c1 in part:
+                        for m2, c2 in bucket:
+                            pairs.setdefault(m1.mul(m2), []).append((c1, c2))
+            terms.update((m, _dot(ps)) for m, ps in pairs.items())
+        return CycleIndexSeries(self.field, self.order, terms)
 
     def __pow__(self, e: int) -> "CycleIndexSeries":
         out = z_one(self.field, self.order)
@@ -125,16 +126,15 @@ class CycleIndexSeries:
         a = self._by_degree()
         if 0 in a:
             raise ValueError("exp requires zero constant term")
+        ka = {k: [(m, c * k) for m, c in part] for k, part in a.items()}
         b: list[dict] = [{InvariantData(): Fraction(1)}]
         for n in range(1, self.order + 1):
-            part: dict[InvariantData, Fraction] = {}
+            pairs: dict[InvariantData, list] = {}
             for k in range(1, n + 1):
-                for m1, c1 in a.get(k, ()):
-                    c1k = c1 * k
+                for m1, c1 in ka.get(k, ()):
                     for m2, c2 in b[n - k].items():
-                        m = m1.mul(m2)
-                        part[m] = part.get(m, Fraction(0)) + c1k * c2
-            b.append({m: c / n for m, c in part.items() if c})
+                        pairs.setdefault(m1.mul(m2), []).append((c1, c2))
+            b.append({m: c / n for m, ps in pairs.items() if (c := _dot(ps))})
         return CycleIndexSeries(self.field, self.order,
                                 {m: c for part in b for m, c in part.items()})
 

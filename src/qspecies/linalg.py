@@ -513,10 +513,12 @@ class InvariantData:
 
     __slots__ = ("partitions", "degree", "_hash")
 
-    def __init__(self, partitions: tuple = ()):
-        """``partitions`` must be canonical already; ``of`` makes it so."""
+    def __init__(self, partitions: tuple = (), degree: int | None = None):
+        """``partitions`` must be canonical already; ``of`` makes it so.  A
+        caller that knows the degree (``mul``) passes it."""
         self.partitions = partitions
-        self.degree = sum(phi.degree * sum(lam) for phi, lam in partitions)
+        self.degree = (sum(phi.degree * sum(lam) for phi, lam in partitions)
+                       if degree is None else degree)
         self._hash = hash(partitions)
 
     @staticmethod
@@ -550,7 +552,7 @@ class InvariantData:
                 out.append((a[i][0], tuple(sorted(a[i][1] + b[j][1], reverse=True))))
                 i += 1
                 j += 1
-        return InvariantData(tuple(out) + a[i:] + b[j:])
+        return InvariantData(tuple(out) + a[i:] + b[j:], self.degree + other.degree)
 
     def items(self) -> list[tuple[Poly, int, int]]:
         """(phi, i, e_{phi,i}) for e_{phi,i} > 0, phi in order and i ascending."""

@@ -105,6 +105,15 @@ class Poly:
 
     # -- ordering and rendering ----------------------------------------------
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of (field, coeffs), computed once: invariants and
+        cycle-index monomials hash their polynomials on every product."""
+        return hash((self.field, self.coeffs))
+
     @cached_property
     def sort_key(self) -> tuple:
         """Degree first, z-1 before other degree-1 polynomials, then

@@ -8,7 +8,27 @@ univariate polynomials in the weight variable t over the rationals
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
+
+
+def _dot(pairs) -> Fraction:
+    """sum(a * b for a, b in pairs) for rationals (``Fraction`` or ``int``), as a
+    normalised ``Fraction``; ``Fraction(0)`` if there are none.  The numerators
+    are summed over a running common denominator, the lcm of the products'
+    denominators so far, and the total is normalised once: a term whose
+    denominator divides the running one costs a division, any other a gcd,
+    where ``Fraction`` arithmetic runs two gcds per product and two per sum."""
+    num, den = 0, 1
+    for a, b in pairs:
+        d = a.denominator * b.denominator
+        q, r = divmod(den, d)
+        if r:
+            g = gcd(d, r)  # = gcd(den, d)
+            num = num * (d // g) + a.numerator * b.numerator * (den // g)
+            den = den // g * d
+        else:
+            num += a.numerator * b.numerator * q
+    return Fraction(num, den)
 
 
 class TPoly:
@@ -72,16 +92,30 @@ class TPoly:
     def __rsub__(self, other):
         return TPoly._coerce(other) + (-self)
 
+    @staticmethod
+    def dot(pairs) -> "TPoly":
+        """sum(a * b for a, b in pairs) for pairs of ``TPoly``: the products'
+        terms are collected by power of t, then summed by one ``_dot`` per
+        power."""
+        terms: dict[int, list] = {}
+        for a, b in pairs:
+            b = b.coeffs.items()
+            for e1, c1 in a.coeffs.items():
+                for e2, c2 in b:
+                    terms.setdefault(e1 + e2, []).append((c1, c2))
+        out = TPoly.__new__(TPoly)
+        out.coeffs = cs = {}
+        for e, ps in terms.items():
+            c = _dot(ps)
+            if c:
+                cs[e] = c
+        return out
+
     def __mul__(self, other):
         other = TPoly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-        return TPoly._of(out)
+        return TPoly.dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -147,6 +181,11 @@ def ring_one(ring: str):
     return Fraction(1) if ring == RATIONAL else TPoly.const(1)
 
 
+def ring_dot(ring: str):
+    """The ring's sum of products: ``_dot`` or ``TPoly.dot``."""
+    return _dot if ring == RATIONAL else TPoly.dot
+
+
 def coeff_str(c) -> str:
     return _frac_str(c) if isinstance(c, Fraction) else str(c)
 
@@ -196,16 +235,11 @@ class PowerSeries:
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         self._compat(other)
-        n = self.order
-        out = [ring_zero(self.ring)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(0, n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return PowerSeries(self.ring, n, out)
+        dot, a, b = ring_dot(self.ring), self.coeffs, other.coeffs
+        nonzero = [i for i, c in enumerate(a) if c]
+        return PowerSeries(self.ring, self.order, [
+            dot((a[i], b[m - i]) for i in nonzero if i <= m and b[m - i])
+            for m in range(self.order + 1)])
 
     def scale(self, c) -> "PowerSeries":
         return PowerSeries(self.ring, self.order, [a * c for a in self.coeffs])
@@ -238,43 +272,35 @@ class PowerSeries:
         """Multiplicative inverse; constant term must be 1."""
         if self.coeffs[0] != ring_one(self.ring):
             raise ValueError("inverse requires constant term 1")
-        n = self.order
-        out = [ring_one(self.ring)] + [ring_zero(self.ring)] * n
-        for m in range(1, n + 1):
-            s = ring_zero(self.ring)
-            for k in range(1, m + 1):
-                if self.coeffs[k]:
-                    s = s + self.coeffs[k] * out[m - k]
-            out[m] = -s
-        return PowerSeries(self.ring, n, out)
+        dot, a = ring_dot(self.ring), self.coeffs
+        nonzero = [k for k, c in enumerate(a) if k and c]
+        out = [ring_one(self.ring)]
+        for m in range(1, self.order + 1):
+            out.append(-dot((a[k], out[m - k]) for k in nonzero if k <= m))
+        return PowerSeries(self.ring, self.order, out)
 
     def exp(self) -> "PowerSeries":
         """exp(a) for a with zero constant term, via b_n = (1/n) sum k a_k b_{n-k}."""
         if self.coeffs[0] != ring_zero(self.ring):
             raise ValueError("exp requires zero constant term")
-        n = self.order
-        out = [ring_one(self.ring)] + [ring_zero(self.ring)] * n
-        for m in range(1, n + 1):
-            s = ring_zero(self.ring)
-            for k in range(1, m + 1):
-                if self.coeffs[k]:
-                    s = s + (self.coeffs[k] * k) * out[m - k]
-            out[m] = s / m
-        return PowerSeries(self.ring, n, out)
+        dot = ring_dot(self.ring)
+        ka = {k: c * k for k, c in enumerate(self.coeffs) if c}
+        out = [ring_one(self.ring)]
+        for m in range(1, self.order + 1):
+            out.append(dot((c, out[m - k]) for k, c in ka.items() if k <= m) / m)
+        return PowerSeries(self.ring, self.order, out)
 
     def log(self) -> "PowerSeries":
         """log(a) for a with constant term 1; inverse of exp."""
         if self.coeffs[0] != ring_one(self.ring):
             raise ValueError("log requires constant term 1")
-        n = self.order
-        out = [ring_zero(self.ring)] * (n + 1)
-        for m in range(1, n + 1):
-            s = ring_zero(self.ring)
-            for k in range(1, m):
-                if self.coeffs[m - k]:
-                    s = s + (out[k] * k) * self.coeffs[m - k]
-            out[m] = self.coeffs[m] - s / m
-        return PowerSeries(self.ring, n, out)
+        dot, a = ring_dot(self.ring), self.coeffs
+        out = [ring_zero(self.ring)]
+        ka = [out[0]]  # k * out[k]
+        for m in range(1, self.order + 1):
+            out.append(a[m] - dot((ka[k], a[m - k]) for k in range(1, m) if a[m - k]) / m)
+            ka.append(out[m] * m)
+        return PowerSeries(self.ring, self.order, out)
 
     def adams(self, r: int) -> "PowerSeries":
         """a(x^r) truncated at the same order: the image of the cycle index's

@@ -67,8 +67,10 @@ def test_centralizer_matches_brute_force():
 def test_representative_has_right_invariant():
     for c in enumerate_classes(F2, 4, "aut"):
         assert invariant_data(c.representative(F2)) == c.invariant
+        assert c.invariant.degree == invariant_data(c.representative(F2)).degree == 4
     for c in enumerate_classes(F3, 3, "end"):
         assert invariant_data(c.representative(F3)) == c.invariant
+        assert c.invariant.degree == invariant_data(c.representative(F3)).degree == 3
 
 
 def test_class_weighted_sum_identity():

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -93,6 +95,36 @@ def test_ext_field(capsys):
     assert code == 0
     # over F_4 there are 4 elements on a line and gamma_1 = 3
     assert out.strip().splitlines()[1:] == ["0,1", "1,4/3"]
+
+
+def test_exact_outputs_print_integers_of_any_length(capsys):
+    # over F_64 the denominator of x^49 has more than 4300 digits, the default
+    # limit of Python's int-to-str conversion
+    argv = ["gen", "E(Vplus)", "--order", "49", "--q", "2", "--ext-k", "6"]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, text = run(capsys, *argv)
+    assert code == 0
+    code, doc = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit  # restored
+    # exp(sum x^n / gamma_n) by the recurrence n a_n = sum k b_k a_(n-k)
+    gamma = [1]
+    for n in range(1, 50):
+        gamma.append(prod(64**n - 64**i for i in range(n)))
+    b = [Fraction(0)] + [Fraction(1, g) for g in gamma[1:]]
+    a = [Fraction(1)]
+    for n in range(1, 50):
+        a.append(sum(k * b[k] * a[n - k] for k in range(1, n + 1)) / n)
+    assert a[49].denominator >= 10**4300
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        want = f"{a[49].numerator}/{a[49].denominator}"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert text.split(" + ")[-1] == want + "*x^49\n"
+    assert json.loads(doc)["series"][49]["coeff"] == want
 
 
 def test_classes_command(capsys):

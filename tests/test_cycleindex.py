@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -59,7 +60,11 @@ def test_mul_is_the_direct_sum(field, top):
                 for c2 in enumerate_classes(field, n2, "aut"):
                     block = block_diagonal(field, [c1.representative(field),
                                                    c2.representative(field)])
-                    assert c1.invariant.mul(c2.invariant) == invariant_data(block)
+                    product = c1.invariant.mul(c2.invariant)
+                    assert product == invariant_data(block)
+                    # the degree mul passes down is the one the partitions give
+                    assert product.degree == InvariantData(product.partitions).degree == n1 + n2
+                    assert hash(product) == hash(invariant_data(block))
 
 
 def brute_cycle_index(field, order, fix):
@@ -159,6 +164,55 @@ def test_bucketed_mul_matches_double_loop(field, order, factors):
     assert got == expected
     # products of degree exactly the order are kept, not truncated
     assert not expected.terms or order in {m.degree for m in expected.terms}
+
+
+def loop_exp(a):
+    """Reference: B_n = (1/n) sum_k k A_k B_(n-k), one Fraction product and
+    one sum per pair of terms."""
+    parts = {}
+    for m, c in a.terms.items():
+        parts.setdefault(m.degree, []).append((m, c))
+    b = [{InvariantData(): Fraction(1)}]
+    for n in range(1, a.order + 1):
+        part = {}
+        for k in range(1, n + 1):
+            for m1, c1 in parts.get(k, ()):
+                c1k = c1 * k
+                for m2, c2 in b[n - k].items():
+                    m = m1.mul(m2)
+                    part[m] = part.get(m, Fraction(0)) + c1k * c2
+        b.append({m: c / n for m, c in part.items() if c})
+    return CycleIndexSeries(a.field, a.order, {m: c for part in b for m, c in part.items()})
+
+
+def drawn_cycle_index(rng, field, order, constant):
+    """Each class monomial of degree <= order kept with probability 1/2, with a
+    signed coefficient over its centralizer order or a small denominator."""
+    terms = {}
+    for n in range(0 if constant else 1, order + 1):
+        for c in enumerate_classes(field, n, "aut"):
+            if rng.random() < 0.5:
+                den = rng.choice([1, 2, 3, c.centralizer_order])
+                terms[c.invariant] = Fraction(rng.randint(-9, 9), den)
+    return CycleIndexSeries(field, order, terms)
+
+
+def same_terms(got, want):
+    """Equal term by term and normalised alike; every coefficient a Fraction."""
+    return (got.terms.keys() == want.terms.keys()
+            and all(type(c) is Fraction and (c.numerator, c.denominator)
+                    == (want.terms[m].numerator, want.terms[m].denominator)
+                    for m, c in got.terms.items()))
+
+
+@pytest.mark.parametrize("field,order", [(F2, 6), (F3, 4), (F4, 3)], ids=["q2", "q3", "q4"])
+@pytest.mark.parametrize("seed", range(3))
+def test_mul_and_exp_match_the_loops_on_drawn_series(field, order, seed):
+    rng = random.Random(seed)
+    a, b = (drawn_cycle_index(rng, field, order, constant=True) for _ in range(2))
+    assert same_terms(a * b, naive_mul(a, b))
+    a = drawn_cycle_index(rng, field, order, constant=False)
+    assert same_terms(a.exp(), loop_exp(a))
 
 
 # ------------------------------------------------------------ Adams operations

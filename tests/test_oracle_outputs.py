@@ -1,7 +1,7 @@
-"""The benchmark's oracle_literal workload pins each query's stdout by its
-sha256 (bench/workloads.py).  This test runs the same queries through
-``cli.main`` and compares the digests and checks, so a change to an oracle
-output fails here before it reaches the benchmark."""
+"""The benchmark's workloads pin each query's stdout by its sha256
+(bench/workloads.py).  This test runs the same queries through ``cli.main``
+and compares the digests and checks, so a change to any benchmark output
+fails here before it reaches the benchmark."""
 
 import contextlib
 import hashlib
@@ -17,7 +17,7 @@ from qspecies.cli import main
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
-def _oracle_literal_queries() -> list:
+def _workloads() -> dict:
     # executed from its source, so nothing is written under bench/; its
     # dataclasses look their module up in sys.modules while they are made
     module = types.ModuleType("_bench_workloads")
@@ -26,14 +26,18 @@ def _oracle_literal_queries() -> list:
         exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), module.__dict__)
     finally:
         del sys.modules[module.__name__]
-    return list(module.WORKLOADS["oracle_literal"].queries)
+    return {name: list(w.queries) for name, w in module.WORKLOADS.items()}
 
 
-QUERIES = _oracle_literal_queries()
+QUERIES = _workloads()
 
 
-@pytest.mark.parametrize("query", QUERIES, ids=[" ".join(q.argv) for q in QUERIES])
-def test_oracle_literal_output_matches_its_digest(query):
+def _queries(workload: str):
+    return pytest.mark.parametrize("query", QUERIES[workload],
+                                   ids=[" ".join(q.argv) for q in QUERIES[workload]])
+
+
+def _check_output(query) -> None:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(list(query.argv)) == 0
@@ -42,6 +46,27 @@ def test_oracle_literal_output_matches_its_digest(query):
     assert [check.test(text) for check in query.checks] == [None] * len(query.checks)
 
 
+@_queries("oracle_literal")
+def test_oracle_literal_output_matches_its_digest(query):
+    _check_output(query)
+
+
+@_queries("closed_forms")
+def test_closed_forms_output_matches_its_digest(query):
+    _check_output(query)
+
+
+@_queries("oracle_fallback")
+def test_oracle_fallback_output_matches_its_digest(query):
+    _check_output(query)
+
+
 def test_every_oracle_literal_query_is_pinned():
-    assert len(QUERIES) == 5
-    assert all(len(q.digest) == 64 for q in QUERIES)
+    assert len(QUERIES["oracle_literal"]) == 5
+    assert all(len(q.digest) == 64 for q in QUERIES["oracle_literal"])
+
+
+@pytest.mark.parametrize("workload, count", [("closed_forms", 12), ("oracle_fallback", 7)])
+def test_every_workload_query_is_pinned(workload, count):
+    assert len(QUERIES[workload]) == count
+    assert all(len(q.digest) == 64 for q in QUERIES[workload])

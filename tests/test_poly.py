@@ -29,6 +29,18 @@ def test_basic_arithmetic():
     assert q == P2(1, 1) and r.is_zero
 
 
+def test_hash_is_the_value_hash_computed_once(monkeypatch):
+    f = Poly.make(F4, (2, 3, 1))
+    assert hash(f) == hash(Poly.make(F4, (2, 3, 1))) == hash((F4, (2, 3, 1)))
+    assert f == Poly.make(F4, [2, 3, 1, 0]) and f != Poly.make(F2, (0, 1, 1))
+    calls = []
+    field_hash = type(F4).__hash__
+    monkeypatch.setattr(type(F4), "__hash__", lambda self: calls.append(self) or field_hash(self))
+    g = Poly.make(F4, (1, 1))
+    assert hash(g) == hash(g) == hash(g)
+    assert len(calls) == 1
+
+
 def test_is_irreducible_examples():
     assert is_irreducible(P2(1, 1, 1))          # z^2+z+1
     assert not is_irreducible(P2(1, 0, 1))      # (z+1)^2

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspecies.series import (POLY_T, RATIONAL, PowerSeries, TPoly,
+from qspecies.series import (POLY_T, RATIONAL, PowerSeries, TPoly, _dot,
                              aut_type_product, binomial_inverse_power,
-                             euler_product, geometric)
+                             euler_product, geometric, ring_one, ring_zero)
 
 ORDER = 6
 
@@ -186,3 +187,162 @@ def test_to_json():
         {"n": 1, "coeff": "2/3"},
         {"n": 2, "coeff": "0"},
     ]
+
+
+# ---------------------------------------------------------------- kernels against the loops they replaced
+#
+# The kernels sum each coefficient with one ``_dot``; these are the per-term
+# loops they replaced, one Fraction product and one sum per term.
+
+def loop_dot(pairs):
+    s = Fraction(0)
+    for a, b in pairs:
+        s = s + a * b
+    return s
+
+
+def loop_tpoly_mul(p, q):
+    q = TPoly._coerce(q)
+    out = {}
+    for e1, c1 in p.coeffs.items():
+        for e2, c2 in q.coeffs.items():
+            e = e1 + e2
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return TPoly._of(out)
+
+
+def loop_mul(a, b):
+    n = a.order
+    out = [ring_zero(a.ring)] * (n + 1)
+    for i, x in enumerate(a.coeffs):
+        if not x:
+            continue
+        for j in range(0, n + 1 - i):
+            y = b.coeffs[j]
+            if y:
+                out[i + j] = out[i + j] + x * y
+    return PowerSeries(a.ring, n, out)
+
+
+def loop_inverse(a):
+    n = a.order
+    out = [ring_one(a.ring)] + [ring_zero(a.ring)] * n
+    for m in range(1, n + 1):
+        s = ring_zero(a.ring)
+        for k in range(1, m + 1):
+            if a.coeffs[k]:
+                s = s + a.coeffs[k] * out[m - k]
+        out[m] = -s
+    return PowerSeries(a.ring, n, out)
+
+
+def loop_exp(a):
+    n = a.order
+    out = [ring_one(a.ring)] + [ring_zero(a.ring)] * n
+    for m in range(1, n + 1):
+        s = ring_zero(a.ring)
+        for k in range(1, m + 1):
+            if a.coeffs[k]:
+                s = s + (a.coeffs[k] * k) * out[m - k]
+        out[m] = s / m
+    return PowerSeries(a.ring, n, out)
+
+
+def loop_log(a):
+    n = a.order
+    out = [ring_zero(a.ring)] * (n + 1)
+    for m in range(1, n + 1):
+        s = ring_zero(a.ring)
+        for k in range(1, m):
+            if a.coeffs[m - k]:
+                s = s + (out[k] * k) * a.coeffs[m - k]
+        out[m] = a.coeffs[m] - s / m
+    return PowerSeries(a.ring, n, out)
+
+
+def drawn_rational(rng, big=False):
+    """Zero a quarter of the time, else a signed rational, an int now and then,
+    and with big, a denominator among the orders of GL_n(F_2)."""
+    if rng.random() < 0.25:
+        return rng.choice([0, Fraction(0)])
+    num = rng.randint(-30, 30)
+    if rng.random() < 0.2:
+        return num
+    den = rng.choice([1, 2, 3, 6, 7, 168, 20160, 9999360]) if big else rng.randint(1, 12)
+    return Fraction(num, den)
+
+
+def drawn_tpoly(rng):
+    return TPoly({e: drawn_rational(rng) for e in range(rng.randint(0, 3))})
+
+
+def drawn_series(rng, ring, order, constant):
+    draw = (lambda: drawn_rational(rng, big=True)) if ring == RATIONAL else (
+        lambda: drawn_tpoly(rng))
+    return PowerSeries(ring, order, [constant] + [draw() for _ in range(order)])
+
+
+def same_fractions(got, want):
+    """Equal and normalised alike, and never an int."""
+    return (type(got) is Fraction
+            and (got.numerator, got.denominator) == (want.numerator, want.denominator))
+
+
+def same_coefficients(got, want):
+    if isinstance(want, TPoly):
+        return (type(got) is TPoly and got.coeffs.keys() == want.coeffs.keys()
+                and all(same_fractions(got.coeffs[e], c) for e, c in want.coeffs.items()))
+    return same_fractions(got, want)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dot_matches_the_fraction_sum(seed):
+    rng = random.Random(seed)
+    for size in [0, 1, 2, 5, 30] * 8:
+        pairs = [(drawn_rational(rng, big=True), drawn_rational(rng, big=True))
+                 for _ in range(size)]
+        assert same_fractions(_dot(pairs), loop_dot(pairs)), pairs
+    assert same_fractions(_dot([]), Fraction(0))
+    assert same_fractions(_dot([(2, 3), (Fraction(1, 2), 4)]), Fraction(8))
+    assert same_fractions(_dot([(Fraction(1, 6), 3), (Fraction(-1, 2), 1)]), Fraction(0))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tpoly_product_matches_the_loop(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        p, q = drawn_tpoly(rng), rng.choice([drawn_tpoly(rng), drawn_rational(rng)])
+        assert same_coefficients(p * q, loop_tpoly_mul(p, q))
+        assert same_coefficients(TPoly.dot([(p, TPoly._coerce(q)), (p, p)]),
+                                 loop_tpoly_mul(p, q) + loop_tpoly_mul(p, p))
+    assert same_coefficients(TPoly.const(1) * TPoly.const(1), TPoly.const(1))
+    assert same_coefficients(TPoly.dot([]), TPoly())
+
+
+KERNELS = [
+    ("mul", lambda a, b: a * b, lambda a, b: loop_mul(a, b), None),
+    ("inverse", lambda a, b: a.inverse(), lambda a, b: loop_inverse(a), 1),
+    ("exp", lambda a, b: a.exp(), lambda a, b: loop_exp(a), 0),
+    ("log", lambda a, b: a.log(), lambda a, b: loop_log(a), 1),
+]
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, POLY_T])
+@pytest.mark.parametrize("name, kernel, loop, constant", KERNELS,
+                         ids=[k[0] for k in KERNELS])
+def test_series_kernel_matches_the_loop(ring, name, kernel, loop, constant):
+    rng = random.Random(f"{ring}-{name}")
+    for order in [0, 1, 2, 5, 9] * 3:
+        def draw():
+            if constant is not None:
+                c = constant if ring == RATIONAL else TPoly.const(constant)
+            elif ring == RATIONAL:
+                c = drawn_rational(rng, big=True)
+            else:
+                c = drawn_tpoly(rng)
+            return drawn_series(rng, ring, order, c)
+        a, b = draw(), draw()
+        got, want = kernel(a, b), loop(a, b)
+        assert got.ring == want.ring and got.order == want.order
+        assert all(same_coefficients(x, y) for x, y in zip(got.coeffs, want.coeffs)), (
+            a, b, got, want)
