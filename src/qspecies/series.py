@@ -340,15 +340,6 @@ class PowerSeries:
         return [{"n": i, "coeff": coeff_str(c)} for i, c in enumerate(self.coeffs)]
 
 
-def geometric(ring: str, order: int, ratio=1) -> PowerSeries:
-    """1/(1 - ratio*x) truncated."""
-    one = ring_one(ring)
-    coeffs = [one]
-    for _ in range(order):
-        coeffs.append(coeffs[-1] * ratio)
-    return PowerSeries(ring, order, coeffs)
-
-
 def binomial_inverse_power(ring: str, order: int, period: int, exponent: int) -> PowerSeries:
     """1/(1 - x^period)^exponent truncated; exponent >= 0."""
     coeffs = [ring_zero(ring)] * (order + 1)

@@ -355,15 +355,6 @@ def _fold(e: SpeciesExpr, leaf):
     return leaf(e)
 
 
-def structure_count(e: SpeciesExpr, field: FieldSpec, n: int) -> int:
-    """|F[E_n]| from closed forms."""
-    c = gen_series(e, field, n).coeffs[n] * gl_order(field, n)
-    if isinstance(c, TPoly):
-        c = c.subs_t(1)
-    require(c.denominator == 1, f"structure count {c} is not an integer")
-    return c.numerator
-
-
 # -- generating series ---------------------------------------------------------
 
 def gen_series(e: SpeciesExpr, field: FieldSpec, order: int,

@@ -3,27 +3,26 @@
 Each ``check_*`` function is one identity between the closed forms and the
 exhaustive oracle, as a function of a field, a maximum dimension and, where it
 varies, the expressions it runs over.  It returns one :class:`CheckResult` per
-comparison it reports.  ``verify`` runs these rows at the user's field
-(:func:`run_checks`).  Each ``selftest`` criterion (:data:`CRITERIA`) calls the
-same functions at pinned fields and orders and adds only the values it pins.
-Every comparison is exact.
+comparison, with the values it computed.  ``verify`` runs the rows at the
+user's field (:func:`run_checks`).  ``selftest`` is the table :data:`SELFTEST`:
+each row calls the same functions at pinned fields and sizes and pins some of
+their values, and :func:`run_selftest` gives one result per row.  Every
+comparison is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from . import oracle
 from .classes import enumerate_classes
 from .field import FieldSpec, field_make
-from .linalg import enumerate_matrices, gl_order
-from .parser import parse, render
-from .series import (POLY_T, RATIONAL, PowerSeries, TPoly, aut_type_product,
-                     binomial_inverse_power, euler_product, geometric)
-from .species import (Assembly, Builtin, Mark, Product, Sum, SymPower, cycle_index,
-                      gen_series, type_series, weighted_gen_series)
+from .linalg import gl_order
+from .parser import parse
+from .series import RATIONAL, PowerSeries, TPoly, aut_type_product, euler_product
+from .species import (Assembly, Builtin, Mark, Product, Sum, cycle_index, gen_series,
+                      type_series, weighted_gen_series)
 
 
 @dataclass
@@ -31,28 +30,22 @@ class CheckResult:
     identity: str
     ok: bool
     detail: str = ""
-    values: tuple = ()  # what the row computed, for a criterion that pins it
+    values: tuple = ()  # what the row computed, for a selftest row that pins it
 
     def to_json(self) -> dict:
         return {"identity": self.identity, "status": "pass" if self.ok else "fail",
                 "detail": self.detail}
 
 
-def _passed(results: list[CheckResult]) -> bool:
-    return all(r.ok for r in results)
-
-
 CORPUS = ["Elem", "Proj", "End", "Aut", "Bases", "V", "Vplus", "One", "Zero", "Sub(1)"]
 SPECIALIZED = CORPUS + ["Proj*Proj", "Vplus*Vplus", "Elem + Aut", "plus(End)"]
+EULER_BASES = ["Vplus", "Proj", "Fscalar", "Fstar", "plus(Elem)"]
 
 PRODUCT_PAIRS = [
     ("Vplus", "Vplus"), ("Elem", "Proj"), ("Proj", "Proj"), ("Aut", "V"),
     ("Elem", "Elem"), ("Vplus", "Proj"), ("One", "Aut"), ("Bases", "Vplus"),
     ("End", "One"), ("Proj", "Aut"),
 ]
-
-F2 = field_make(2, 1)
-F3 = field_make(3, 1)
 
 # -- the identities ------------------------------------------------------------
 
@@ -90,7 +83,8 @@ def check_type_series(field: FieldSpec, max_dim: int,
     out = []
     for text in exprs:
         ok, _series, orbits = _type_vs_orbits(parse(text), field, max_dim)
-        out.append(CheckResult(f"type[{text}] orbit counts q={field.q}", ok, _joined(orbits)))
+        out.append(CheckResult(f"type[{text}] orbit counts q={field.q}", ok,
+                               _joined(orbits), orbits))
     return out
 
 
@@ -144,9 +138,9 @@ def check_exponential_formula(field: FieldSpec, max_dim: int) -> list[CheckResul
 
 
 def check_assembly_type(field: FieldSpec, max_dim: int) -> list[CheckResult]:
-    ok, series, _orbits = _type_vs_orbits(Assembly(Builtin("Vplus")), field, max_dim)
+    ok, series, orbits = _type_vs_orbits(Assembly(Builtin("Vplus")), field, max_dim)
     return [CheckResult(f"assembly type = partition numbers q={field.q}", ok,
-                        str([str(c) for c in series.coeffs]))]
+                        str([str(c) for c in series.coeffs]), orbits)]
 
 
 def check_multiplicativity(field: FieldSpec, order: int) -> list[CheckResult]:
@@ -166,6 +160,42 @@ def check_weighted(field: FieldSpec, max_dim: int) -> list[CheckResult]:
     return [CheckResult(f"weighted splittings q={field.q}", ok, str(series), series.coeffs)]
 
 
+def check_euler_product(field: FieldSpec, order: int,
+                        exprs: list[str] = EULER_BASES) -> list[CheckResult]:
+    """type[E(F)] against the Euler product of F's type coefficients
+    prod_m 1/(1-x^m)^(f_m) and against exp(sum_r Psi_r(f)/r)."""
+    out = []
+    for text in exprs:
+        f = parse(text)
+        tf = type_series(f, field, order)
+        product = euler_product({m: tf.coeffs[m].numerator for m in range(1, order + 1)},
+                                order)
+        adams_sum = PowerSeries.zero(RATIONAL, order)
+        for r in range(1, order + 1):
+            adams_sum = adams_sum + tf.adams(r).scale(Fraction(1, r))
+        te = type_series(Assembly(f), field, order)
+        out.append(CheckResult(f"type[E({text})] = Euler product q={field.q}",
+                               te == product == adams_sum.exp(), values=te.coeffs))
+    return out
+
+
+def check_centralizers(field: FieldSpec, max_dim: int) -> list[CheckResult]:
+    """Each class's centralizer order against the oracle's count of the
+    invertible matrices its representative fixes by conjugation, and the class
+    sizes' sum against gamma_n."""
+    out = []
+    for n in range(max_dim + 1):
+        classes = enumerate_classes(field, n)
+        orders = tuple(c.centralizer_order for c in classes)
+        fixed = oracle.fix_counts_bf(Builtin("Aut"), field, n,
+                                     [c.representative(field) for c in classes])
+        ok = (orders == tuple(fixed)
+              and sum(c.class_size for c in classes) == gl_order(field, n))
+        out.append(CheckResult(f"centralizers of GL_{n} classes q={field.q}", ok,
+                               _joined(orders), orders))
+    return out
+
+
 # -- verify: the identities at the user's field ---------------------------------
 
 def run_checks(q: int = 2, ext_k: int = 1, max_dim: int = 3) -> list[CheckResult]:
@@ -182,193 +212,78 @@ def run_checks(q: int = 2, ext_k: int = 1, max_dim: int = 3) -> list[CheckResult
             *check_weighted(field, min(max_dim, 2))]
 
 
-# -- selftest: the identities at pinned fields and orders, with pinned values ----
+# -- selftest: the identities at pinned fields and sizes, with pinned values ----
 
+F2 = field_make(2, 1)
+F3 = field_make(3, 1)
+SYM_POWERS = [text for base in ("Vplus", "plus(Proj)") for m in (1, 2, 3)
+              for text in (f"sym({m}, {base})", f"({base})^{m}")]
 
-def criterion_1_gl_order() -> CheckResult:
-    expected = [1, 1, 6, 168]
-    closed = [gl_order(F2, n) for n in range(4)]
-    brute = [sum(1 for _ in enumerate_matrices(F2, n, True)) for n in range(4)]
-    return CheckResult("1. gl_order matches exhaustive invertible counts",
-                       closed == expected == brute, f"{closed}")
-
-
-def criterion_2_gen_closed_forms() -> CheckResult:
-    names = CORPUS + ["Sub(2)"]
-    ok = _passed(check_gen_series(F2, 3, names) + check_gen_series(F3, 2, names))
-    return CheckResult("2. generating-series closed forms vs oracle counts", ok,
-                       "q=2 n<=3, q=3 n<=2")
-
-
-def criterion_3_aut_type() -> CheckResult:
-    [r2], [r3] = check_aut_type_product(F2, 3), check_aut_type_product(F3, 2)
-    ok = r2.ok and r3.ok and r2.values == (1, 1, 3, 6) and r3.values == (1, 2, 8)
-    # cross-check against literal conjugacy classification of the matrices
-    brute = []
-    for n in range(4):
-        invs = {str(c) for c in
-                (oracle.invariant_data(m) for m in enumerate_matrices(F2, n, True))}
-        brute.append(len(invs))
-    return CheckResult("3. Aut type series = class counts (q=2: 1,1,3,6; q=3: 1,2,8)",
-                       ok and brute == [1, 1, 3, 6], f"brute q=2: {brute}")
-
-
-def criterion_4_specializations() -> CheckResult:
-    exprs = SPECIALIZED + ["Vplus^2"]
-    ok = _passed(check_specializations(F2, 3, exprs) + check_type_series(F2, 3, exprs))
-    return CheckResult("4. Z specializations recover gen and oracle type series", ok,
-                       f"{len(exprs)} expressions, q=2, N=3")
-
-
-def criterion_5_products() -> CheckResult:
-    results = check_product_identities(F2, 3)
-    ok = _passed(results) and len(results) == len(PRODUCT_PAIRS) == 10
-    return CheckResult("5. product identities for 10 corpus pairs", ok, "q=2 n<=3")
-
-
-def criterion_6_sym_power() -> CheckResult:
-    ok = True
-    for base_text in ("Vplus", "plus(Proj)"):
-        base = parse(base_text)
-        for m in range(1, 4):
-            for n in range(4):
-                sym_count = oracle.structure_count_bf(SymPower(base, m), F2, n)
-                pow_count = oracle.structure_count_bf(
-                    parse(f"({render(base)})^{m}"), F2, n)
-                if pow_count % factorial(m) or sym_count != pow_count // factorial(m):
-                    ok = False
-    return CheckResult("6. |F^[m]| = |F^m|/m! (Vplus, plus(Proj); m,n <= 3)", ok)
-
-
-def criterion_7_exponential_formula() -> CheckResult:
-    [r] = check_exponential_formula(F2, 3)
-    inner = PowerSeries(RATIONAL, 3, [Fraction(0)] + [Fraction(1, gl_order(F2, m))
-                                                      for m in range(1, 4)])
-    series = inner.exp()
-    ok = (r.ok and r.values == (1, 1, 4, 57)
-          and all(series.coeffs[n] * gl_order(F2, n) == r.values[n] for n in range(4)))
-    return CheckResult("7. exponential formula: splitting counts 1,1,4,57", ok,
-                       f"{list(r.values)}")
-
-
-def criterion_8_assembly_type() -> CheckResult:
-    sp = Assembly(Builtin("Vplus"))
-    series = type_series(sp, F2, 5)
-    partition_ok = [c.numerator for c in series.coeffs] == [1, 1, 2, 3, 5, 7]
-    orbit_ok = _passed(check_assembly_type(F2, 3))
-    forms_ok = True
-    for text in ("Vplus", "Proj", "Fscalar", "Fstar", "plus(Elem)"):
-        f = parse(text)
-        tf = type_series(f, F2, 8)
-        exponents = {m: tf.coeffs[m].numerator for m in range(1, 9)}
-        lhs = euler_product(exponents, 8)
-        rhs = PowerSeries.zero(RATIONAL, 8)
-        for n in range(1, 9):
-            rhs = rhs + tf.adams(n).scale(Fraction(1, n))
-        if lhs != rhs.exp() or type_series(Assembly(f), F2, 8) != lhs:
-            forms_ok = False
-    return CheckResult("8. assembly type series: partitions + Euler-product forms agree",
-                       partition_ok and orbit_ok and forms_ok,
-                       str([c.numerator for c in series.coeffs]))
-
-
-def criterion_9_diagonalizations() -> CheckResult:
-    d = Assembly(Builtin("Fscalar"))
-    dx = Assembly(Builtin("Fstar"))
-    exp_2x = PowerSeries.from_coeffs(RATIONAL, 2, [0, 2]).exp()
-    exp_x = PowerSeries.from_coeffs(RATIONAL, 2, [0, 1]).exp()
-    counts_d = [oracle.structure_count_bf(d, F2, n) for n in range(3)]
-    orbits_d = [oracle.orbit_count_bf(d, F2, n) for n in range(3)]
-    ok = (gen_series(d, F2, 2) == exp_2x
-          and counts_d == [1, 2, 12]
-          and type_series(d, F2, 2) == binomial_inverse_power(RATIONAL, 2, 1, 2)
-          and orbits_d == [1, 2, 3]
-          and gen_series(dx, F2, 2) == exp_x
-          and type_series(dx, F2, 2) == geometric(RATIONAL, 2))
-    return CheckResult("9. diagonalization examples (E(Fscalar), E(Fstar)) at q=2", ok,
-                       f"counts {counts_d}, orbits {orbits_d}")
-
-
-def criterion_10_multiplicativity() -> CheckResult:
-    return CheckResult("10. E(F+G) = E(F)*E(G) for gen and type, order 6",
-                       _passed(check_multiplicativity(F2, 6)))
-
-
-def criterion_11_weighted() -> CheckResult:
-    t = TPoly.t()
-    expected = PowerSeries(POLY_T, 2, [TPoly.const(1), t, t / 6 + (t * t) / 2])
-    [r] = check_weighted(F2, 2)
-    return CheckResult("11. weighted splittings: 1 + t*x + (t/6 + t^2/2)*x^2",
-                       r.ok and r.values == expected.coeffs, r.detail)
-
-
-def criterion_12_centralizers() -> CheckResult:
-    ok = True
-    for field, max_dim in ((F2, 3), (F3, 2)):
-        for n in range(max_dim + 1):
-            units = list(enumerate_matrices(field, n, True))
-            for c in enumerate_classes(field, n, "aut"):
-                rep = c.representative(field)
-                brute = sum(1 for g in units if g * rep == rep * g)
-                if brute != c.centralizer_order:
-                    ok = False
-    sums_ok = True
-    for q, k in ((2, 1), (3, 1), (2, 2)):
-        field = field_make(q, k)
-        for n in range(7):
-            if sum(c.class_size for c in enumerate_classes(field, n)) != gl_order(field, n):
-                sums_ok = False
-    return CheckResult("12. centralizer formula vs brute force; class sizes sum to gamma_n",
-                       ok and sums_ok, "q=2 n<=3, q=3 n<=2; sums n<=6 q in {2,3,4}")
-
-
-def criterion_13_properties() -> CheckResult:
-    # compact versions of the pytest property suites
-    ok = True
-    # functor laws, sampled
-    e = Product(Builtin("Vplus"), Builtin("Elem"))
-    structures = oracle.enumerate_structures(e, F2, 2)
-    units = list(enumerate_matrices(F2, 2, True))
-    ident = units[0] ** 0
-    for s, _w in structures:
-        if oracle.transport(s, ident) != s:
-            ok = False
-        for g in units[:3]:
-            for h in units[:3]:
-                lhs = oracle.transport(s, g * h)
-                rhs = oracle.transport(oracle.transport(s, h), g)
-                if lhs != rhs:
-                    ok = False
-    # Burnside integrality
-    for name in ("Elem", "Proj", "End", "Aut", "Bases"):
-        ts = type_series(Builtin(name), F2, 4)
-        if any(c.denominator != 1 or c < 0 for c in ts.coeffs):
-            ok = False
-    # exp/log round trip
-    s = PowerSeries.from_coeffs(RATIONAL, 6, [0, 1, Fraction(1, 3), 2, 0, 5, 7])
-    if s.exp().log() != s:
-        ok = False
-    # parse/render round trip
-    for text in ("E(Vplus)", "Proj*Proj + Aut", "sym(2, plus(Proj))",
-                 "mark(Vplus)", "(Elem + Proj)^2", "Sub(2)*V"):
-        tree = parse(text)
-        if parse(render(tree)) != tree:
-            ok = False
-    return CheckResult("13. property suites (functor laws, integrality, round trips)", ok)
-
-
-CRITERIA = (
-    criterion_1_gl_order,
-    criterion_2_gen_closed_forms,
-    criterion_3_aut_type,
-    criterion_4_specializations,
-    criterion_5_products,
-    criterion_6_sym_power,
-    criterion_7_exponential_formula,
-    criterion_8_assembly_type,
-    criterion_9_diagonalizations,
-    criterion_10_multiplicativity,
-    criterion_11_weighted,
-    criterion_12_centralizers,
-    criterion_13_properties,
+# (label, [(check, field, size, exprs or None)], {identity: pinned values})
+SELFTEST = (
+    ("1. gl_order matches exhaustive invertible counts",
+     [(check_gen_series, F2, 3, ["Aut"])],
+     {"gen[Aut] counts q=2": (1, 1, 6, 168)}),
+    ("2. generating-series closed forms vs oracle counts",
+     [(check_gen_series, F2, 3, CORPUS + ["Sub(2)"]),
+      (check_gen_series, F3, 2, CORPUS + ["Sub(2)"])],
+     {}),
+    ("3. Aut type series = class counts (q=2: 1,1,3,6; q=3: 1,2,8)",
+     [(check_aut_type_product, F2, 3, None), (check_aut_type_product, F3, 2, None),
+      (check_type_series, F2, 3, ["Aut"])],
+     {"type[Aut] = prod (1-x^r)/(1-qx^r) q=2": (1, 1, 3, 6),
+      "type[Aut] = prod (1-x^r)/(1-qx^r) q=3": (1, 2, 8),
+      "type[Aut] orbit counts q=2": (1, 1, 3, 6)}),
+    ("4. Z specializations recover gen and oracle type series",
+     [(check_specializations, F2, 3, SPECIALIZED + ["Vplus^2"]),
+      (check_type_series, F2, 3, SPECIALIZED + ["Vplus^2"])],
+     {}),
+    ("5. product identities for 10 corpus pairs",
+     [(check_product_identities, F2, 3, None)],
+     {}),
+    ("6. |F^[m]| = |F^m|/m! (Vplus, plus(Proj); m,n <= 3)",
+     [(check_gen_series, F2, 3, SYM_POWERS)],
+     {}),
+    ("7. exponential formula: splitting counts 1,1,4,57",
+     [(check_exponential_formula, F2, 3, None)],
+     {"exp formula splitting counts q=2": (1, 1, 4, 57)}),
+    ("8. assembly type series: partitions + Euler-product forms agree",
+     [(check_assembly_type, F2, 3, None), (check_euler_product, F2, 8, None)],
+     {"assembly type = partition numbers q=2": (1, 1, 2, 3),
+      "type[E(Vplus)] = Euler product q=2": (1, 1, 2, 3, 5, 7, 11, 15, 22)}),
+    ("9. diagonalization examples (E(Fscalar), E(Fstar)) at q=2",
+     [(check_gen_series, F2, 2, ["E(Fscalar)", "E(Fstar)"]),
+      (check_type_series, F2, 2, ["E(Fscalar)", "E(Fstar)"])],
+     {"gen[E(Fscalar)] counts q=2": (1, 2, 12),
+      "type[E(Fscalar)] orbit counts q=2": (1, 2, 3),
+      "gen[E(Fstar)] counts q=2": (1, 1, 3),
+      "type[E(Fstar)] orbit counts q=2": (1, 1, 1)}),
+    ("10. E(F+G) = E(F)*E(G) for gen and type, order 6",
+     [(check_multiplicativity, F2, 6, None)],
+     {}),
+    ("11. weighted splittings: 1 + t*x + (t/6 + t^2/2)*x^2",
+     [(check_weighted, F2, 2, None)],
+     {"weighted splittings q=2": (TPoly({0: 1}), TPoly({1: 1}),
+                                  TPoly({1: Fraction(1, 6), 2: Fraction(1, 2)}))}),
+    ("12. centralizer formula vs brute force; class sizes sum to gamma_n",
+     [(check_centralizers, F2, 3, None), (check_centralizers, F3, 2, None)],
+     {}),
 )
+
+
+def run_selftest(rows=SELFTEST) -> list[CheckResult]:
+    """One result per row: it passes when every check it calls passes and
+    every pinned identity computed exactly its pinned values."""
+    out = []
+    for label, calls, pins in rows:
+        results = [r for check, field, size, exprs in calls
+                   for r in (check(field, size) if exprs is None
+                             else check(field, size, exprs))]
+        values = {r.identity: r.values for r in results}
+        failed = [r.identity for r in results if not r.ok]
+        failed += [identity for identity, pinned in pins.items()
+                   if values.get(identity) != pinned]
+        where = ", ".join(dict.fromkeys(f"q={f.q} n<={size}" for _c, f, size, _e in calls))
+        out.append(CheckResult(label, not failed,
+                               where + "".join(f"; FAIL {i}" for i in failed)))
+    return out

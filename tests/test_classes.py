@@ -41,8 +41,11 @@ def test_end_classes_match_brute_force(field, n):
 
 
 def test_class_sizes_sum_to_group_order():
+    for field in (F2, F3, F4):
+        for n in range(7):
+            assert (sum(c.class_size for c in enumerate_classes(field, n, "aut"))
+                    == gl_order(field, n))
     for n in range(5):
-        assert sum(c.class_size for c in enumerate_classes(F2, n, "aut")) == gl_order(F2, n)
         assert sum(c.class_size for c in enumerate_classes(F2, n, "end")) == 2 ** (n * n)
     assert sum(c.class_size for c in enumerate_classes(F3, 3, "end")) == 3 ** 9
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qspecies.series import (POLY_T, RATIONAL, PowerSeries, TPoly, _dot,
                              aut_type_product, binomial_inverse_power,
-                             euler_product, geometric, ring_one, ring_zero)
+                             euler_product, ring_one, ring_zero)
 
 ORDER = 6
 
@@ -141,11 +141,7 @@ def test_exp_of_x():
         PowerSeries.zero(RATIONAL, 3).log()
 
 
-def test_geometric_and_binomial():
-    g = geometric(RATIONAL, 4)
-    assert g.coeffs == (1, 1, 1, 1, 1)
-    assert g * (PowerSeries.one(RATIONAL, 4) - PowerSeries.from_coeffs(
-        RATIONAL, 4, [0, 1, 0, 0, 0])) == PowerSeries.one(RATIONAL, 4)
+def test_binomial_inverse_power():
     # 1/(1-x^2)^2 = 1 + 2x^2 + 3x^4 + ...
     assert binomial_inverse_power(RATIONAL, 5, 2, 2).coeffs == (1, 0, 2, 0, 3, 0)
 
