@@ -81,22 +81,34 @@ class FieldSpec:
             rep = rep * self.p + d
         return rep
 
+    def _mul_mod(self, f: list[int], g: list[int]) -> list[int]:
+        """The coefficients of f g modulo the monic modulus, constant term
+        first: the product's coefficients, then each term of degree >= k
+        cancelled, from the top down, by a multiple of the modulus."""
+        p, k, mod = self.p, self.k, self.modulus
+        prod = [0] * (2 * k - 1)
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g):
+                    prod[i + j] += a * b
+        for top in range(2 * k - 2, k - 1, -1):
+            c = prod[top] % p
+            if c:
+                for t in range(k + 1):
+                    prod[top - k + t] -= c * mod[t]
+        return [c % p for c in prod[:k]]
+
     def _build_tables(self) -> None:
         p, q = self.p, self.q
         if self.k == 1:
             self._add = [[(a + b) % p for b in range(q)] for a in range(q)]
             self._mul = [[(a * b) % p for b in range(q)] for a in range(q)]
         else:
-            from .poly import Poly  # poly imports this module
-            self._add = [
-                [self._undigits([(x + y) % p for x, y in zip(self._digits(a), self._digits(b))])
-                 for b in range(q)]
-                for a in range(q)
-            ]
-            base = field_make(p, 1)
-            mod = Poly(base, self.modulus)
-            polys = [Poly.make(base, self._digits(a)) for a in range(q)]
-            self._mul = [[self._undigits((f * g % mod).coeffs) for g in polys] for f in polys]
+            digits = [self._digits(a) for a in range(q)]
+            self._add = [[self._undigits([(x + y) % p for x, y in zip(da, db)]) for db in digits]
+                         for da in digits]
+            self._mul = [[self._undigits(self._mul_mod(da, db)) for db in digits]
+                         for da in digits]
         self._neg = [self._add[a].index(0) for a in range(q)]
         self._inv = [0] * q
         for a in range(1, q):

@@ -26,16 +26,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product as iproduct
+from itertools import groupby, islice, product as iproduct
 
 from .field import FieldSpec
-from .linalg import (BudgetExceededError, DEFAULT_BUDGET, InvariantData, Matrix,
+from .linalg import (BudgetExceededError, DEFAULT_BUDGET, InvariantData, Matrix, _char2,
                      enumerate_decompositions, enumerate_matrices, enumerate_subspaces,
                      gl_order, invariant_data, require)
 from .series import TPoly
 from .cycleindex import CycleIndexSeries, monomial
 from .species import (Assembly, Builtin, Mark, Plus, Power, Product, SpeciesExpr,
-                      Sum, SymPower, validate)
+                      Sum, SymPower, contains_mark, validate)
 
 Structure = tuple  # canonical encoding
 
@@ -152,7 +152,9 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
     """Unordered splittings into m nonzero parts, min_parts <= m <= max_parts,
     with a base-structure on each part.  The parts of a direct sum are distinct
     subspaces, so each splitting is built once, with the parts' RREF bases in
-    increasing order: the sorted multiset encoding."""
+    increasing order: the sorted multiset encoding.  Weights are multiplied
+    only under a ``mark``; without one every part weighs the constant 1."""
+    weighted = contains_mark(base)
     per_dim: dict[int, list] = {}
     for d in range(1, n + 1):
         per_dim[d] = _enum(base, field, d, budget)
@@ -178,7 +180,8 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
                 if stacked.rank() != used + d:
                     continue
                 for s, ws in per_dim[d]:
-                    rec(remaining_rows + basis, used + d, parts + ((basis, s),), weight * ws)
+                    rec(remaining_rows + basis, used + d, parts + ((basis, s),),
+                        weight * ws if weighted else weight)
 
     if n == 0:
         if min_parts == 0:
@@ -209,6 +212,17 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
 # one public ``transport`` call.  The maps of one acting matrix on a
 # d-dimensional space hold 2 q^d rows, no more than the q^(d²) matrices the
 # oracle has already enumerated there; nothing is kept per structure.
+#
+# The XOR test.  Over F_(2^k), when every structure of F[E_d], d >= 1, is a
+# "mat", the Burnside loops count sigma's fixed points without moving any
+# structure.  L(a) = sigma a sigma⁻¹ + a is F_2-linear, and a is fixed iff
+# L(a) = 0.  Packed with entry (i, j) at bit offset k(d i + j), L(a) is
+# the XOR over j of U_j[a_j], for the packed rows a_j of a and d tables of
+# q^d ints per sigma (_xor_tables).  Once per enumeration the structures are
+# grouped by their first d - 1 rows (_PackedMatrices): per sigma a group costs
+# one XOR of d - 1 lookups, and each structure one lookup and compare.  Odd
+# q, matrices inside the parts of a split, every other tag, E_0 and the orbit
+# search all test _transport(s, sigma) == s, which stays the reference.
 
 
 def _row_map(m: Matrix) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -372,14 +386,72 @@ def fix_counts_bf(e: SpeciesExpr, field: FieldSpec, n: int, sigmas: list[Matrix]
     enumerating."""
     for sigma in sigmas:
         _check_acting(sigma, n)
-    structures = enumerate_structures(e, field, n, budget)
+    structures = _prepare(field, n, enumerate_structures(e, field, n, budget))
     return [_fix_count(sigma, structures) for sigma in sigmas]
 
 
-def _fix_count(sigma: Matrix, structures: list) -> int:
-    """The members of ``structures`` fixed by sigma, which nothing checks here."""
+def _fix_count(sigma: Matrix, structures: list | _PackedMatrices) -> int:
+    """The members of ``structures`` fixed by sigma, which nothing checks here:
+    by the XOR test of a ``_PackedMatrices``, else by transport."""
+    if isinstance(structures, _PackedMatrices):
+        return structures.fixed_by(sigma)
     charts: dict = {}
     return sum(1 for s, _w in structures if _transport(s, sigma, charts) == s)
+
+
+def _prepare(field: FieldSpec, n: int, structures: list) -> list | _PackedMatrices:
+    """What the Burnside loops hand to ``_fix_count`` for F[E_n]: the packed
+    form when the XOR test applies, else the list itself."""
+    if field.p == 2 and n and all(s[0] == "mat" for s, _w in structures):
+        return _PackedMatrices(field, structures)
+    return structures
+
+
+class _PackedMatrices:
+    """Matrix structures on E_d over F_(2^k), d >= 1, for the XOR test.  The
+    structures are grouped by their first d - 1 packed rows; consecutive in
+    the canonical order, a group is one run of the sorted list."""
+
+    __slots__ = ("groups",)
+
+    def __init__(self, field: FieldSpec, structures: list):
+        pack = _char2(field).pack
+        self.groups = [(prefix, [rows[-1] for rows in group]) for prefix, group in groupby(
+            (pack(s[1]) for s, _w in structures), key=lambda rows: rows[:-1])]
+
+    def fixed_by(self, sigma: Matrix) -> int:
+        """a is fixed iff L(a) = XOR_j U_j[a_j] is 0, that is iff the last
+        table's entry for the last row equals the XOR over the others."""
+        *heads, last = _xor_tables(sigma)
+        count = 0
+        for prefix, lasts in self.groups:
+            x = 0
+            for table, r in zip(heads, prefix):
+                x ^= table[r]
+            count += list(map(last.__getitem__, lasts)).count(x)
+        return count
+
+
+def _xor_tables(sigma: Matrix) -> list[list[int]]:
+    """U_0, ..., U_(d-1) for the d x d sigma over F_(2^k): U_j[v], for the
+    packed row v, is the matrix (sigma e_j)(v sigma⁻¹) + e_j v packed with
+    entry (i, m) at bit offset k(d i + m).  U_j is F_q-linear in v, so it
+    grows one coordinate at a time from its images of the unit rows, as
+    ``_row_map`` does: U_j[u + c e_l] = U_j[u] + c U_j[e_l]."""
+    field, d = sigma.field, sigma.nrows
+    codec, k = _char2(field), field.k
+    inverse = sigma.inverse()._rows
+    tables = []
+    for j, column in enumerate(zip(*sigma.entries)):
+        table = [0]
+        for l in range(d):
+            image = 1 << k * (d * j + l)  # U_j[e_l]: e_j e_l, and row i is sigma_ij e_l sigma⁻¹
+            for i, c in enumerate(column):
+                image ^= codec.scale(c, inverse[l]) << k * d * i
+            multiples = [codec.scale(c, image) for c in range(field.q)]
+            table = [t ^ m for m in multiples for t in table]
+        tables.append(table)
+    return tables
 
 
 @lru_cache(maxsize=None)
@@ -443,9 +515,10 @@ def orbit_count_bf(e: SpeciesExpr, field: FieldSpec, n: int,
     structures = enumerate_structures(e, field, n, budget)
     orbits = _orbits(field, n, structures)
     if gl_order(field, n) * field.q ** (n * n) <= budget:
+        prepared = _prepare(field, n, structures)
         total = 0
         for sigma in enumerate_matrices(field, n, True, budget):
-            total += _fix_count(sigma, structures)
+            total += _fix_count(sigma, prepared)
         burnside, rest = divmod(total, gl_order(field, n))
         require(rest == 0, f"Burnside total {total} is not divisible by |GL_{n}|")
         require(burnside == len(orbits),
@@ -459,7 +532,7 @@ def zindex_bf(e: SpeciesExpr, field: FieldSpec, order: int,
     terms: dict[InvariantData, Fraction] = {}
     for n in range(order + 1):
         gn = gl_order(field, n)
-        structures = enumerate_structures(e, field, n, budget)
+        structures = _prepare(field, n, enumerate_structures(e, field, n, budget))
         for sigma in enumerate_matrices(field, n, True, budget):
             fix = _fix_count(sigma, structures)
             if fix:

@@ -108,3 +108,15 @@ def test_extension_moduli_are_pinned(p, k):
     for i, c in enumerate(F.modulus):
         total = F.add(total, F.mul(c, F.pow(alpha, i)))
     assert total == 0
+
+
+@pytest.mark.parametrize("p, k", sorted(EXTENSION_MODULI))
+def test_product_table_is_the_polynomial_product(p, k):
+    # the table is built from coefficient lists; Poly multiplies and reduces
+    # through the checked operations of F_p
+    F = field_make(p, k)
+    base = field_make(p, 1)
+    modulus = poly.Poly(base, F.modulus)
+    polys = [poly.Poly.make(base, F._digits(a)) for a in F.elements()]
+    for a, f in enumerate(polys):
+        assert F._mul[a] == [F._undigits(list((f * g % modulus).coeffs)) for g in polys]

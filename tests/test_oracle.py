@@ -14,6 +14,7 @@ F2 = field_make(2, 1)
 F3 = field_make(3, 1)
 F4 = field_make(2, 2)
 F5 = field_make(5, 1)
+F8 = field_make(2, 3)
 
 CORPUS = ["Elem", "Proj", "End", "Aut", "Bases", "V", "Vplus", "Sub(1)",
           "Vplus + Proj", "Vplus * Vplus", "Vplus^2", "sym(2, Vplus)",
@@ -69,11 +70,12 @@ def test_fix_counts_constant_on_classes(text):
 @pytest.mark.parametrize("text", ["Elem", "Proj", "End", "Aut", "Bases", "V", "Vplus"]
                          + [f"RepCyclic({m})" for m in range(5)])
 def test_closed_fix_matches_brute_force(text):
+    # over F_8 the XOR test of matrix structures scales by multi-bit entries
     e = parse(text)
-    for field, n in ((F2, 1), (F2, 2), (F3, 1), (F3, 2)):
-        for c in enumerate_classes(field, n, "aut"):
-            assert class_fix(e, field, c) == oracle.fix_count_bf(
-                e, field, n, c.representative(field))
+    for field, n in ((F2, 1), (F2, 2), (F3, 1), (F3, 2), (F8, 2)):
+        classes = enumerate_classes(field, n, "aut")
+        assert [class_fix(e, field, c) for c in classes] == oracle.fix_counts_bf(
+            e, field, n, [c.representative(field) for c in classes])
 
 
 @pytest.mark.parametrize("text", CORPUS)
@@ -278,29 +280,53 @@ def test_row_maps_conjugate_as_matrix_products(field, top):
 
 @pytest.mark.parametrize("text", ["End", "End*End", "E(plus(End))"])
 def test_row_maps_once_per_acting_matrix(monkeypatch, text):
-    # an acting matrix's row maps are built once per chart table, whatever the
-    # number of matrix structures, and no call reuses another's
-    maps = []  # per group element: the acting matrix of each pair of maps built
-    conjugation_maps, fix_count = oracle._conjugation_maps, oracle._fix_count
+    # an acting matrix's tables are built once per loop, whatever the number
+    # of matrix structures, and no call reuses another's: the XOR tables of
+    # sigma for End over F_2, else the row maps of each acting matrix
+    maps = []  # per group element: (kind, acting matrix) of each table built
+    builders = {"rows": oracle._conjugation_maps, "xor": oracle._xor_tables}
+    fix_count = oracle._fix_count
 
-    def counted_maps(g):
-        maps[-1].append(g.entries)
-        return conjugation_maps(g)
+    def counted_builder(kind):
+        def counted_maps(g):
+            maps[-1].append((kind, g.entries))
+            return builders[kind](g)
+        return counted_maps
 
     def counted(sigma, structures):
         maps.append([])
         return fix_count(sigma, structures)
 
-    monkeypatch.setattr(oracle, "_conjugation_maps", counted_maps)
+    monkeypatch.setattr(oracle, "_conjugation_maps", counted_builder("rows"))
+    monkeypatch.setattr(oracle, "_xor_tables", counted_builder("xor"))
     monkeypatch.setattr(oracle, "_fix_count", counted)
     e = parse(text)
-    for _call in (1, 2):
-        maps.clear()
-        assert oracle.zindex_bf(e, F2, 2) == cycle_index(e, F2, 2)
-        assert len(maps) == sum(gl_order(F2, n) for n in range(3))
-        assert all(len(set(per_sigma)) == len(per_sigma) for per_sigma in maps)
-        # each sigma acting on a matrix structure builds its maps
-        assert all(maps[1:])
+    for field in (F2, F3):
+        kind = "xor" if field is F2 and text == "End" else "rows"
+        for _call in (1, 2):
+            maps.clear()
+            assert oracle.zindex_bf(e, field, 2) == cycle_index(e, field, 2)
+            assert len(maps) == sum(gl_order(field, n) for n in range(3))
+            assert all(len(set(per_sigma)) == len(per_sigma) for per_sigma in maps)
+            # each sigma acting on a matrix structure builds its tables
+            assert all(maps[1:])
+            assert {k for per_sigma in maps[1:] for k, _g in per_sigma} == {kind}
+
+
+@pytest.mark.parametrize("text", ["End", "Aut", "RepCyclic(2)"])
+@pytest.mark.parametrize("field, top", [(F2, 3), (F4, 2), (F8, 1)], ids=["q2", "q4", "q8"])
+def test_xor_test_counts_as_transport(text, field, top):
+    # over F_(2^k) the Burnside loops test matrix structures on E_n, n >= 1,
+    # by the XOR tables of a -> sigma a sigma⁻¹ + a; transport is the reference
+    e = parse(text)
+    for n in range(top + 1):
+        structures = oracle.enumerate_structures(e, field, n)
+        prepared = oracle._prepare(field, n, structures)
+        assert isinstance(prepared, oracle._PackedMatrices) == (n > 0)
+        group = list(enumerate_matrices(field, n, True))
+        # _fix_count of the plain list counts by _transport(s, sigma) == s
+        assert oracle.fix_counts_bf(e, field, n, group) == [
+            oracle._fix_count(sigma, structures) for sigma in group]
 
 
 def test_matrices_of_the_wrong_shape_are_rejected():
