@@ -26,12 +26,17 @@ inner loops.
 from __future__ import annotations
 
 MAX_Q = 64
+DEFAULT_BUDGET = 2**24
 
 FieldElem = int
 
 
 class ConsistencyError(RuntimeError):
     """Raised when a result that the mathematics guarantees does not hold."""
+
+
+class BudgetExceededError(RuntimeError):
+    """Raised when an exhaustive enumeration would be too large."""
 
 
 def require(ok: bool, what: str) -> None:
@@ -177,7 +182,7 @@ class FieldSpec:
 _FIELD_CACHE: dict[tuple[int, int], FieldSpec] = {}
 
 
-def field_make(p: int, k: int, max_q: int = MAX_Q) -> FieldSpec:
+def field_make(p: int, k: int) -> FieldSpec:
     """Construct F_{p^k}.  For k > 1 the modulus is the least monic irreducible
     of degree k over F_p, compared from the leading coefficient down, and the
     multiplication table is polynomial arithmetic over F_p modulo it."""
@@ -185,8 +190,8 @@ def field_make(p: int, k: int, max_q: int = MAX_Q) -> FieldSpec:
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree k must be >= 1")
-    if p**k > max_q:
-        raise ValueError(f"q = {p**k} exceeds the field size bound {max_q}")
+    if p**k > MAX_Q:
+        raise ValueError(f"q = {p**k} exceeds the field size bound {MAX_Q}")
     key = (p, k)
     if key in _FIELD_CACHE:
         return _FIELD_CACHE[key]

@@ -18,14 +18,9 @@ from itertools import combinations, groupby, product
 from operator import xor
 from typing import Iterator
 
-from .field import ConsistencyError, FieldSpec, require  # re-exports ConsistencyError
+# re-exports ConsistencyError, BudgetExceededError and DEFAULT_BUDGET
+from .field import BudgetExceededError, ConsistencyError, DEFAULT_BUDGET, FieldSpec, require
 from .poly import Poly, monic_irreducibles
-
-DEFAULT_BUDGET = 2**24
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when an exhaustive enumeration would be too large."""
 
 
 class _Char2Rows:

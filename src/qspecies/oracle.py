@@ -14,16 +14,19 @@ Encodings (first element is a tag):
     ("spc",)                   the unique structure of V / Vplus / One
     ("scl", c)                 a scalar, for Fscalar / Fstar
     ("L", s), ("R", s)         a structure of the left or right side of a sum
+    ("M", s)                   a marked structure, for mark(F); weighs t per M
     ("prod", (rows1, s), (rows2, t))          an ordered 2-part split (F*G, F^n)
     ("mset", ((rows, s), ...)) sorted          an unordered split (sym/assembly)
 
-plus(F) and mark(F) add no tag: their structures are F's.  Every structure
-names its own construction, so transport reads only the tags and never the
-expression: F[g] is a function of the structure and g alone.
+Only plus(F) adds no tag: its structures are F's.  Every structure names its
+own construction, so transport reads only the tags and never the expression:
+F[g] is a function of the structure and g alone, and a structure's weight is
+t to the number of its M tags.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, islice, product as iproduct
@@ -35,7 +38,7 @@ from .linalg import (BudgetExceededError, DEFAULT_BUDGET, InvariantData, Matrix,
 from .series import TPoly
 from .cycleindex import CycleIndexSeries, monomial
 from .species import (Assembly, Builtin, Mark, Plus, Power, Product, SpeciesExpr,
-                      Sum, SymPower, contains_mark, validate)
+                      Sum, SymPower, validate)
 
 Structure = tuple  # canonical encoding
 
@@ -45,12 +48,10 @@ def _all_vectors(field: FieldSpec, n: int):
 
 
 def enumerate_structures(e: SpeciesExpr, field: FieldSpec, n: int,
-                         budget: int = DEFAULT_BUDGET) -> list[tuple[Structure, TPoly]]:
-    """All structures of e on E_n as (encoding, weight) pairs, canonically ordered."""
+                         budget: int = DEFAULT_BUDGET) -> list[Structure]:
+    """All structures of e on E_n, canonically ordered."""
     validate(e)
-    out = _enum(e, field, n, budget)
-    out.sort(key=lambda sw: sw[0])
-    return out
+    return sorted(_enum(e, field, n, budget))
 
 
 def _power_as_products(e: Power) -> SpeciesExpr:
@@ -63,14 +64,13 @@ def _power_as_products(e: Power) -> SpeciesExpr:
     return inner
 
 
-def _enum(e: SpeciesExpr, field: FieldSpec, n: int, budget: int) -> list:
-    one = TPoly.const(1)
+def _enum(e: SpeciesExpr, field: FieldSpec, n: int, budget: int) -> list[Structure]:
     if isinstance(e, Builtin):
-        return [(s, one) for s in _enum_builtin(e, field, n, budget)]
+        return _enum_builtin(e, field, n, budget)
     if isinstance(e, Sum):
         # tag the two sides to keep a true disjoint union
-        return ([(("L",) + (s,), w) for s, w in _enum(e.left, field, n, budget)]
-                + [(("R",) + (s,), w) for s, w in _enum(e.right, field, n, budget)])
+        return ([("L", s) for s in _enum(e.left, field, n, budget)]
+                + [("R", s) for s in _enum(e.right, field, n, budget)])
     if isinstance(e, Product):
         return _enum_product(e.left, e.right, field, n, budget)
     if isinstance(e, Power):
@@ -78,15 +78,13 @@ def _enum(e: SpeciesExpr, field: FieldSpec, n: int, budget: int) -> list:
     if isinstance(e, SymPower):
         return _enum_multiset(e.base, field, n, e.n, e.n, budget)
     if isinstance(e, Assembly):
-        if n == 0:
-            return [(("mset", ()), one)]
-        return _enum_multiset(e.base, field, n, 1, n, budget)
+        return _enum_multiset(e.base, field, n, 0, n, budget)
     if isinstance(e, Plus):
         if n == 0:
             return []
         return _enum(e.base, field, n, budget)
     if isinstance(e, Mark):
-        return [(s, w * TPoly.t()) for s, w in _enum(e.base, field, n, budget)]
+        return [("M", s) for s in _enum(e.base, field, n, budget)]
     raise TypeError(f"unknown species node {e!r}")
 
 
@@ -137,36 +135,38 @@ def _enum_builtin(e: Builtin, field: FieldSpec, n: int, budget: int) -> list[Str
 
 
 def _enum_product(left: SpeciesExpr, right: SpeciesExpr, field: FieldSpec,
-                  n: int, budget: int) -> list:
+                  n: int, budget: int) -> list[Structure]:
+    """Each factor is enumerated once per dimension, and the splits E_n = W1 + W2
+    with dim W1 = k only when both factors have structures there."""
     out = []
     for k in range(n + 1):
+        lefts = _enum(left, field, k, budget)
+        rights = _enum(right, field, n - k, budget) if lefts else []
+        if not rights:
+            continue
         for v1, v2 in enumerate_decompositions(field, n, (k, n - k), budget):
-            for s1, w1 in _enum(left, field, k, budget):
-                for s2, w2 in _enum(right, field, n - k, budget):
-                    out.append((("prod", (v1.basis, s1), (v2.basis, s2)), w1 * w2))
+            out += [("prod", (v1.basis, s1), (v2.basis, s2)) for s1 in lefts for s2 in rights]
     return out
 
 
 def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
-                   min_parts: int, max_parts: int, budget: int) -> list:
+                   min_parts: int, max_parts: int, budget: int) -> list[Structure]:
     """Unordered splittings into m nonzero parts, min_parts <= m <= max_parts,
     with a base-structure on each part.  The parts of a direct sum are distinct
     subspaces, so each splitting is built once, with the parts' RREF bases in
-    increasing order: the sorted multiset encoding.  Weights are multiplied
-    only under a ``mark``; without one every part weighs the constant 1."""
-    weighted = contains_mark(base)
-    per_dim: dict[int, list] = {}
-    for d in range(1, n + 1):
-        per_dim[d] = _enum(base, field, d, budget)
+    increasing order: the sorted multiset encoding."""
+    if n == 0:
+        return [("mset", ())] if min_parts == 0 else []
+    per_dim = {d: _enum(base, field, d, budget) for d in range(1, n + 1)}
     bases = {d: [w.basis for w in enumerate_subspaces(field, n, d, budget)]
              for d in per_dim if per_dim[d]}
 
     out = []
 
-    def rec(remaining_rows: tuple, used: int, parts: tuple, weight: TPoly):
+    def rec(remaining_rows: tuple, used: int, parts: tuple):
         if used == n:
             if len(parts) >= min_parts:
-                out.append((("mset", parts), weight))
+                out.append(("mset", parts))
             return
         if len(parts) == max_parts:
             return
@@ -179,15 +179,10 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
                 stacked = Matrix(field, remaining_rows + basis)
                 if stacked.rank() != used + d:
                     continue
-                for s, ws in per_dim[d]:
-                    rec(remaining_rows + basis, used + d, parts + ((basis, s),),
-                        weight * ws if weighted else weight)
+                for s in per_dim[d]:
+                    rec(remaining_rows + basis, used + d, parts + ((basis, s),))
 
-    if n == 0:
-        if min_parts == 0:
-            return [(("mset", ()), TPoly.const(1))]
-        return []
-    rec((), 0, (), TPoly.const(1))
+    rec((), 0, ())
     return out
 
 
@@ -308,20 +303,11 @@ def _check_shape(s: Structure, d: int) -> None:
     if tag == "mat":
         if len(s[1]) != d or any(len(row) != d for row in s[1]):
             raise ValueError(f"dimension mismatch: a matrix structure on E_{d} is {d} x {d}")
-    elif tag in ("L", "R"):
+    elif tag in ("L", "R", "M"):
         _check_shape(s[1], d)
     elif tag in ("prod", "mset"):
         for rows, enc in (s[1:] if tag == "prod" else s[1]):
             _check_shape(enc, len(rows))
-
-
-def _check_structures(field: FieldSpec, n: int, structures: list) -> None:
-    """A caller-supplied F[E_n]: the transport loops check nothing, so a foreign
-    entry or a matrix of the wrong shape must raise here rather than wrap
-    around or be misread.  The oracle's own enumerations are never checked."""
-    for s, _w in structures:
-        _check_entries(field, s)
-        _check_shape(s, n)
 
 
 def _transport(s: Structure, g: Matrix, charts: dict) -> Structure:
@@ -339,7 +325,7 @@ def _transport(s: Structure, g: Matrix, charts: dict) -> Structure:
         return ("bas", tuple(g.matvec(v) for v in s[1]))
     if tag in ("spc", "scl"):
         return s
-    if tag in ("L", "R"):
+    if tag in ("L", "R", "M"):
         return (tag, _transport(s[1], g, charts))
     if tag == "prod":
         return ("prod", _move_part(s[1], g, charts), _move_part(s[2], g, charts))
@@ -367,10 +353,18 @@ def structure_count_bf(e: SpeciesExpr, field: FieldSpec, n: int,
 
 def inventory_bf(e: SpeciesExpr, field: FieldSpec, n: int,
                  budget: int = DEFAULT_BUDGET) -> TPoly:
-    total = TPoly()
-    for _s, w in enumerate_structures(e, field, n, budget):
-        total = total + w
-    return total
+    """The sum over the structures s on E_n of their weights t^(M tags of s)."""
+    return TPoly(Counter(map(_marks, enumerate_structures(e, field, n, budget))))
+
+
+def _marks(s: Structure) -> int:
+    """The number of M tags in s."""
+    tag = s[0]
+    if tag in ("L", "R", "M"):
+        return (tag == "M") + _marks(s[1])
+    if tag in ("prod", "mset"):
+        return sum(_marks(enc) for _rows, enc in (s[1:] if tag == "prod" else s[1]))
+    return 0
 
 
 def fix_count_bf(e: SpeciesExpr, field: FieldSpec, n: int, sigma: Matrix,
@@ -396,13 +390,13 @@ def _fix_count(sigma: Matrix, structures: list | _PackedMatrices) -> int:
     if isinstance(structures, _PackedMatrices):
         return structures.fixed_by(sigma)
     charts: dict = {}
-    return sum(1 for s, _w in structures if _transport(s, sigma, charts) == s)
+    return sum(1 for s in structures if _transport(s, sigma, charts) == s)
 
 
 def _prepare(field: FieldSpec, n: int, structures: list) -> list | _PackedMatrices:
     """What the Burnside loops hand to ``_fix_count`` for F[E_n]: the packed
     form when the XOR test applies, else the list itself."""
-    if field.p == 2 and n and all(s[0] == "mat" for s, _w in structures):
+    if field.p == 2 and n and all(s[0] == "mat" for s in structures):
         return _PackedMatrices(field, structures)
     return structures
 
@@ -417,7 +411,7 @@ class _PackedMatrices:
     def __init__(self, field: FieldSpec, structures: list):
         pack = _char2(field).pack
         self.groups = [(prefix, [rows[-1] for rows in group]) for prefix, group in groupby(
-            (pack(s[1]) for s, _w in structures), key=lambda rows: rows[:-1])]
+            (pack(s[1]) for s in structures), key=lambda rows: rows[:-1])]
 
     def fixed_by(self, sigma: Matrix) -> int:
         """a is fixed iff L(a) = XOR_j U_j[a_j] is 0, that is iff the last
@@ -474,23 +468,18 @@ def _gl_generators(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
 
 
 def orbit_partition(e: SpeciesExpr, field: FieldSpec, n: int,
-                    budget: int = DEFAULT_BUDGET, structures: list | None = None) -> list[dict]:
+                    budget: int = DEFAULT_BUDGET) -> list[dict]:
     """Aut(E_n)-orbits on structures via BFS over GL generators.
 
-    Returns one dict per orbit: representative (minimal encoding), size, weight."""
-    if structures is None:
-        structures = enumerate_structures(e, field, n, budget)
-    else:
-        _check_structures(field, n, structures)
-    return _orbits(field, n, structures)
+    Returns one dict per orbit: representative (minimal encoding) and size."""
+    return _orbits(field, n, enumerate_structures(e, field, n, budget))
 
 
 def _orbits(field: FieldSpec, n: int, structures: list) -> list[dict]:
     """``orbit_partition`` of ``structures``, which nothing checks here."""
-    weights = dict(structures)
     gens = _gl_generators(field, n)
     charts: dict = {}
-    unseen = set(weights)
+    unseen = set(structures)
     orbits = []
     while unseen:
         start = min(unseen)
@@ -504,7 +493,7 @@ def _orbits(field: FieldSpec, n: int, structures: list) -> list[dict]:
                     orbit.add(nxt)
                     frontier.append(nxt)
         unseen -= orbit
-        orbits.append({"rep": min(orbit), "size": len(orbit), "weight": weights[start]})
+        orbits.append({"rep": min(orbit), "size": len(orbit)})
     return orbits
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .field import FieldSpec, require
+from .field import BudgetExceededError, DEFAULT_BUDGET, FieldSpec, require
 
 
 @dataclass(frozen=True)
@@ -151,8 +151,12 @@ def _irreducibles_cached(field: FieldSpec, d: int) -> tuple[Poly, ...]:
     """Sieve: mark every product g*h, g monic irreducible of degree e <= d/2 and
     h monic of degree d-e; the unmarked monics of degree d are the irreducibles.
     A monic of degree d is marked at the code sum_{i<d} c_i q^i of its lower
-    coefficients."""
+    coefficients.  More than DEFAULT_BUDGET monics raise BudgetExceededError
+    before anything is allocated."""
     q, add, mul = field.q, field._add, field._mul
+    if q**d > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"the q^d = {q**d} monics of degree {d} exceed budget {DEFAULT_BUDGET}")
     reducible = bytearray(q**d)
     for e in range(1, d // 2 + 1):
         for g in _irreducibles_cached(field, e):

@@ -178,6 +178,30 @@ def test_oracle_fix_enumerates_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("argv, counts", [(("Elem*Proj", "3"), [0, 1, 15, 287]),
+                                          (("E(Vplus)", "4"), [1, 1, 4, 57, 2921])])
+def test_oracle_count_builds_no_weights(monkeypatch, capsys, argv, counts):
+    # structures carry their marks, so the oracle's enumeration makes no TPoly
+    # (the parser's check of E's operand still may)
+    from qspecies.series import TPoly
+    enum = oracle._enum
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a TPoly")
+
+    def unweighted(*args):
+        with monkeypatch.context() as m:
+            m.setattr(TPoly, "__init__", refuse)
+            m.setattr(TPoly, "_of", refuse)
+            m.setattr(oracle, "_enum", enum)
+            return enum(*args)
+
+    monkeypatch.setattr(oracle, "_enum", unweighted)
+    code, out = run(capsys, "oracle", "count", *argv, "--format", "csv")
+    assert code == 0
+    assert out.split() == ["n,count"] + [f"{n},{c}" for n, c in enumerate(counts)]
+
+
 def test_oracle_fix_checks_nothing_it_enumerated(monkeypatch, capsys):
     # every class representative counts over the oracle's own enumeration, which
     # needs no range check; the output is the one of the per-class counts
@@ -220,6 +244,23 @@ def test_bad_field_exit_code_2(capsys):
 def test_budget_exit_code(capsys):
     code = main(["oracle", "count", "End", "3", "--budget", "10"])
     assert code != 0
+
+
+@pytest.mark.parametrize("argv", [["irreducibles", "25"],
+                                  ["irreducibles", "5", "--q", "2", "--ext-k", "6"]])
+def test_irreducible_sieve_is_bounded(monkeypatch, capsys, argv):
+    # 2^25 and 64^5 monics are more than DEFAULT_BUDGET: exit 1 before the
+    # sieve allocates its table
+    import builtins
+    from qspecies import poly
+
+    def bounded(size):
+        assert size <= poly.DEFAULT_BUDGET, f"allocated a sieve of {size}"
+        return builtins.bytearray(size)
+
+    monkeypatch.setattr(poly, "bytearray", bounded, raising=False)
+    assert main(argv) == 1
+    assert "exceed budget" in capsys.readouterr().err
 
 
 def test_budget_zero_means_zero(monkeypatch, capsys):

@@ -5,10 +5,10 @@ from qspecies.classes import enumerate_classes
 from qspecies.field import ConsistencyError, field_make
 from qspecies.linalg import Matrix, Subspace, enumerate_matrices, gl_order
 from qspecies.parser import parse
-from qspecies.series import TPoly
 from qspecies.cycleindex import z_build
 from qspecies.species import (Assembly, Builtin, Mark, Plus, Power, Product, Sum, SymPower,
-                              class_fix, cycle_index, gen_series, type_series)
+                              class_fix, cycle_index, gen_series, type_series,
+                              weighted_gen_series)
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -38,7 +38,7 @@ def test_counts_match_closed_forms(text, field):
 def test_functor_laws(text):
     e = parse(text)
     n = 2
-    structures = [s for s, _w in oracle.enumerate_structures(e, F2, n)]
+    structures = oracle.enumerate_structures(e, F2, n)
     units = list(enumerate_matrices(F2, n, True))
     ident = Matrix.identity(F2, n)
     for s in structures:
@@ -194,7 +194,9 @@ def reference_transport(e, s, g):
         return s
     if isinstance(e, Sum):
         return (s[0], reference_transport(e.left if s[0] == "L" else e.right, s[1], g))
-    if isinstance(e, (Plus, Mark)):
+    if isinstance(e, Mark):
+        return ("M", reference_transport(e.base, s[1], g))
+    if isinstance(e, Plus):
         return reference_transport(e.base, s, g)
     if isinstance(e, Power):
         return reference_transport(oracle._power_as_products(e), s, g)
@@ -233,8 +235,7 @@ TRANSPORTED = ["End", "Aut", "E(plus(End))", "Vplus*End", "End*End", "sym(2,plus
 def test_inverse_once_per_group_element_matches_per_structure(text, field, n):
     # transport reads tags; the reference walks the expression
     e = parse(text)
-    structures = oracle.enumerate_structures(e, field, n)
-    plain = [s for s, _w in structures]
+    plain = oracle.enumerate_structures(e, field, n)
     group = list(enumerate_matrices(field, n, True))
     orbit_of = {}
     fixed = []
@@ -255,7 +256,7 @@ def test_nested_matrices_move_as_the_reference_over_f3(text):
     # row maps of odd characteristic
     e = parse(text)
     for n in range(3):
-        plain = [s for s, _w in oracle.enumerate_structures(e, F3, n)]
+        plain = oracle.enumerate_structures(e, F3, n)
         for sigma in enumerate_matrices(F3, n, True):
             assert ([oracle.transport(s, sigma) for s in plain]
                     == [reference_transport(e, s, sigma) for s in plain])
@@ -340,14 +341,8 @@ def test_matrices_of_the_wrong_shape_are_rejected():
     for s in wrong:
         with pytest.raises(ValueError, match="dimension mismatch"):
             oracle.transport(s, g)
-    # caller-supplied structures meet the same check before any transport
-    e = parse("End")
-    one = TPoly.const(1)
-    for s in wrong:
-        structures = [(("mat", ((1, 0), (0, 1))), one), (s, one)]
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            oracle.orbit_partition(e, F2, 2, structures=structures)
     # so does an acting matrix of another dimension, before any enumeration
+    e = parse("End")
     for count in (oracle.fix_count_bf, lambda *args: oracle.fix_counts_bf(*args[:3], [args[3]])):
         with pytest.raises(ValueError, match="dimension mismatch"):
             count(e, F2, 3, g, 1)
@@ -376,12 +371,6 @@ def test_transport_rejects_singular_matrices_and_foreign_entries():
             oracle.transport(("mat", ((1, 0), (bad, 1))), g)
     with pytest.raises(ValueError):
         oracle.transport(("vec", (0, -1)), g)
-    # caller-supplied structures meet the same check before any transport
-    one = TPoly.const(1)
-    for bad in (2, -1):
-        structures = [(("mat", ((1, 0), (0, 1))), one), (("mat", ((1, 0), (bad, 1))), one)]
-        with pytest.raises(ValueError):
-            oracle.orbit_partition(e, F2, 2, structures=structures)
     # a singular sigma raises before the enumeration could exceed its budget
     with pytest.raises(ValueError):
         oracle.fix_count_bf(e, F2, 2, Matrix.make(F2, [(1, 1), (1, 1)]), budget=1)
@@ -426,10 +415,12 @@ def test_range_checks_run_once_per_public_call(monkeypatch):
     assert oracle.orbit_count_bf(e, F2, 2) == 6
     oracle.zindex_bf(parse("E(Vplus)"), F2, 2)
     assert top_level == []
-    # a caller-supplied list is checked once per call, not once per generator
+    # the public transport checks its structure once per call
     structures = oracle.enumerate_structures(e, F2, 2)
-    oracle.orbit_partition(e, F2, 2, structures=structures)
-    assert top_level == [s for s, _w in structures]
+    g = Matrix.make(F2, [(1, 1), (0, 1)])
+    for s in structures:
+        oracle.transport(s, g)
+    assert top_level == structures
 
 
 @pytest.mark.parametrize("text", ["E(Vplus)", "E(plus(E(Vplus)))", "Vplus * E(Vplus)"])
@@ -457,3 +448,40 @@ def test_budget_enforced():
     from qspecies.linalg import BudgetExceededError
     with pytest.raises(BudgetExceededError):
         oracle.enumerate_structures(parse("End"), F2, 3, budget=10)
+
+
+@pytest.mark.parametrize("text, calls", [
+    # Elem has a structure in every dimension, so Proj is asked for every n - k
+    ("Elem*Proj", [("Elem", k) for k in range(4)] + [("Proj", k) for k in range(4)]),
+    # Vplus has none on E_0, so Elem is never asked for on E_3
+    ("Vplus*Elem", [("Vplus", k) for k in range(4)] + [("Elem", k) for k in range(3)])])
+def test_each_factor_is_enumerated_once_per_dimension(monkeypatch, text, calls):
+    seen = []
+    enum = oracle._enum
+
+    def counted(e, field, n, budget):
+        seen.append((e, n))
+        return enum(e, field, n, budget)
+
+    monkeypatch.setattr(oracle, "_enum", counted)
+    e = parse(text)
+    structures = oracle.enumerate_structures(e, F2, 3)
+    assert sorted(seen, key=repr) == sorted([(e, 3)] + [(parse(f), k) for f, k in calls], key=repr)
+    assert len(structures) == closed_count(e, F2, 3)
+
+
+MARKED = [("mark(mark(Vplus))*Elem", "Vplus*Elem"), ("Vplus + mark(Elem)", "Vplus + Elem"),
+          ("sym(2, mark(Proj))", "sym(2, Proj)"), ("E(Vplus*mark(Elem))", "E(Vplus*Elem)"),
+          ("E(mark(Vplus) + Vplus)", "E(Vplus + Vplus)")]
+
+
+@pytest.mark.parametrize("text, unmarked", MARKED, ids=[t for t, _u in MARKED])
+@pytest.mark.parametrize("field, top", [(F2, 3), (F3, 2), (F4, 2)], ids=["q2", "q3", "q4"])
+def test_marked_structures_weigh_t_per_mark(text, unmarked, field, top):
+    # a structure weighs t per M tag, at any depth of sums, products and splits;
+    # marks change no orbit
+    e, bare = parse(text), parse(unmarked)
+    series = weighted_gen_series(e, field, top)
+    for n in range(top + 1):
+        assert oracle.inventory_bf(e, field, n) == series.coeffs[n] * gl_order(field, n)
+        assert oracle.orbit_count_bf(e, field, n) == oracle.orbit_count_bf(bare, field, n)
