@@ -30,7 +30,7 @@ from functools import lru_cache
 from .classes import enumerate_classes
 from .field import FieldSpec, require
 from .linalg import InvariantData
-from .poly import Poly, monic_irreducibles
+from .poly import Poly, is_irreducible, monic_irreducibles
 from .series import RATIONAL, PowerSeries, _dot, ring_zero
 
 
@@ -190,7 +190,8 @@ def _factor_at_power(psi: Poly, r: int) -> tuple[tuple[Poly, int], ...]:
     """psi(z^r) = prod phi^v over monic irreducibles phi (never z, since
     psi(0) != 0), by trial division with the sieved irreducibles.  Once no
     factor of degree below d is left and the rest has degree below 2d, the
-    rest is irreducible, and it must be one of the sieved ones."""
+    rest is irreducible, which ``is_irreducible`` checks on that one
+    polynomial, without sieving its degree."""
     field = psi.field
     coeffs = [0] * (r * psi.degree + 1)
     for j, c in enumerate(psi.coeffs):
@@ -209,7 +210,7 @@ def _factor_at_power(psi: Poly, r: int) -> tuple[tuple[Poly, int], ...]:
             if v:
                 factors.append((phi, v))
         d += 1
-    if rest.degree > 0 and rest in monic_irreducibles(field, rest.degree):
+    if rest.degree > 0 and is_irreducible(rest):
         factors.append((rest, 1))
     found = sum(phi.degree * v for phi, v in factors)
     require(found == r * psi.degree,

@@ -301,18 +301,8 @@ class Matrix:
     def matvec(self, v: tuple[int, ...]) -> tuple[int, ...]:
         F = self.field
         if F.p == 2:
-            # A v is the XOR of v_j times column j: v picks from the packed columns
             codec = F._rows
-            cols = self._cols
-            if cols is None:
-                cols = self._cols = codec.picks(codec.pack(tuple(zip(*self.entries))))
-            r, acc, i = codec.pack_row(v), 0, 0
-            while r:
-                if r & 1:
-                    acc ^= cols[i]
-                r >>= 1
-                i += 1
-            return codec.unpack_row(acc, self.nrows)
+            return codec.unpack_row(self.packed_image(codec.pack_row(v)), self.nrows)
         add, mul = F._add, F._mul
         out = []
         for row in self._entries:
@@ -322,6 +312,21 @@ class Matrix:
                     s = add[s][mul[a][b]]
             out.append(s)
         return tuple(out)
+
+    def packed_image(self, r: int) -> int:
+        """Over F_(2^k): A v, packed, for the packed row r of the vector v.  A v
+        is the XOR of v_j times column j: r picks from the packed columns."""
+        cols = self._cols
+        if cols is None:
+            codec = self.field._rows
+            cols = self._cols = codec.picks(codec.pack(tuple(zip(*self.entries))))
+        acc = i = 0
+        while r:
+            if r & 1:
+                acc ^= cols[i]
+            r >>= 1
+            i += 1
+        return acc
 
     def __pow__(self, e: int) -> "Matrix":
         if self.nrows != self.ncols:
@@ -619,10 +624,15 @@ def invariant_data(a: Matrix) -> InvariantData:
 
 # -- exhaustive enumeration ---------------------------------------------------
 
-def enumerate_matrices(field: FieldSpec, n: int, invertible_only: bool = False,
-                       budget: int = DEFAULT_BUDGET) -> Iterator[Matrix]:
+def check_matrix_budget(field: FieldSpec, n: int, budget: int) -> None:
+    """Raise BudgetExceededError when the q^(n²) matrices of E_n exceed ``budget``."""
     if field.q ** (n * n) > budget:
         raise BudgetExceededError(f"q^(n^2) = {field.q ** (n * n)} exceeds budget {budget}")
+
+
+def enumerate_matrices(field: FieldSpec, n: int, invertible_only: bool = False,
+                       budget: int = DEFAULT_BUDGET) -> Iterator[Matrix]:
+    check_matrix_budget(field, n, budget)
     for flat in product(range(field.q), repeat=n * n):
         m = Matrix(field, tuple(flat[i * n:(i + 1) * n] for i in range(n)))
         if invertible_only and not m.is_invertible():
@@ -661,16 +671,50 @@ def enumerate_decompositions(field: FieldSpec, n: int, dims: tuple[int, ...],
     if any(d < 0 for d in dims):
         raise ValueError("dimensions must be non-negative")
 
-    def rec(idx: int, chosen: tuple[Subspace, ...], span_rows: tuple):
+    def rec(idx: int, chosen: tuple[Subspace, ...], span: tuple):
         if idx == len(dims):
             yield chosen
             return
-        k = dims[idx]
-        used = sum(dims[:idx])
-        for w in enumerate_subspaces(field, n, k, budget):
-            stacked = Matrix(field, span_rows + w.basis)
-            if stacked.entries and stacked.rank() != used + k:
-                continue
-            yield from rec(idx + 1, chosen + (w,), span_rows + w.basis)
+        for w in enumerate_subspaces(field, n, dims[idx], budget):
+            joined = direct_sum(field, span, w.basis)
+            if joined is not None:
+                yield from rec(idx + 1, chosen + (w,), joined)
 
     yield from rec(0, (), ())
+
+
+def direct_sum(field: FieldSpec, span: tuple, basis: tuple) -> tuple | None:
+    """U + W when the sum is direct, else None.  ``span`` is U as this function
+    returns it, () for U = 0: (pivot, row) pairs of an echelon basis, each row
+    1 at its pivot and 0 at the pivots of the rows before it, packed over
+    F_(2^k) with the pivot as a bit offset.  ``basis`` is a basis of W.  Each
+    row of W is reduced against the rows so far; the sum is direct iff none
+    reduces to 0.  No Matrix is built."""
+    span = list(span)
+    if field.p == 2:
+        codec, inv, k = _char2(field), field._inv, field.k
+        lane = (1 << k) - 1
+        for v in codec.pack(basis):
+            for shift, row in span:
+                x = v >> shift & lane
+                if x:
+                    v ^= row if x == 1 else codec.scale(x, row)
+            if not v:
+                return None
+            shift = ((v & -v).bit_length() - 1) // k * k
+            x = v >> shift & lane
+            span.append((shift, v if x == 1 else codec.scale(inv[x], v)))
+        return tuple(span)
+    add, mul, neg = field._add, field._mul, field._neg
+    for v in basis:
+        for pivot, row in span:
+            x = v[pivot]
+            if x:
+                times = mul[neg[x]]
+                v = [add[a][times[b]] for a, b in zip(v, row)]
+        pivot = next((j for j, x in enumerate(v) if x), None)
+        if pivot is None:
+            return None
+        times = mul[field._inv[v[pivot]]]
+        span.append((pivot, [times[x] for x in v]))
+    return tuple(span)

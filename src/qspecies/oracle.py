@@ -31,8 +31,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, islice, product as iproduct
 
+from .classes import enumerate_classes
 from .field import FieldSpec
 from .linalg import (BudgetExceededError, DEFAULT_BUDGET, InvariantData, Matrix, _char2,
+                     _echelon, _echelon2, check_matrix_budget, direct_sum,
                      enumerate_decompositions, enumerate_matrices, enumerate_subspaces,
                      gl_order, invariant_data, require)
 from .series import TPoly
@@ -163,7 +165,7 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
 
     out = []
 
-    def rec(remaining_rows: tuple, used: int, parts: tuple):
+    def rec(span: tuple, used: int, parts: tuple):
         if used == n:
             if len(parts) >= min_parts:
                 out.append(("mset", parts))
@@ -176,11 +178,11 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
             for basis in bases[d]:
                 if parts and basis <= parts[-1][0]:
                     continue
-                stacked = Matrix(field, remaining_rows + basis)
-                if stacked.rank() != used + d:
+                joined = direct_sum(field, span, basis)
+                if joined is None:
                     continue
                 for s in per_dim[d]:
-                    rec(remaining_rows + basis, used + d, parts + ((basis, s),))
+                    rec(joined, used + d, parts + ((basis, s),))
 
     rec((), 0, ())
     return out
@@ -188,10 +190,13 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
 
 # -- transport -----------------------------------------------------------------
 #
-# A transport dispatches on the structure's tag.  It takes g together with
-# ``charts``, a table of what has been computed for each acting matrix so
-# far.  A part W of a split is moved by the chart h of g on W (see
-# _chart_map), and the parts inside W by the charts of h.
+# A transport dispatches on the structure's tag.  It takes the acting matrix
+# g as an _Acting, which holds what has been computed for g so far, so a
+# transport reads g's tables off the object it is handed.  A part W of a
+# split goes to g(W) (_chart_map), and the structure on W is moved by the
+# chart h of g on W (_chart_matrix), an _Acting in turn, which moves the
+# parts inside W.  A Matrix is hashed only when a chart is first made, so
+# that equal charts within one loop share one _Acting.
 #
 # A "mat" structure a goes to g a g⁻¹ = g (a g⁻¹) through two row maps of the
 # acting matrix, with no matrix product.  The row map of a d x d matrix M
@@ -201,12 +206,23 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
 # g (a g⁻¹) is g c_k for column c_k of a g⁻¹, that is the image of c_k under
 # the row map of gᵀ.  So a costs 2d lookups and two transposes.
 #
-# Lifetimes.  ``charts`` keeps each chart once per (acting matrix, W), and,
-# once a "mat" leaf first asks for them, each acting matrix's two row maps,
-# for one sigma's counting loop, one orbit search over fixed generators, or
-# one public ``transport`` call.  The maps of one acting matrix on a
-# d-dimensional space hold 2 q^d rows, no more than the q^(d²) matrices the
-# oracle has already enumerated there; nothing is kept per structure.
+# Lifetimes.  An _Acting keeps the image of each W once, the chart on W once
+# a structure on W is moved, and, once a "mat" leaf first asks for them, its
+# two row maps, for one sigma's counting loop, one orbit search over fixed
+# generators, or one public ``transport`` call.  The maps of one acting
+# matrix on a d-dimensional space hold 2 q^d rows, no more than the q^(d²)
+# matrices the oracle has already enumerated there; nothing is kept per
+# structure.
+#
+# The screen.  sigma fixes a split only if it maps the split's parts onto
+# themselves: each part of a "prod" to itself, the set of parts of an "mset"
+# onto itself.  So before it transports a structure, _fix_count drops one
+# whose top-level split (under any L, R or M tags) fails that test
+# (_moves_parts), which reads the images of the parts off the table that
+# transport fills anyway.  For an "mset" the test is exact: its parts are
+# distinct subspaces and sigma is injective, so sigma permutes them iff each
+# image is a part.  What passes the screen is still decided by
+# _transport(s, sigma) == s.
 #
 # The XOR test.  Over F_(2^k), when every structure of F[E_d], d >= 1, is a
 # "mat", the Burnside loops count sigma's fixed points without moving any
@@ -239,33 +255,70 @@ def _conjugation_maps(g: Matrix) -> tuple[dict, dict]:
     return inverse, _row_map(Matrix(g.field, tuple(zip(*g.entries))))
 
 
-def _conjugation(charts: dict, g: Matrix) -> tuple[dict, dict]:
-    """g's two row maps, from the chart table."""
-    hit = charts.get(g)
-    if hit is None:
-        hit = charts[g] = _conjugation_maps(g)
-    return hit
-
-
-def _chart_map(g: Matrix, rows: tuple) -> tuple[tuple, Matrix]:
+def _chart_map(g: Matrix, rows: tuple) -> tuple[tuple, list, list[int]]:
     """For the subspace W with RREF basis ``rows``: the RREF basis of g(W), and
-    the chart of g, its restriction to W in the RREF bases of W and g(W)."""
-    field = g.field
-    if not rows:
-        return (), Matrix(field, ())
-    images = tuple(g.matvec(b) for b in rows)
-    red, pivots = Matrix(field, images).rref()
-    return red.entries[:len(pivots)], Matrix(field, tuple(
-        tuple(v[p] for v in images) for p in pivots))
+    what the chart of g on W is made from (``_chart_matrix``): the images of
+    the rows and the pivot columns of g(W).  The images are reduced as rows,
+    packed over F_(2^k), with no Matrix built."""
+    field, n = g.field, g.ncols
+    if field.p == 2:
+        codec = field._rows
+        images = [g.packed_image(r) for r in codec.pack(rows)]
+        reduced = list(images)
+        pivots = _echelon2(field, reduced, n)
+        return codec.unpack(tuple(reduced[:len(pivots)]), n), images, pivots
+    images = [g.matvec(b) for b in rows]
+    reduced = list(images)
+    pivots = _echelon(field, reduced, n)
+    return tuple(map(tuple, reduced[:len(pivots)])), images, pivots
 
 
-def _chart(charts: dict, g: Matrix, rows: tuple) -> tuple[tuple, Matrix]:
-    """The RREF basis of g(W) and the chart h, from the table."""
-    key = (g, rows)
-    hit = charts.get(key)
-    if hit is None:
-        hit = charts[key] = _chart_map(g, rows)
-    return hit
+def _chart_matrix(field: FieldSpec, images: list, pivots: list[int]) -> Matrix:
+    """The chart of g on W, its restriction to W in the RREF bases of W and
+    g(W): column b holds the pivot entries of g's image of basis row b."""
+    if field.p == 2:
+        k, lane = field.k, (1 << field.k) - 1
+        return Matrix._packed(field, tuple(
+            sum((v >> k * p & lane) << k * b for b, v in enumerate(images)) for p in pivots),
+            len(images))
+    return Matrix(field, tuple(tuple(v[p] for v in images) for p in pivots))
+
+
+class _Acting:
+    """An acting matrix g with what transport has computed for it: for each
+    part W met so far, the RREF basis of g(W) and, once a structure on W is
+    moved, the chart of g on W, an _Acting in turn; and g's two row maps once
+    a "mat" leaf asks for them.  ``loop`` holds the _Acting of every matrix met
+    in one loop, so equal charts share one."""
+
+    __slots__ = ("g", "parts", "maps", "loop")
+
+    def __init__(self, g: Matrix, loop: dict):
+        self.g = g
+        self.parts: dict[tuple, list] = {}  # rows -> [image, chart or None, chart data]
+        self.maps: tuple[dict, dict] | None = None
+        self.loop = loop
+        loop[g] = self
+
+    def _part(self, rows: tuple) -> list:
+        hit = self.parts.get(rows)
+        if hit is None:
+            image, *data = _chart_map(self.g, rows)
+            hit = self.parts[rows] = [image, None, data]
+        return hit
+
+    def image(self, rows: tuple) -> tuple:
+        """The RREF basis of g(W), for W with RREF basis ``rows``."""
+        hit = self.parts.get(rows)
+        return (hit or self._part(rows))[0]
+
+    def chart(self, rows: tuple) -> tuple[tuple, "_Acting"]:
+        """The RREF basis of g(W) and the chart of g on W."""
+        part = self._part(rows)
+        if part[1] is None:
+            h = _chart_matrix(self.g.field, *part[2])
+            part[1] = self.loop.get(h) or _Acting(h, self.loop)
+        return part[0], part[1]
 
 
 def transport(s: Structure, g: Matrix) -> Structure:
@@ -275,7 +328,7 @@ def transport(s: Structure, g: Matrix) -> Structure:
     _check_acting(g, g.nrows)
     _check_entries(g.field, s)
     _check_shape(s, g.nrows)
-    return _transport(s, g, {})
+    return _transport(s, _Acting(g, {}))
 
 
 def _check_acting(g: Matrix, n: int) -> None:
@@ -310,38 +363,62 @@ def _check_shape(s: Structure, d: int) -> None:
             _check_shape(enc, len(rows))
 
 
-def _transport(s: Structure, g: Matrix, charts: dict) -> Structure:
-    """F[g](s), read off the tags of s."""
+def _transport(s: Structure, a: _Acting) -> Structure:
+    """F[g](s), read off the tags of s, for the acting matrix g of ``a``."""
     tag = s[0]
     if tag == "vec":
-        return ("vec", g.matvec(s[1]))
+        return ("vec", a.g.matvec(s[1]))
     if tag == "sub":
-        return ("sub", _chart(charts, g, s[1])[0])
+        return ("sub", a.image(s[1]))
     if tag == "mat":
-        inverse, transposed = _conjugation(charts, g)
+        maps = a.maps
+        if maps is None:
+            maps = a.maps = _conjugation_maps(a.g)
+        inverse, transposed = maps
         columns = zip(*map(inverse.__getitem__, s[1]))  # of a g⁻¹
         return ("mat", tuple(zip(*map(transposed.__getitem__, columns))))
     if tag == "bas":
-        return ("bas", tuple(g.matvec(v) for v in s[1]))
+        return ("bas", tuple(a.g.matvec(v) for v in s[1]))
     if tag in ("spc", "scl"):
         return s
     if tag in ("L", "R", "M"):
-        return (tag, _transport(s[1], g, charts))
+        return (tag, _transport(s[1], a))
     if tag == "prod":
-        return ("prod", _move_part(s[1], g, charts), _move_part(s[2], g, charts))
+        return ("prod", _move_part(s[1], a), _move_part(s[2], a))
     if tag == "mset":
-        return ("mset", tuple(sorted(_move_part(part, g, charts) for part in s[1])))
+        return ("mset", tuple(sorted(_move_part(part, a) for part in s[1])))
     raise ValueError(f"bad structure {s!r}")
 
 
-def _move_part(part: tuple, g: Matrix, charts: dict) -> tuple:
+def _move_part(part: tuple, a: _Acting) -> tuple:
     """A part (rows of W, structure on W) moved to g(W) through the chart of g
     on W; the zero part stays as it is."""
     rows, enc = part
     if not rows:
         return part
-    img_rows, h = _chart(charts, g, rows)
-    return (img_rows, _transport(enc, h, charts))
+    image, h = a.chart(rows)
+    return (image, _transport(enc, h))
+
+
+_SCREENED = frozenset(("prod", "mset", "L", "R", "M"))  # the tags a split can be under
+
+
+def _moves_parts(s: Structure, a: _Acting) -> bool:
+    """Whether g moves the top-level split of s, under any L, R or M tags, off
+    itself: some part W of a "prod" has g(W) != W, or some part of an "mset"
+    goes to a subspace that is no part.  Then g does not fix s."""
+    while s[0] in ("L", "R", "M"):
+        s = s[1]
+    tag = s[0]
+    image = a.image
+    if tag == "prod":
+        return any(rows and image(rows) != rows for rows, _enc in s[1:])
+    if tag == "mset":
+        parts = {rows for rows, _enc in s[1]}
+        for rows in parts:
+            if image(rows) not in parts:
+                return True
+    return False
 
 
 # -- counting ------------------------------------------------------------------
@@ -386,11 +463,13 @@ def fix_counts_bf(e: SpeciesExpr, field: FieldSpec, n: int, sigmas: list[Matrix]
 
 def _fix_count(sigma: Matrix, structures: list | _PackedMatrices) -> int:
     """The members of ``structures`` fixed by sigma, which nothing checks here:
-    by the XOR test of a ``_PackedMatrices``, else by transport."""
+    by the XOR test of a ``_PackedMatrices``, else by transport of each
+    structure that passes the screen."""
     if isinstance(structures, _PackedMatrices):
         return structures.fixed_by(sigma)
-    charts: dict = {}
-    return sum(1 for s in structures if _transport(s, sigma, charts) == s)
+    a = _Acting(sigma, {})
+    return sum(1 for s in structures
+               if not (s[0] in _SCREENED and _moves_parts(s, a)) and _transport(s, a) == s)
 
 
 def _prepare(field: FieldSpec, n: int, structures: list) -> list | _PackedMatrices:
@@ -448,22 +527,21 @@ def _xor_tables(sigma: Matrix) -> list[list[int]]:
     return tables
 
 
+def _gl_generator_slots(field: FieldSpec, n: int) -> list[tuple[int, int, int]]:
+    """(i, j, c) for each generator of GL_n: the identity with entry (i, j) set
+    to c, an elementary transvection for i != j and a unit scaling for i = j."""
+    return [(i, j, c) for i in range(n) for j in range(n)
+            for c in range(2 if i == j else 1, field.q)]
+
+
 @lru_cache(maxsize=None)
 def _gl_generators(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
     """Elementary transvections and one-slot unit scalings; generates GL_n."""
     gens = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                for u in range(2, field.q):
-                    rows = [list(r) for r in Matrix.identity(field, n).entries]
-                    rows[i][i] = u
-                    gens.append(Matrix.make(field, rows))
-            else:
-                for lam in range(1, field.q):
-                    rows = [list(r) for r in Matrix.identity(field, n).entries]
-                    rows[i][j] = lam
-                    gens.append(Matrix.make(field, rows))
+    for i, j, c in _gl_generator_slots(field, n):
+        rows = [list(r) for r in Matrix.identity(field, n).entries]
+        rows[i][j] = c
+        gens.append(Matrix.make(field, rows))
     return tuple(gens)
 
 
@@ -477,8 +555,8 @@ def orbit_partition(e: SpeciesExpr, field: FieldSpec, n: int,
 
 def _orbits(field: FieldSpec, n: int, structures: list) -> list[dict]:
     """``orbit_partition`` of ``structures``, which nothing checks here."""
-    gens = _gl_generators(field, n)
-    charts: dict = {}
+    loop: dict = {}
+    actions = [_Acting(g, loop) for g in _gl_generators(field, n)]
     unseen = set(structures)
     orbits = []
     while unseen:
@@ -487,8 +565,8 @@ def _orbits(field: FieldSpec, n: int, structures: list) -> list[dict]:
         orbit = {start}
         while frontier:
             cur = frontier.pop()
-            for g in gens:
-                nxt = _transport(cur, g, charts)
+            for a in actions:
+                nxt = _transport(cur, a)
                 if nxt not in orbit:
                     orbit.add(nxt)
                     frontier.append(nxt)
@@ -517,14 +595,127 @@ def orbit_count_bf(e: SpeciesExpr, field: FieldSpec, n: int,
 
 def zindex_bf(e: SpeciesExpr, field: FieldSpec, order: int,
               budget: int = DEFAULT_BUDGET) -> CycleIndexSeries:
-    """Cycle index by literal summation over all of Aut(E_n), n <= order."""
+    """Cycle index by literal summation over all of Aut(E_n), n <= order: every
+    sigma is visited once, along the conjugacy orbit of its class, and its
+    fixed points are counted by transport; its monomial is its class's.  Raises
+    BudgetExceededError when q^(n²) exceeds ``budget``."""
     terms: dict[InvariantData, Fraction] = {}
     for n in range(order + 1):
-        gn = gl_order(field, n)
         structures = _prepare(field, n, enumerate_structures(e, field, n, budget))
-        for sigma in enumerate_matrices(field, n, True, budget):
-            fix = _fix_count(sigma, structures)
+        check_matrix_budget(field, n, budget)
+        for c, orbit in _conjugacy_orbits(field, n):
+            fix = sum(_fix_count(sigma, structures) for sigma in orbit)
             if fix:
-                m = monomial(invariant_data(sigma))
-                terms[m] = terms.get(m, Fraction(0)) + Fraction(fix, gn)
+                terms[monomial(c.invariant)] = Fraction(fix, gl_order(field, n))
     return CycleIndexSeries(field, order, terms)
+
+
+def _conjugacy_orbits(field: FieldSpec, n: int):
+    """Each class c of GL_n with its members, the conjugacy orbit of c's
+    representative, found by search along ``_conjugation_steps``.  Checks that
+    each orbit has c.class_size members, that the orbits are disjoint and hold
+    the gamma_n elements of GL_n together, and that ``invariant_data`` gives c's
+    invariant on the representative and on the last member found.  An orbit
+    is closed under conjugation, so two orbits are disjoint iff their least
+    members differ; only the orbit being searched is held."""
+    char2 = field.p == 2
+    steps = _conjugation_steps(field, n)
+    least: set = set()
+    total = 0
+    for c in enumerate_classes(field, n, "aut"):
+        rep = c.representative(field)
+        require(invariant_data(rep) == c.invariant,
+                f"the representative of {c.invariant} has another invariant")
+        start = _char2(field).pack(rep.entries) if char2 else sum(rep.entries, ())
+        orbit, members = [start], {start}
+        for cur in orbit:  # grows while it is read: a breadth-first search
+            for step in steps:
+                nxt = step(cur)
+                if nxt not in members:
+                    members.add(nxt)
+                    orbit.append(nxt)
+        require(len(orbit) == c.class_size, f"the orbit of {c.invariant} has "
+                f"{len(orbit)} members, not its class size {c.class_size}")
+        first = min(orbit)
+        require(first not in least, f"the orbit of {c.invariant} meets another class's")
+        least.add(first)
+        total += len(orbit)
+        if char2:
+            matrices = [Matrix._packed(field, rows, n) for rows in orbit]
+        else:
+            matrices = [Matrix(field, tuple(flat[i * n:i * n + n] for i in range(n)))
+                        for flat in orbit]
+        if len(matrices) > 1:
+            require(invariant_data(matrices[-1]) == c.invariant,
+                    f"a conjugate of the representative of {c.invariant} has another invariant")
+        yield c, matrices
+    require(total == gl_order(field, n),
+            f"the class orbits hold {total} of the {gl_order(field, n)} elements of GL_{n}")
+
+
+def _conjugation_steps(field: FieldSpec, n: int) -> list:
+    """For each generator G of ``_gl_generators``, the map sigma -> G sigma G⁻¹
+    on sigma's rows, packed over F_(2^k) (entry j at bit offset k j) and
+    otherwise flattened to one tuple of n² entries.  G is the identity with
+    entry (i, j) set to c.  For i != j, G sigma adds c times row j to row i, and
+    (G sigma) G⁻¹ subtracts c times column i from column j; for i = j, G sigma
+    scales row i by c, and (G sigma) G⁻¹ scales column i by c⁻¹.  So each step
+    is one row operation and one column operation, with no matrix product."""
+    return [(_step2 if field.p == 2 else _step)(field, n, i, j, c)
+            for i, j, c in _gl_generator_slots(field, n)]
+
+
+def _step2(field: FieldSpec, n: int, i: int, j: int, c: int):
+    """The conjugation step on packed rows over F_(2^k), where -c = c."""
+    k, lane, scale = field.k, (1 << field.k) - 1, _char2(field).scale
+    ki, kj = k * i, k * j
+    if i != j:
+        times = field._mul[c]
+
+        def step(rows: tuple) -> tuple:
+            rows = list(rows)
+            rows[i] ^= rows[j] if c == 1 else scale(c, rows[j])
+            for t, r in enumerate(rows):
+                x = r >> ki & lane
+                if x:
+                    rows[t] = r ^ times[x] << kj
+            return tuple(rows)
+    else:
+        # an entry x of column i becomes x c⁻¹ = x + delta[x]
+        delta = [x ^ field._mul[field._inv[c]][x] for x in range(field.q)]
+
+        def step(rows: tuple) -> tuple:
+            rows = list(rows)
+            rows[i] = scale(c, rows[i])
+            for t, r in enumerate(rows):
+                rows[t] = r ^ delta[r >> ki & lane] << ki
+            return tuple(rows)
+    return step
+
+
+def _step(field: FieldSpec, n: int, i: int, j: int, c: int):
+    """The conjugation step on the n² entries of sigma, row by row."""
+    add, mul = field._add, field._mul
+    row_i, row_j = range(i * n, i * n + n), range(j * n, j * n + n)
+    if i != j:
+        times, minus = mul[c], mul[field._neg[c]]
+
+        def step(flat: tuple) -> tuple:
+            a = list(flat)
+            for p, r in zip(row_i, row_j):
+                a[p] = add[a[p]][times[a[r]]]
+            for p in range(0, n * n, n):
+                if a[p + i]:
+                    a[p + j] = add[a[p + j]][minus[a[p + i]]]
+            return tuple(a)
+    else:
+        times, inverse = mul[c], mul[field._inv[c]]
+
+        def step(flat: tuple) -> tuple:
+            a = list(flat)
+            for p in row_i:
+                a[p] = times[a[p]]
+            for p in range(i, n * n, n):
+                a[p] = inverse[a[p]]
+            return tuple(a)
+    return step

@@ -13,7 +13,7 @@ from qspecies.field import ConsistencyError, field_make
 from qspecies.linalg import InvariantData, block_diagonal, gl_order, invariant_data
 from qspecies.parser import parse
 from qspecies.poly import Poly, monic_irreducibles
-from qspecies.species import cycle_index
+from qspecies.species import cycle_index, gen_series
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -258,6 +258,27 @@ def test_exp_is_the_exponential_sum(field, order):
     assert a.exp() == expected
     with pytest.raises(ValueError):
         z_one(field, order).exp()
+
+
+def test_factoring_sieves_only_the_trial_divisors(monkeypatch):
+    # the rest left by trial division is tested on its own, so the sieve is
+    # asked only for the degrees d it divides by, 2d <= the degree factored
+    degrees = []
+
+    def spy(field, d, exclude_z=False):
+        degrees.append(d)
+        return monic_irreducibles(field, d, exclude_z)
+
+    _factor_at_power.cache_clear()
+    monkeypatch.setattr(cycleindex, "monic_irreducibles", spy)
+    try:
+        z = cycle_index(parse("E(Vplus)"), F2, 12)
+    finally:
+        _factor_at_power.cache_clear()
+    assert degrees and max(degrees) <= 6
+    # the type and generating series of E(Vplus): partitions and the exponential formula
+    assert list(z.specialize_type().coeffs) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+    assert z.specialize_generating() == gen_series(parse("E(Vplus)"), F2, 12)
 
 
 def test_a_missing_irreducible_fails_the_factor_check(monkeypatch, capsys):

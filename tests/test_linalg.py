@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import qspecies
 from qspecies.field import field_make
 from qspecies.linalg import (BudgetExceededError, Matrix, Subspace,
-                             companion_matrix, enumerate_decompositions,
+                             companion_matrix, direct_sum, enumerate_decompositions,
                              enumerate_matrices, enumerate_subspaces, gl_order,
                              invariant_data, mat_poly_eval, qbinomial)
 from qspecies.poly import Poly, monic_irreducibles
@@ -159,6 +159,17 @@ def test_decomposition_counts():
             assert count == gl_order(F2, n) // (gl_order(F2, k) * gl_order(F2, n - k))
     with pytest.raises(ValueError):
         list(enumerate_decompositions(F2, 3, (1, 1)))
+
+
+@pytest.mark.parametrize("field, n", [(F2, 3), (F3, 3), (F4, 2)], ids=["q2", "q3", "q4"])
+def test_direct_sum_is_full_rank(field, n):
+    subspaces = [w for k in range(n + 1) for w in enumerate_subspaces(field, n, k)]
+    for u in subspaces:
+        span = direct_sum(field, (), u.basis)
+        for w in subspaces:
+            stacked = Matrix(field, u.basis + w.basis)
+            direct = not stacked.entries or stacked.rank() == u.dim + w.dim
+            assert (direct_sum(field, span, w.basis) is not None) == direct
 
 
 def test_subspace_canonical_equality():

@@ -1,9 +1,16 @@
+import contextlib
+import hashlib
+import io
+import re
+from dataclasses import replace
+
 import pytest
 
 from qspecies import oracle
-from qspecies.classes import enumerate_classes
+from qspecies.classes import ConjClass, enumerate_classes
+from qspecies.cli import main
 from qspecies.field import ConsistencyError, field_make
-from qspecies.linalg import Matrix, Subspace, enumerate_matrices, gl_order
+from qspecies.linalg import Matrix, Subspace, enumerate_matrices, gl_order, invariant_data
 from qspecies.parser import parse
 from qspecies.cycleindex import z_build
 from qspecies.species import (Assembly, Builtin, Mark, Plus, Power, Product, Sum, SymPower,
@@ -272,10 +279,10 @@ def test_row_maps_conjugate_as_matrix_products(field, top):
             assert len(row_map) == field.q ** n
             assert all(row_map[v] == (Matrix(field, (v,)) * a).entries[0] for v in row_map)
         for g in enumerate_matrices(field, n, True):
-            charts = {}
+            acting = oracle._Acting(g, {})
             g_inv = g.inverse()
             for a in matrices:
-                assert oracle._transport(("mat", a.entries), g, charts) == (
+                assert oracle._transport(("mat", a.entries), acting) == (
                     "mat", (g * a * g_inv).entries)
 
 
@@ -485,3 +492,88 @@ def test_marked_structures_weigh_t_per_mark(text, unmarked, field, top):
     for n in range(top + 1):
         assert oracle.inventory_bf(e, field, n) == series.coeffs[n] * gl_order(field, n)
         assert oracle.orbit_count_bf(e, field, n) == oracle.orbit_count_bf(bare, field, n)
+
+
+# -- the class orbit walk and the split screen ----------------------------------
+
+@pytest.mark.parametrize("field, top", [(F2, 3), (F3, 2), (F4, 2)], ids=["q2", "q3", "q4"])
+def test_class_orbits_partition_gl_n(field, top):
+    # every element of GL_n once, in the orbit of the class of its invariant
+    for n in range(top + 1):
+        visited = []
+        for c, orbit in oracle._conjugacy_orbits(field, n):
+            assert all(invariant_data(sigma) == c.invariant for sigma in orbit)
+            visited += [sigma.entries for sigma in orbit]
+        assert sorted(visited) == sorted(g.entries for g in enumerate_matrices(field, n, True))
+
+
+# the stdout of `qspecies oracle zindex EXPR 4`, a literal sum over GL_4(F_2)
+ZINDEX_AT_4 = {"Elem": "ef6b56a72865549f556bfa62f4fcd7491ccd0140f4202cbc7307a1e25b4b1a72",
+               "Proj": "1982df9abfe6f8469406596d5842f8e99dc9482506bd3eb56ea84a474af50528"}
+
+
+@pytest.mark.parametrize("text", sorted(ZINDEX_AT_4))
+def test_literal_zindex_at_n4(monkeypatch, text):
+    # one literal sum per expression: its printed digest, and the series
+    # against the closed forms over class representatives
+    series = []
+    zindex_bf = oracle.zindex_bf
+
+    def kept(*args):
+        series.append(zindex_bf(*args))
+        return series[-1]
+
+    monkeypatch.setattr(oracle, "zindex_bf", kept)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["oracle", "zindex", text, "4"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ZINDEX_AT_4[text]
+    assert series == [cycle_index(parse(text), F2, 4)]
+
+
+def _resized(classes):
+    return classes[:-1] + (replace(classes[-1], class_size=classes[-1].class_size - 1),)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_resized, "not its class size"),
+    (lambda classes: classes[:-1], r"hold \d+ of the 6 elements"),
+    (lambda classes: classes + classes[-1:], "meets another class"),
+], ids=["size-changed", "class-dropped", "class-repeated"])
+def test_class_table_faults_fail_the_walk(monkeypatch, capsys, edit, message):
+    table = oracle.enumerate_classes
+
+    def edited(field, n, kind):
+        classes = table(field, n, kind)
+        return edit(classes) if n == 2 else classes
+
+    monkeypatch.setattr(oracle, "enumerate_classes", edited)
+    with pytest.raises(ConsistencyError, match=message):
+        oracle.zindex_bf(parse("Elem"), F2, 2)
+    assert main(["oracle", "zindex", "Elem", "2"]) == 1
+    assert re.search(message, capsys.readouterr().err)
+
+
+def test_a_wrong_representative_fails_the_walk(monkeypatch):
+    monkeypatch.setattr(ConjClass, "representative", lambda c, field: Matrix.identity(field, c.n))
+    with pytest.raises(ConsistencyError, match="representative of .* has another invariant"):
+        oracle.zindex_bf(parse("Elem"), F2, 2)
+
+
+def test_zindex_walk_keeps_the_matrix_budget(capsys):
+    assert main(["oracle", "zindex", "Elem", "4", "--budget", "1000"]) == 1
+    assert "q^(n^2) = 65536 exceeds budget 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["Vplus*Elem", "Vplus*E(Vplus)", "Vplus + mark(E(Vplus))"])
+@pytest.mark.parametrize("field, top", [(F2, 3), (F3, 2), (F4, 2)], ids=["q2", "q3", "q4"])
+def test_screened_fix_count_is_the_transport_count(text, field, top):
+    # the screen drops only splits that sigma moves: an mset whose parts sigma
+    # permutes among themselves still goes to transport
+    e = parse(text)
+    for n in range(top + 1):
+        structures = oracle.enumerate_structures(e, field, n)
+        for sigma in enumerate_matrices(field, n, True):
+            acting = oracle._Acting(sigma, {})
+            assert oracle._fix_count(sigma, structures) == sum(
+                oracle._transport(s, acting) == s for s in structures)
