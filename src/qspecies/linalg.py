@@ -14,9 +14,10 @@ of matrices, subspaces and ordered direct-sum decompositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, groupby, product
 from operator import xor
-from typing import Iterator
+from typing import Callable, Iterator
 
 # re-exports ConsistencyError, BudgetExceededError and DEFAULT_BUDGET
 from .field import BudgetExceededError, ConsistencyError, DEFAULT_BUDGET, FieldSpec, require
@@ -157,6 +158,14 @@ def _echelon(field: FieldSpec, rows: list[list[int]], ncols: int) -> list[int]:
         if r == m:
             break
     return pivots
+
+
+def _chart(field: FieldSpec, images: list, pivots: list[int], ncols: int) -> Matrix:
+    """The matrix whose column b holds the entries of images[b] at the pivot
+    columns; the images are rows of length ncols, packed over F_(2^k)."""
+    if field.p == 2:
+        images = field._rows.unpack(tuple(images), ncols)
+    return Matrix(field, tuple(tuple(v[p] for v in images) for p in pivots))
 
 
 class Matrix:
@@ -355,6 +364,26 @@ class Matrix:
         table_rows = [list(r) for r in self._entries]
         pivots = _echelon(F, table_rows, self.ncols)
         return Matrix(F, tuple(map(tuple, table_rows))), pivots
+
+    def restrict(self, rows: tuple) -> tuple[tuple, Callable[[], "Matrix"]]:
+        """For the subspace W with RREF basis ``rows``: the RREF basis of A(W),
+        and a function that builds the chart of A on W, its restriction to W in
+        the RREF bases of W and A(W): column b holds the pivot entries of the
+        image of basis row b.  The images are reduced as rows, packed over
+        F_(2^k), with no Matrix built; the chart is built only when asked."""
+        F, n = self.field, self.nrows
+        if F.p == 2:
+            codec = F._rows
+            images = [self.packed_image(r) for r in codec.pack(rows)]
+            reduced = list(images)
+            pivots = _echelon2(F, reduced, n)
+            image = codec.unpack(tuple(reduced[:len(pivots)]), n)
+        else:
+            images = [self.matvec(b) for b in rows]
+            reduced = list(images)
+            pivots = _echelon(F, reduced, n)
+            image = tuple(map(tuple, reduced[:len(pivots)]))
+        return image, partial(_chart, F, images, pivots, n)
 
     def rank(self) -> int:
         return len(self.rref()[1])

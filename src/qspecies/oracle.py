@@ -34,7 +34,7 @@ from itertools import groupby, islice, product as iproduct
 from .classes import enumerate_classes
 from .field import FieldSpec
 from .linalg import (BudgetExceededError, DEFAULT_BUDGET, InvariantData, Matrix, _char2,
-                     _echelon, _echelon2, check_matrix_budget, direct_sum,
+                     check_matrix_budget, direct_sum,
                      enumerate_decompositions, enumerate_matrices, enumerate_subspaces,
                      gl_order, invariant_data, require)
 from .series import TPoly
@@ -193,10 +193,11 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
 # A transport dispatches on the structure's tag.  It takes the acting matrix
 # g as an _Acting, which holds what has been computed for g so far, so a
 # transport reads g's tables off the object it is handed.  A part W of a
-# split goes to g(W) (_chart_map), and the structure on W is moved by the
-# chart h of g on W (_chart_matrix), an _Acting in turn, which moves the
-# parts inside W.  A Matrix is hashed only when a chart is first made, so
-# that equal charts within one loop share one _Acting.
+# split goes to g(W), and the structure on W is moved by the chart h of g on
+# W, an _Acting in turn, which moves the parts inside W; linalg computes both
+# (Matrix.restrict), and builds h only when a structure on W is moved.  A
+# Matrix is hashed only when a chart is first made, so that equal charts
+# within one loop share one _Acting.
 #
 # A "mat" structure a goes to g a g⁻¹ = g (a g⁻¹) through two row maps of the
 # acting matrix, with no matrix product.  The row map of a d x d matrix M
@@ -255,33 +256,9 @@ def _conjugation_maps(g: Matrix) -> tuple[dict, dict]:
     return inverse, _row_map(Matrix(g.field, tuple(zip(*g.entries))))
 
 
-def _chart_map(g: Matrix, rows: tuple) -> tuple[tuple, list, list[int]]:
-    """For the subspace W with RREF basis ``rows``: the RREF basis of g(W), and
-    what the chart of g on W is made from (``_chart_matrix``): the images of
-    the rows and the pivot columns of g(W).  The images are reduced as rows,
-    packed over F_(2^k), with no Matrix built."""
-    field, n = g.field, g.ncols
-    if field.p == 2:
-        codec = field._rows
-        images = [g.packed_image(r) for r in codec.pack(rows)]
-        reduced = list(images)
-        pivots = _echelon2(field, reduced, n)
-        return codec.unpack(tuple(reduced[:len(pivots)]), n), images, pivots
-    images = [g.matvec(b) for b in rows]
-    reduced = list(images)
-    pivots = _echelon(field, reduced, n)
-    return tuple(map(tuple, reduced[:len(pivots)])), images, pivots
-
-
-def _chart_matrix(field: FieldSpec, images: list, pivots: list[int]) -> Matrix:
-    """The chart of g on W, its restriction to W in the RREF bases of W and
-    g(W): column b holds the pivot entries of g's image of basis row b."""
-    if field.p == 2:
-        k, lane = field.k, (1 << field.k) - 1
-        return Matrix._packed(field, tuple(
-            sum((v >> k * p & lane) << k * b for b, v in enumerate(images)) for p in pivots),
-            len(images))
-    return Matrix(field, tuple(tuple(v[p] for v in images) for p in pivots))
+# (g, rows) -> the RREF basis of g(W), for W with RREF basis rows, and a
+# function that builds the chart of g on W
+_chart_map = Matrix.restrict
 
 
 class _Acting:
@@ -295,7 +272,7 @@ class _Acting:
 
     def __init__(self, g: Matrix, loop: dict):
         self.g = g
-        self.parts: dict[tuple, list] = {}  # rows -> [image, chart or None, chart data]
+        self.parts: dict[tuple, list] = {}  # rows -> [image, chart or None, chart builder]
         self.maps: tuple[dict, dict] | None = None
         self.loop = loop
         loop[g] = self
@@ -303,8 +280,8 @@ class _Acting:
     def _part(self, rows: tuple) -> list:
         hit = self.parts.get(rows)
         if hit is None:
-            image, *data = _chart_map(self.g, rows)
-            hit = self.parts[rows] = [image, None, data]
+            image, build = _chart_map(self.g, rows)
+            hit = self.parts[rows] = [image, None, build]
         return hit
 
     def image(self, rows: tuple) -> tuple:
@@ -316,7 +293,7 @@ class _Acting:
         """The RREF basis of g(W) and the chart of g on W."""
         part = self._part(rows)
         if part[1] is None:
-            h = _chart_matrix(self.g.field, *part[2])
+            h = part[2]()
             part[1] = self.loop.get(h) or _Acting(h, self.loop)
         return part[0], part[1]
 
@@ -400,13 +377,11 @@ def _move_part(part: tuple, a: _Acting) -> tuple:
     return (image, _transport(enc, h))
 
 
-_SCREENED = frozenset(("prod", "mset", "L", "R", "M"))  # the tags a split can be under
-
-
 def _moves_parts(s: Structure, a: _Acting) -> bool:
     """Whether g moves the top-level split of s, under any L, R or M tags, off
     itself: some part W of a "prod" has g(W) != W, or some part of an "mset"
-    goes to a subspace that is no part.  Then g does not fix s."""
+    goes to a subspace that is no part.  Then g does not fix s.  False for a
+    structure that is no split."""
     while s[0] in ("L", "R", "M"):
         s = s[1]
     tag = s[0]
@@ -468,8 +443,7 @@ def _fix_count(sigma: Matrix, structures: list | _PackedMatrices) -> int:
     if isinstance(structures, _PackedMatrices):
         return structures.fixed_by(sigma)
     a = _Acting(sigma, {})
-    return sum(1 for s in structures
-               if not (s[0] in _SCREENED and _moves_parts(s, a)) and _transport(s, a) == s)
+    return sum(1 for s in structures if not _moves_parts(s, a) and _transport(s, a) == s)
 
 
 def _prepare(field: FieldSpec, n: int, structures: list) -> list | _PackedMatrices:
@@ -618,7 +592,6 @@ def _conjugacy_orbits(field: FieldSpec, n: int):
     invariant on the representative and on the last member found.  An orbit
     is closed under conjugation, so two orbits are disjoint iff their least
     members differ; only the orbit being searched is held."""
-    char2 = field.p == 2
     steps = _conjugation_steps(field, n)
     least: set = set()
     total = 0
@@ -626,7 +599,7 @@ def _conjugacy_orbits(field: FieldSpec, n: int):
         rep = c.representative(field)
         require(invariant_data(rep) == c.invariant,
                 f"the representative of {c.invariant} has another invariant")
-        start = _char2(field).pack(rep.entries) if char2 else sum(rep.entries, ())
+        start = sum(rep.entries, ())
         orbit, members = [start], {start}
         for cur in orbit:  # grows while it is read: a breadth-first search
             for step in steps:
@@ -640,11 +613,8 @@ def _conjugacy_orbits(field: FieldSpec, n: int):
         require(first not in least, f"the orbit of {c.invariant} meets another class's")
         least.add(first)
         total += len(orbit)
-        if char2:
-            matrices = [Matrix._packed(field, rows, n) for rows in orbit]
-        else:
-            matrices = [Matrix(field, tuple(flat[i * n:i * n + n] for i in range(n)))
-                        for flat in orbit]
+        matrices = [Matrix(field, tuple(flat[i * n:i * n + n] for i in range(n)))
+                    for flat in orbit]
         if len(matrices) > 1:
             require(invariant_data(matrices[-1]) == c.invariant,
                     f"a conjugate of the representative of {c.invariant} has another invariant")
@@ -655,67 +625,43 @@ def _conjugacy_orbits(field: FieldSpec, n: int):
 
 def _conjugation_steps(field: FieldSpec, n: int) -> list:
     """For each generator G of ``_gl_generators``, the map sigma -> G sigma G⁻¹
-    on sigma's rows, packed over F_(2^k) (entry j at bit offset k j) and
-    otherwise flattened to one tuple of n² entries.  G is the identity with
-    entry (i, j) set to c.  For i != j, G sigma adds c times row j to row i, and
-    (G sigma) G⁻¹ subtracts c times column i from column j; for i = j, G sigma
-    scales row i by c, and (G sigma) G⁻¹ scales column i by c⁻¹.  So each step
-    is one row operation and one column operation, with no matrix product."""
-    return [(_step2 if field.p == 2 else _step)(field, n, i, j, c)
-            for i, j, c in _gl_generator_slots(field, n)]
-
-
-def _step2(field: FieldSpec, n: int, i: int, j: int, c: int):
-    """The conjugation step on packed rows over F_(2^k), where -c = c."""
-    k, lane, scale = field.k, (1 << field.k) - 1, _char2(field).scale
-    ki, kj = k * i, k * j
-    if i != j:
-        times = field._mul[c]
-
-        def step(rows: tuple) -> tuple:
-            rows = list(rows)
-            rows[i] ^= rows[j] if c == 1 else scale(c, rows[j])
-            for t, r in enumerate(rows):
-                x = r >> ki & lane
-                if x:
-                    rows[t] = r ^ times[x] << kj
-            return tuple(rows)
-    else:
-        # an entry x of column i becomes x c⁻¹ = x + delta[x]
-        delta = [x ^ field._mul[field._inv[c]][x] for x in range(field.q)]
-
-        def step(rows: tuple) -> tuple:
-            rows = list(rows)
-            rows[i] = scale(c, rows[i])
-            for t, r in enumerate(rows):
-                rows[t] = r ^ delta[r >> ki & lane] << ki
-            return tuple(rows)
-    return step
+    on sigma's n² entries, flattened row by row to one tuple.  G is the
+    identity with entry (i, j) set to c.  For i != j, G sigma adds c times row
+    j to row i, and (G sigma) G⁻¹ subtracts c times column i from column j;
+    for i = j, G sigma scales row i by c, and (G sigma) G⁻¹ scales column i by
+    c⁻¹.  So each step is one row operation and one column operation, with no
+    matrix product."""
+    return [_step(field, n, i, j, c) for i, j, c in _gl_generator_slots(field, n)]
 
 
 def _step(field: FieldSpec, n: int, i: int, j: int, c: int):
-    """The conjugation step on the n² entries of sigma, row by row."""
-    add, mul = field._add, field._mul
-    row_i, row_j = range(i * n, i * n + n), range(j * n, j * n + n)
+    """The conjugation step by the generator with entry (i, j) set to c.  For
+    i != j, each entry x of row i gains c y, for the entry y of row j in its
+    column, through the table plus[x][y] = x + c y; then column j gains -c
+    times column i the same way."""
+    q, add, mul = field.q, field._add, field._mul
     if i != j:
-        times, minus = mul[c], mul[field._neg[c]]
+        plus, minus = ([[add[x][mul[m][y]] for y in range(q)] for x in range(q)]
+                       for m in (c, field._neg[c]))
+        rows = [(i * n + t, j * n + t) for t in range(n)]
+        columns = [(t * n + j, t * n + i) for t in range(n)]
 
         def step(flat: tuple) -> tuple:
             a = list(flat)
-            for p, r in zip(row_i, row_j):
-                a[p] = add[a[p]][times[a[r]]]
-            for p in range(0, n * n, n):
-                if a[p + i]:
-                    a[p + j] = add[a[p + j]][minus[a[p + i]]]
+            for p, r in rows:
+                a[p] = plus[a[p]][a[r]]
+            for p, r in columns:
+                a[p] = minus[a[p]][a[r]]
             return tuple(a)
     else:
         times, inverse = mul[c], mul[field._inv[c]]
+        row, column = range(i * n, i * n + n), range(i, n * n, n)
 
         def step(flat: tuple) -> tuple:
             a = list(flat)
-            for p in row_i:
+            for p in row:
                 a[p] = times[a[p]]
-            for p in range(i, n * n, n):
+            for p in column:
                 a[p] = inverse[a[p]]
             return tuple(a)
     return step
