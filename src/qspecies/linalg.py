@@ -540,7 +540,7 @@ class InvariantData:
     the dimension; the product of two monomials is the invariant of the direct
     sum (``mul``)."""
 
-    __slots__ = ("partitions", "degree", "_hash")
+    __slots__ = ("partitions", "degree", "_hash", "_items", "_sort_key")
 
     def __init__(self, partitions: tuple = (), degree: int | None = None):
         """``partitions`` must be canonical already; ``of`` makes it so.  A
@@ -549,6 +549,7 @@ class InvariantData:
         self.degree = (sum(phi.degree * sum(lam) for phi, lam in partitions)
                        if degree is None else degree)
         self._hash = hash(partitions)
+        self._items = self._sort_key = None  # made on first use
 
     @staticmethod
     def of(pairs) -> "InvariantData":
@@ -583,14 +584,20 @@ class InvariantData:
                 j += 1
         return InvariantData(tuple(out) + a[i:] + b[j:], self.degree + other.degree)
 
-    def items(self) -> list[tuple[Poly, int, int]]:
-        """(phi, i, e_{phi,i}) for e_{phi,i} > 0, phi in order and i ascending."""
-        return [(phi, i, len(list(run)))
-                for phi, lam in self.partitions for i, run in groupby(reversed(lam))]
+    def items(self) -> tuple[tuple[Poly, int, int], ...]:
+        """(phi, i, e_{phi,i}) for e_{phi,i} > 0, phi in order and i ascending;
+        computed once, as sorting and rendering a term each read it."""
+        if self._items is None:
+            self._items = tuple([(phi, i, len(list(run))) for phi, lam in self.partitions
+                                 for i, run in groupby(reversed(lam))])
+        return self._items
 
     def sort_key(self) -> tuple:
-        """The one order of invariants: by degree, then by ``items``."""
-        return (self.degree, tuple((phi.sort_key, i, e) for phi, i, e in self.items()))
+        """The one order of invariants: by degree, then by ``items``; computed once."""
+        if self._sort_key is None:
+            self._sort_key = (self.degree,
+                              tuple((phi.sort_key, i, e) for phi, i, e in self.items()))
+        return self._sort_key
 
     def is_automorphism(self) -> bool:
         return all(phi.coeffs != (0, 1) for phi, _lam in self.partitions)

@@ -122,6 +122,11 @@ class Poly:
         return (self.degree, 0 if z_minus_1 else 1, tuple(reversed(self.coeffs)))
 
     def __str__(self) -> str:
+        return self._str
+
+    @cached_property
+    def _str(self) -> str:
+        """Computed once: a cycle index prints phi in every term it divides."""
         if self.is_zero:
             return "0"
         terms = []

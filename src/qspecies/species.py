@@ -9,8 +9,9 @@ primary part of sigma (``BuiltinSpec``): Sub(k) and Proj = Sub(1) by
 Birkhoff's count of submodules.  fix(sigma) is the product over sigma's parts,
 and so is the centralizer order, so the type series, Burnside's sum over
 classes, is an Euler product over the monic irreducibles (``_class_sum``) that
-enumerates no class.  RepCyclic(m)'s type and generating series are the same
-product over the indicator of g^m = 1 on each part.  Only the cycle index
+enumerates no class; away from a few special phi its factor is a series with a
+closed log (``CLOSED_LOGS``).  RepCyclic(m)'s type and generating series are
+the same product over the indicator of g^m = 1 on each part.  Only the cycle index
 walks the classes, with fix(sigma) per class (``class_fix``).  E(F) and
 sym(m, F) are one plethysm rule, ``_plethysm``, applied to F's cycle index or
 to F's type series: the type specialisation sends the Adams operation Psi_r to
@@ -253,12 +254,15 @@ class BuiltinSpec:
     lam and v_phi, which is 0 except at the ``special`` phi: z - 1 for Elem and
     Bases, the phi dividing z^m - 1 for RepCyclic(m), each with its multiplicity
     there.  The centralizer order is a product over parts too, so Burnside's
-    sum over classes is an Euler product over the phi (``_class_sum``)."""
+    sum over classes is an Euler product over the phi (``_class_sum``).  Its
+    factor at the phi with v_phi = 0 is the series that ``generic`` names in
+    ``CLOSED_LOGS``, which ``type`` takes from there; ``zindex`` reads ``part``."""
     name: str
     count: object                  # (field, n, arg) -> |F[E_n]|
     part: object = None            # (q, deg phi, lam, v_phi, arg) -> count on one part
     special: object = lambda field, arg: ()  # (field, arg) -> ((phi, v_phi), ...)
     needs_arg: bool = False
+    generic: str = "one"           # the Euler factor at v_phi = 0, a key of CLOSED_LOGS
 
 
 def _z_minus_1(field, arg):
@@ -270,19 +274,23 @@ BUILTINS: dict[str, BuiltinSpec] = {
     "Zero": BuiltinSpec("Zero", lambda field, n, arg: 0),
     # fixed vectors: the kernel of sigma - 1, one dimension per part of lam at z - 1
     "Elem": BuiltinSpec("Elem", lambda field, n, arg: field.q**n,
-                        lambda q, d, lam, v, arg: q ** len(lam) if v else 1, _z_minus_1),
+                        lambda q, d, lam, v, arg: q ** len(lam) if v else 1, _z_minus_1,
+                        generic="euler"),
     # invariant subspaces of dimension k are F_q[z]-submodules, sums of their
     # phi-parts: the per-part counts are vectors by dimension, which convolve
     "Proj": BuiltinSpec("Proj", lambda field, n, arg: q_int(field.q, n),
-                        lambda q, d, lam, v, arg: _submodule_counts(lam, q**d, d, 1)),
+                        lambda q, d, lam, v, arg: _submodule_counts(lam, q**d, d, 1),
+                        generic="riedtmann"),
     "Sub": BuiltinSpec("Sub", lambda field, n, k: qbinomial(field, n, k) if k <= n else 0,
                        lambda q, d, lam, v, k: _submodule_counts(lam, q**d, d, k),
-                       needs_arg=True),
+                       needs_arg=True, generic="riedtmann"),
     # matrices commuting with sigma: its commutant algebra, and the units there
     "End": BuiltinSpec("End", lambda field, n, arg: field.q ** (n * n),
-                       lambda q, d, lam, v, arg: q ** _commutant_dim(d, lam)),
+                       lambda q, d, lam, v, arg: q ** _commutant_dim(d, lam),
+                       generic="feit_fine"),
     "Aut": BuiltinSpec("Aut", lambda field, n, arg: gl_order(field, n),
-                       lambda q, d, lam, v, arg: part_centralizer_order(q**d, lam)),
+                       lambda q, d, lam, v, arg: part_centralizer_order(q**d, lam),
+                       generic="partitions"),
     "Bases": BuiltinSpec("Bases", lambda field, n, arg: gl_order(field, n),
                          lambda q, d, lam, v, arg: _part_root(q, d, lam, v, 1), _z_minus_1),
     "V": BuiltinSpec("V", lambda field, n, arg: 1),
@@ -421,58 +429,99 @@ def class_fix(e: Builtin, field: FieldSpec, c: ConjClass) -> int:
     return out if isinstance(out, int) else out[-1]
 
 
-def _class_sum(field: FieldSpec, order: int, weight, special) -> PowerSeries:
+def _divisors(n: int) -> list[int]:
+    return [j for j in range(1, n + 1) if n % j == 0]
+
+
+def _riedtmann_log(Q: int, d: int, n: int, top: int) -> TPoly:
+    c = Fraction(1, n * (Q**n - 1))
+    return TPoly._of({0: c, d * n: c} if d * n <= top else {0: c})
+
+
+# The Euler factor g(y) = sum_lam weight(lam) y^|lam| of a phi of degree d with
+# v_phi = 0, by name: its ring and the y^n coefficient of log g, a function of
+# Q = q^d, d, n >= 1 and the highest power of t kept, top; None where g = 1.
+CLOSED_LOGS = {
+    # weight 1 (Aut; type of RepCyclic(0)): the partition series prod_i 1/(1 - y^i)
+    "partitions": (RATIONAL, lambda Q, d, n, top: Fraction(sum(_divisors(n)), n)),
+    # weight 1/a_lam (Elem; gen of RepCyclic(0)): Euler's
+    # A_Q(y) = prod_(j>=1) 1/(1 - Q^-j y) (Fine-Herstein, Illinois J. Math. 1958)
+    "euler": (RATIONAL, lambda Q, d, n, top: Fraction(1, n * (Q**n - 1))),
+    # weight Q^(sum_ij min(lam_i, lam_j))/a_lam (End):
+    # prod_(i>=1) prod_(j>=0) 1/(1 - Q^-j y^i) (Feit-Fine, Duke Math. J. 1960)
+    "feit_fine": (RATIONAL, lambda Q, d, n, top: sum(
+        (Fraction(Q**k, k * (Q**k - 1)) for k in _divisors(n)), Fraction(0))),
+    # weight sum_j (submodules of dimension j) t^j / a_lam (Proj, Sub(k)):
+    # A_Q(y) A_Q(t^d y) up to t^k (Riedtmann, J. Algebra 1994)
+    "riedtmann": (POLY_T, _riedtmann_log),
+    # weight 0 on every nonempty lam (Bases; RepCyclic(m), m >= 1)
+    "one": (RATIONAL, None),
+}
+
+
+def _class_sum(field: FieldSpec, order: int, weight, special, generic: str,
+               top: int = 0) -> PowerSeries:
     """sum_n sum_c prod_{(phi, lam) in c} weight(q, deg phi, lam, v_phi) x^n over
     the Aut classes c of dimension n <= order.  A class is a partition lam_phi
     for each monic irreducible phi != z, of dimension sum_phi deg(phi)|lam_phi|,
     so the sum is the Euler product over phi of
     g_phi(x) = sum_lam weight(q, deg phi, lam, v_phi) x^(deg phi |lam|)
     (Kung, Geom. Dedicata 1981; Stong, JCTA 1988; Macdonald, ch. IV).  Each
-    ``special`` (phi, v_phi) is its own factor.  Every other phi has v_phi = 0,
-    so the phi of degree d share one factor, raised to their number N_d from
-    ``irreducible_count``.  The product is exp of the sum of the factors' logs.
-    No class is enumerated."""
+    ``special`` (phi, v_phi) is its own factor, summed over lam.  Every other
+    phi has v_phi = 0, so the phi of degree d share one factor, raised to their
+    number N_d from ``irreducible_count``: the series that ``generic`` names in
+    ``CLOSED_LOGS``, whose log is known in closed form, so no weight is summed
+    for it.  A Riedtmann factor keeps t^top and below, which is all that
+    t^top of the product depends on.  The product is exp of the sum of the
+    factors' logs.  No class is enumerated."""
     q = field.q
-    ring = POLY_T if isinstance(weight(q, 1, (), 0), TPoly) else RATIONAL
-    factors = [(phi.degree, v, 1) for phi, v in special] + [
-        (d, 0, irreducible_count(field, d) - (d == 1)
-         - sum(phi.degree == d for phi, _v in special)) for d in range(1, order + 1)]
+    ring, closed_log = CLOSED_LOGS[generic]
     log = PowerSeries.zero(ring, order)  # sum over the factors of power * log g(x^d)
-    for d, v, power in factors:
+    for phi, v in special:
+        d = phi.degree
         if d <= order:
             g = PowerSeries(ring, order // d, [
                 sum((weight(q, d, lam, v) for lam in partitions(k)), ring_zero(ring))
                 for k in range(order // d + 1)])
-            log = log + PowerSeries.from_coeffs(ring, order, g.log().scale(power).coeffs).adams(d)
+            log = log + PowerSeries.from_coeffs(ring, order, g.log().coeffs).adams(d)
+    for d in range(1, order + 1):
+        power = (irreducible_count(field, d) - (d == 1)
+                 - sum(phi.degree == d for phi, _v in special))
+        if power and closed_log:
+            coeffs = [ring_zero(ring)] + [closed_log(q**d, d, n, top) * power
+                                          for n in range(1, order // d + 1)]
+            log = log + PowerSeries.from_coeffs(ring, order, coeffs).adams(d)
     return log.exp()
 
 
 def _rep_cyclic_gen(field: FieldSpec, order: int, m: int) -> PowerSeries:
     """sum_n #{g in GL_n : g^m = 1} x^n / gamma_n, that is sum_c [c^m = 1] / |C(c)|
     over classes: ``_class_sum`` of [lam_1 <= v_phi] / c_Q(lam), whose factors
-    are 1 except at the phi dividing z^m - 1 (at every phi, for m = 0)."""
+    are 1 except at the phi dividing z^m - 1, and Euler's A_Q at every phi for
+    m = 0."""
     return _class_sum(field, order, lambda q, d, lam, v: Fraction(
-        _is_root(lam, v, m), part_centralizer_order(q**d, lam)), _cyclotomic(field, m))
+        _is_root(lam, v, m), part_centralizer_order(q**d, lam)), _cyclotomic(field, m),
+        "one" if m else "euler")
 
 
 def _burnside(e: Builtin, field: FieldSpec, order: int) -> PowerSeries:
     """Orbit counts sum_c fix(c)/|C(c)| over Aut classes: ``_class_sum`` of the
     per-part count over the part's centralizer order, each coefficient checked
     to be a nonnegative integer.  Sub(k)'s and Proj's per-part counts become
-    polynomials in t, and the orbits of k-subspaces are the coefficients of t^k."""
+    polynomials in t, and the orbits of k-subspaces are the coefficients of t^k.
+    RepCyclic(0) counts every part, so its generic factor is the partitions'."""
     spec = BUILTINS[e.name]
+    generic = "partitions" if e.name == "RepCyclic" and e.arg == 0 else spec.generic
+    by_dim = CLOSED_LOGS[generic][0] == POLY_T
+    # counts by dimension up to k: the empty part's is (1, 0, ..., 0)
+    top = len(spec.part(field.q, 1, (), 0, e.arg)) - 1 if by_dim else 0
 
-    def weight(q, d, lam, v):
-        count = spec.part(q, d, lam, v, e.arg)
-        c = part_centralizer_order(q**d, lam)
-        if isinstance(count, tuple):
-            return TPoly({j: Fraction(x, c) for j, x in enumerate(count)})
-        return Fraction(count, c)
+    def weight(q, d, lam, v):  # at a special phi; none has counts by dimension
+        return Fraction(spec.part(q, d, lam, v, e.arg), part_centralizer_order(q**d, lam))
 
-    coeffs = _class_sum(field, order, weight, spec.special(field, e.arg)).coeffs
-    unit = spec.part(field.q, 1, (), 0, e.arg)
-    if isinstance(unit, tuple):
-        coeffs = [c.coeffs.get(len(unit) - 1, Fraction(0)) for c in coeffs]
+    coeffs = _class_sum(field, order, weight, spec.special(field, e.arg), generic, top).coeffs
+    if by_dim:
+        coeffs = [c.coeffs.get(top, Fraction(0)) for c in coeffs]
     for n, c in enumerate(coeffs):
         require(c.denominator == 1 and c >= 0,
                 f"Burnside sum {c} at n={n} is not a nonnegative integer")
