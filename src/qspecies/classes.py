@@ -43,8 +43,9 @@ class ConjClass:
 
 
 @lru_cache(maxsize=None)
-def partitions(m: int) -> tuple[tuple[int, ...], ...]:
-    """Partitions of m as descending tuples; the empty partition for m = 0."""
+def partitions(m: int, largest: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """Partitions of m with no part above ``largest`` (default m) as descending
+    tuples; the empty partition for m = 0."""
     if m == 0:
         return ((),)
     out = []
@@ -56,7 +57,7 @@ def partitions(m: int) -> tuple[tuple[int, ...], ...]:
         for part in range(min(remaining, largest), 0, -1):
             rec(remaining - part, part, acc + (part,))
 
-    rec(m, m, ())
+    rec(m, m if largest is None else largest, ())
     return tuple(out)
 
 

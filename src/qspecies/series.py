@@ -362,7 +362,8 @@ def euler_product(exponents: dict[int, int], order: int, ring: str = RATIONAL) -
             raise ValueError("euler product exponents must be >= 0")
         if m > order or a == 0:
             continue
-        out = out * binomial_inverse_power(ring, order, m, a)
+        # the sparse factor on the left: the product walks its nonzero terms
+        out = binomial_inverse_power(ring, order, m, a) * out
     return out
 
 

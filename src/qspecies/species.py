@@ -4,22 +4,23 @@ A species expression is a small immutable AST.  The generating, type and
 cycle index series are one fold over it, ``_fold``: F+G adds, FG multiplies,
 F^n is a power and plus(F) drops the constant term.  Each series supplies only
 its leaves (builtins, sym, E and mark).  Builtins carry closed-form structure
-counts and, unless fix(sigma) depends on the dimension alone, one count per
-primary part of sigma (``BuiltinSpec``): Sub(k) and Proj = Sub(1) by
-Birkhoff's count of submodules.  fix(sigma) is the product over sigma's parts,
-and so is the centralizer order, so the type series, Burnside's sum over
-classes, is an Euler product over the monic irreducibles (``_class_sum``) that
-enumerates no class; away from a few special phi its factor is a series with a
-closed log (``CLOSED_LOGS``).  RepCyclic(m)'s type and generating series are
-the same product over the indicator of g^m = 1 on each part.  Only the cycle index
-walks the classes, with fix(sigma) per class (``class_fix``).  E(F) and
-sym(m, F) are one plethysm rule, ``_plethysm``, applied to F's cycle index or
-to F's type series: the type specialisation sends the Adams operation Psi_r to
-x -> x^r, so the type series never builds a cycle index.  Nothing here uses
-the oracle; the only enumeration is RepCyclic(m)'s cycle index, of the
-commutant of each non-scalar primary part, bounded by DEFAULT_BUDGET per
-dimension.  The oracle's literal sums over all of GL_n stay the independent
-check.
+counts and orbit counts (``BuiltinSpec``).  GL_n is transitive on the
+subspaces of each dimension and on bases, and has two orbits on vectors; the
+orbits on matrices, and on the g with g^m = 1 (RepCyclic(m)), are the
+conjugacy classes, counted by an Euler product over the monic irreducibles
+(``_class_counts``) that enumerates no class.  So the type series sums no
+partition.  Unless fix(sigma) depends on the dimension alone, a builtin also
+carries one count per primary part of sigma: Sub(k) and Proj = Sub(1) by
+Birkhoff's count of submodules.  fix(sigma) is the product over sigma's
+parts, and only the cycle index walks the classes, with fix(sigma) per class
+(``class_fix``).  RepCyclic(m)'s generating series is a product over the phi
+dividing z^m - 1 (``_rep_cyclic_gen``).  E(F) and sym(m, F) are one plethysm
+rule, ``_plethysm``, applied to F's cycle index or to F's type series: the
+type specialisation sends the Adams operation Psi_r to x -> x^r, so the type
+series never builds a cycle index.  Nothing here uses the oracle; the only
+enumeration is RepCyclic(m)'s cycle index, of the commutant of each
+non-scalar primary part, bounded by DEFAULT_BUDGET per dimension.  The
+oracle's literal sums over all of GL_n stay the independent check.
 
 Weights have one rule: mark(F) multiplies weights by t in the weighted
 generating series, and the type series and cycle index of any expression
@@ -40,7 +41,7 @@ from .linalg import (DEFAULT_BUDGET, BudgetExceededError, Matrix, block_diagonal
                      companion_matrix, gaussian_binomial, gl_order, q_int, qbinomial,
                      require)
 from .poly import Poly, irreducible_count, poly_z_minus
-from .series import POLY_T, RATIONAL, PowerSeries, TPoly, ring_one, ring_zero
+from .series import POLY_T, RATIONAL, PowerSeries, TPoly, euler_product, ring_one
 from .cycleindex import CycleIndexSeries, _factor_at_power, z_build, z_one
 
 
@@ -117,14 +118,6 @@ def _is_root(lam, v, m):
     """Whether g^m = 1 on a part: z^m - 1 is a multiple of every elementary
     divisor phi^i, i in lam, so lam_1 <= v_phi.  Always, for m = 0."""
     return m == 0 or all(i <= v for i in lam)
-
-
-def _part_root(q, d, lam, v, m):
-    """The part's centralizer order if g^m = 1 on it, else 0: as a class function,
-    [sigma^m = 1] |C(sigma)|.  For m = 1 this is Bases' fixed-point count.  For
-    RepCyclic(m) it is not the fixed-point count (``_fix_rep_cyclic``), but it has
-    the same Burnside sum: both count the classes with sigma^m = 1."""
-    return part_centralizer_order(q**d, lam) if _is_root(lam, v, m) else 0
 
 
 @lru_cache(maxsize=None)
@@ -248,57 +241,90 @@ def _commutant_roots(field: FieldSpec, phi: Poly, lam: tuple, m: int) -> int:
 
 @dataclass(frozen=True)
 class BuiltinSpec:
-    """A builtin: its closed count |F[E_n]| and, unless fix F[sigma] depends on
-    n alone, its count on one primary part (phi, lam) of sigma, whose product
-    over sigma's parts is fix F[sigma].  A part count depends on q, deg phi,
-    lam and v_phi, which is 0 except at the ``special`` phi: z - 1 for Elem and
-    Bases, the phi dividing z^m - 1 for RepCyclic(m), each with its multiplicity
-    there.  The centralizer order is a product over parts too, so Burnside's
-    sum over classes is an Euler product over the phi (``_class_sum``).  Its
-    factor at the phi with v_phi = 0 is the series that ``generic`` names in
-    ``CLOSED_LOGS``, which ``type`` takes from there; ``zindex`` reads ``part``."""
+    """A builtin: its closed count |F[E_n]|; its type series, the GL_n-orbits
+    on F[E_n] in closed form, unless GL_n acts trivially and the orbits are the
+    structures; and, unless fix F[sigma] depends on n alone, its count on one
+    primary part (phi, lam) of sigma, whose product over sigma's parts is
+    fix F[sigma].  A part count depends on q, deg phi, lam and v_phi, which is
+    0 except at the ``special`` phi, z - 1 for Elem and Bases, where it is 1.
+    ``type`` reads ``types`` and ``zindex`` reads ``part``; RepCyclic(m) has
+    fixed points of its own (``_fix_rep_cyclic``)."""
     name: str
     count: object                  # (field, n, arg) -> |F[E_n]|
     part: object = None            # (q, deg phi, lam, v_phi, arg) -> count on one part
     special: object = lambda field, arg: ()  # (field, arg) -> ((phi, v_phi), ...)
     needs_arg: bool = False
-    generic: str = "one"           # the Euler factor at v_phi = 0, a key of CLOSED_LOGS
+    types: object = None           # (field, order, arg) -> the type series
 
 
 def _z_minus_1(field, arg):
     return _cyclotomic(field, 1)
 
 
+def _types_by_dimension(orbits):
+    """``BuiltinSpec.types`` from the number of orbits on F[E_n],
+    (field, n, arg) -> int."""
+    return lambda field, order, arg: PowerSeries(
+        RATIONAL, order, [Fraction(orbits(field, n, arg)) for n in range(order + 1)])
+
+
+def _class_counts(field: FieldSpec, order: int, m: int | None) -> PowerSeries:
+    """The classes of each dimension: of End for m = None, else of the g in GL
+    with g^m = 1.  A class is a partition lam_phi for each monic irreducible
+    phi, z excluded in GL, and g^m = 1 when lam_phi has no part above v_phi,
+    the multiplicity of phi in z^m - 1 (``_is_root``; no bound for m = 0).  So
+    the count is the Euler product over the phi of
+    prod_(i <= v_phi) 1/(1 - x^(i deg phi)) (Macdonald, ch. IV), whose
+    unbounded factors are shared by the N_d phi of each degree d."""
+    if m:
+        bounds = [(phi.degree, v, 1) for phi, v in _cyclotomic(field, m)]
+    else:
+        bounds = [(d, order, irreducible_count(field, d) - (d == 1 and m == 0))
+                  for d in range(1, order + 1)]
+    exponents = dict.fromkeys(range(1, order + 1), 0)
+    for d, v, number in bounds:
+        for i in range(1, min(v, order // d) + 1):
+            exponents[i * d] += number
+    return euler_product(exponents, order)
+
+
 BUILTINS: dict[str, BuiltinSpec] = {
     "One": BuiltinSpec("One", lambda field, n, arg: 1 if n == 0 else 0),
     "Zero": BuiltinSpec("Zero", lambda field, n, arg: 0),
-    # fixed vectors: the kernel of sigma - 1, one dimension per part of lam at z - 1
+    # fixed vectors: the kernel of sigma - 1, one dimension per part of lam at
+    # z - 1; two orbits, the zero vector and the rest
     "Elem": BuiltinSpec("Elem", lambda field, n, arg: field.q**n,
                         lambda q, d, lam, v, arg: q ** len(lam) if v else 1, _z_minus_1,
-                        generic="euler"),
+                        types=_types_by_dimension(lambda field, n, arg: min(n, 1) + 1)),
     # invariant subspaces of dimension k are F_q[z]-submodules, sums of their
-    # phi-parts: the per-part counts are vectors by dimension, which convolve
+    # phi-parts: the per-part counts are vectors by dimension, which convolve;
+    # GL_n is transitive on the k-subspaces
     "Proj": BuiltinSpec("Proj", lambda field, n, arg: q_int(field.q, n),
                         lambda q, d, lam, v, arg: _submodule_counts(lam, q**d, d, 1),
-                        generic="riedtmann"),
+                        types=_types_by_dimension(lambda field, n, arg: int(n >= 1))),
     "Sub": BuiltinSpec("Sub", lambda field, n, k: qbinomial(field, n, k) if k <= n else 0,
                        lambda q, d, lam, v, k: _submodule_counts(lam, q**d, d, k),
-                       needs_arg=True, generic="riedtmann"),
-    # matrices commuting with sigma: its commutant algebra, and the units there
+                       needs_arg=True,
+                       types=_types_by_dimension(lambda field, n, k: int(n >= k))),
+    # matrices commuting with sigma: its commutant algebra, and the units there;
+    # the orbits are the classes
     "End": BuiltinSpec("End", lambda field, n, arg: field.q ** (n * n),
                        lambda q, d, lam, v, arg: q ** _commutant_dim(d, lam),
-                       generic="feit_fine"),
+                       types=lambda field, order, arg: _class_counts(field, order, None)),
     "Aut": BuiltinSpec("Aut", lambda field, n, arg: gl_order(field, n),
                        lambda q, d, lam, v, arg: part_centralizer_order(q**d, lam),
-                       generic="partitions"),
+                       types=lambda field, order, arg: _class_counts(field, order, 0)),
+    # the centralizer of sigma if sigma = 1 on the part, else nothing; one orbit
     "Bases": BuiltinSpec("Bases", lambda field, n, arg: gl_order(field, n),
-                         lambda q, d, lam, v, arg: _part_root(q, d, lam, v, 1), _z_minus_1),
+                         lambda q, d, lam, v, arg:
+                         part_centralizer_order(q**d, lam) if _is_root(lam, v, 1) else 0,
+                         _z_minus_1, types=_types_by_dimension(lambda field, n, arg: 1)),
     "V": BuiltinSpec("V", lambda field, n, arg: 1),
     "Vplus": BuiltinSpec("Vplus", lambda field, n, arg: 1 if n >= 1 else 0),
     "Fscalar": BuiltinSpec("Fscalar", lambda field, n, arg: field.q if n == 1 else 0),
     "Fstar": BuiltinSpec("Fstar", lambda field, n, arg: field.q - 1 if n == 1 else 0),
-    "RepCyclic": BuiltinSpec("RepCyclic", _count_rep_cyclic, _part_root, _cyclotomic,
-                             needs_arg=True),
+    "RepCyclic": BuiltinSpec("RepCyclic", _count_rep_cyclic, needs_arg=True,
+                             types=_class_counts),
 }
 
 
@@ -429,103 +455,22 @@ def class_fix(e: Builtin, field: FieldSpec, c: ConjClass) -> int:
     return out if isinstance(out, int) else out[-1]
 
 
-def _divisors(n: int) -> list[int]:
-    return [j for j in range(1, n + 1) if n % j == 0]
-
-
-def _riedtmann_log(Q: int, d: int, n: int, top: int) -> TPoly:
-    c = Fraction(1, n * (Q**n - 1))
-    return TPoly._of({0: c, d * n: c} if d * n <= top else {0: c})
-
-
-# The Euler factor g(y) = sum_lam weight(lam) y^|lam| of a phi of degree d with
-# v_phi = 0, by name: its ring and the y^n coefficient of log g, a function of
-# Q = q^d, d, n >= 1 and the highest power of t kept, top; None where g = 1.
-CLOSED_LOGS = {
-    # weight 1 (Aut; type of RepCyclic(0)): the partition series prod_i 1/(1 - y^i)
-    "partitions": (RATIONAL, lambda Q, d, n, top: Fraction(sum(_divisors(n)), n)),
-    # weight 1/a_lam (Elem; gen of RepCyclic(0)): Euler's
-    # A_Q(y) = prod_(j>=1) 1/(1 - Q^-j y) (Fine-Herstein, Illinois J. Math. 1958)
-    "euler": (RATIONAL, lambda Q, d, n, top: Fraction(1, n * (Q**n - 1))),
-    # weight Q^(sum_ij min(lam_i, lam_j))/a_lam (End):
-    # prod_(i>=1) prod_(j>=0) 1/(1 - Q^-j y^i) (Feit-Fine, Duke Math. J. 1960)
-    "feit_fine": (RATIONAL, lambda Q, d, n, top: sum(
-        (Fraction(Q**k, k * (Q**k - 1)) for k in _divisors(n)), Fraction(0))),
-    # weight sum_j (submodules of dimension j) t^j / a_lam (Proj, Sub(k)):
-    # A_Q(y) A_Q(t^d y) up to t^k (Riedtmann, J. Algebra 1994)
-    "riedtmann": (POLY_T, _riedtmann_log),
-    # weight 0 on every nonempty lam (Bases; RepCyclic(m), m >= 1)
-    "one": (RATIONAL, None),
-}
-
-
-def _class_sum(field: FieldSpec, order: int, weight, special, generic: str,
-               top: int = 0) -> PowerSeries:
-    """sum_n sum_c prod_{(phi, lam) in c} weight(q, deg phi, lam, v_phi) x^n over
-    the Aut classes c of dimension n <= order.  A class is a partition lam_phi
-    for each monic irreducible phi != z, of dimension sum_phi deg(phi)|lam_phi|,
-    so the sum is the Euler product over phi of
-    g_phi(x) = sum_lam weight(q, deg phi, lam, v_phi) x^(deg phi |lam|)
-    (Kung, Geom. Dedicata 1981; Stong, JCTA 1988; Macdonald, ch. IV).  Each
-    ``special`` (phi, v_phi) is its own factor, summed over lam.  Every other
-    phi has v_phi = 0, so the phi of degree d share one factor, raised to their
-    number N_d from ``irreducible_count``: the series that ``generic`` names in
-    ``CLOSED_LOGS``, whose log is known in closed form, so no weight is summed
-    for it.  A Riedtmann factor keeps t^top and below, which is all that
-    t^top of the product depends on.  The product is exp of the sum of the
-    factors' logs.  No class is enumerated."""
-    q = field.q
-    ring, closed_log = CLOSED_LOGS[generic]
-    log = PowerSeries.zero(ring, order)  # sum over the factors of power * log g(x^d)
-    for phi, v in special:
-        d = phi.degree
-        if d <= order:
-            g = PowerSeries(ring, order // d, [
-                sum((weight(q, d, lam, v) for lam in partitions(k)), ring_zero(ring))
-                for k in range(order // d + 1)])
-            log = log + PowerSeries.from_coeffs(ring, order, g.log().coeffs).adams(d)
-    for d in range(1, order + 1):
-        power = (irreducible_count(field, d) - (d == 1)
-                 - sum(phi.degree == d for phi, _v in special))
-        if power and closed_log:
-            coeffs = [ring_zero(ring)] + [closed_log(q**d, d, n, top) * power
-                                          for n in range(1, order // d + 1)]
-            log = log + PowerSeries.from_coeffs(ring, order, coeffs).adams(d)
-    return log.exp()
-
-
 def _rep_cyclic_gen(field: FieldSpec, order: int, m: int) -> PowerSeries:
     """sum_n #{g in GL_n : g^m = 1} x^n / gamma_n, that is sum_c [c^m = 1] / |C(c)|
-    over classes: ``_class_sum`` of [lam_1 <= v_phi] / c_Q(lam), whose factors
-    are 1 except at the phi dividing z^m - 1, and Euler's A_Q at every phi for
-    m = 0."""
-    return _class_sum(field, order, lambda q, d, lam, v: Fraction(
-        _is_root(lam, v, m), part_centralizer_order(q**d, lam)), _cyclotomic(field, m),
-        "one" if m else "euler")
-
-
-def _burnside(e: Builtin, field: FieldSpec, order: int) -> PowerSeries:
-    """Orbit counts sum_c fix(c)/|C(c)| over Aut classes: ``_class_sum`` of the
-    per-part count over the part's centralizer order, each coefficient checked
-    to be a nonnegative integer.  Sub(k)'s and Proj's per-part counts become
-    polynomials in t, and the orbits of k-subspaces are the coefficients of t^k.
-    RepCyclic(0) counts every part, so its generic factor is the partitions'."""
-    spec = BUILTINS[e.name]
-    generic = "partitions" if e.name == "RepCyclic" and e.arg == 0 else spec.generic
-    by_dim = CLOSED_LOGS[generic][0] == POLY_T
-    # counts by dimension up to k: the empty part's is (1, 0, ..., 0)
-    top = len(spec.part(field.q, 1, (), 0, e.arg)) - 1 if by_dim else 0
-
-    def weight(q, d, lam, v):  # at a special phi; none has counts by dimension
-        return Fraction(spec.part(q, d, lam, v, e.arg), part_centralizer_order(q**d, lam))
-
-    coeffs = _class_sum(field, order, weight, spec.special(field, e.arg), generic, top).coeffs
-    if by_dim:
-        coeffs = [c.coeffs.get(top, Fraction(0)) for c in coeffs]
-    for n, c in enumerate(coeffs):
-        require(c.denominator == 1 and c >= 0,
-                f"Burnside sum {c} at n={n} is not a nonnegative integer")
-    return PowerSeries(RATIONAL, order, coeffs)
+    over classes.  The indicator, lam_1 <= v_phi on every part, and the
+    centralizer order are products over parts, so the sum is the product over
+    the phi dividing z^m - 1 of sum_(lam_1 <= v_phi) y^|lam| / c_Q(lam), with
+    y = x^deg phi and Q = q^deg phi.  For m = 0 every g counts: 1 in every
+    dimension."""
+    if m == 0:
+        return PowerSeries(RATIONAL, order, [Fraction(1)] * (order + 1))
+    out = PowerSeries.one(RATIONAL, order)
+    for phi, v in _cyclotomic(field, m):
+        d, Q = phi.degree, field.q**phi.degree
+        factor = [sum((Fraction(1, part_centralizer_order(Q, lam)) for lam in partitions(k, v)),
+                      Fraction(0)) for k in range(order // d + 1)]
+        out = PowerSeries.from_coeffs(RATIONAL, order, factor).adams(d) * out
+    return out
 
 
 # -- plethysm ---------------------------------------------------------------------
@@ -564,13 +509,12 @@ def _z_lambda(lam: tuple) -> int:
 def type_series(e: SpeciesExpr, field: FieldSpec, order: int) -> PowerSeries:
     """The type generating series sum ftilde_n x^n, truncated, over Q.
 
-    A builtin with per-part counts sums fix(c)/|C(c)| over conjugacy classes
-    (Burnside) as an Euler product over the irreducibles, ``_burnside``; for
-    the others fix(c) is the count on E_n, and sum_c 1/|C(c)| = 1.  E(F) and
-    sym(m, F) are ``_plethysm`` of F's type series, each coefficient checked to
-    be a nonnegative integer; the other nodes go through ``_fold``.  No cycle
-    index is built and no class or structure is enumerated.  An expression that
-    contains ``mark`` raises UnsupportedOperationError."""
+    A builtin's orbits on F[E_n] are its closed ``types``, or its structures
+    where GL_n acts trivially.  E(F) and sym(m, F) are ``_plethysm`` of F's
+    type series, each coefficient checked to be a nonnegative integer; the
+    other nodes go through ``_fold``.  No cycle index is built and no class or
+    structure is enumerated.  An expression that contains ``mark`` raises
+    UnsupportedOperationError."""
     _validate_unweighted(e, "type series")
 
     def leaf(x: SpeciesExpr) -> PowerSeries:
@@ -582,10 +526,7 @@ def type_series(e: SpeciesExpr, field: FieldSpec, order: int) -> PowerSeries:
                         f"{what} type coefficient {c} at n={n} is not a nonnegative integer")
             return types
         spec = BUILTINS[x.name]
-        if spec.part is not None:
-            return _burnside(x, field, order)
-        return PowerSeries(RATIONAL, order, [Fraction(spec.count(field, n, x.arg))
-                                             for n in range(order + 1)])
+        return (spec.types or _types_by_dimension(spec.count))(field, order, x.arg)
 
     return _fold(e, leaf)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qspecies.classes import (centralizer_order, enumerate_classes,
-                              part_centralizer_order)
+                              part_centralizer_order, partitions)
 from qspecies.field import field_make
 from qspecies.linalg import enumerate_matrices, gl_order, invariant_data
 
@@ -123,3 +123,10 @@ def test_centralizer_order_is_the_product_of_part_orders():
 
 def test_class_sizes_sum_to_gl12_order():
     assert sum(c.class_size for c in enumerate_classes(F2, 12, "aut")) == gl_order(F2, 12)
+
+
+def test_bounded_partitions_are_the_filtered_ones():
+    for k in range(21):
+        for largest in range(k + 2):
+            assert partitions(k, largest) == tuple(
+                lam for lam in partitions(k) if all(part <= largest for part in lam)), (k, largest)

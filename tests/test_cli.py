@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -352,3 +353,24 @@ def test_python_dash_m_runs_the_cli():
                          env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip()
+
+
+# Rows that once summed weights over partitions, pinned by the sha256 of
+# their output before their orbit counts had closed forms
+PINNED = [
+    (["type", "Bases", "--order", "40"],
+     "ad1c66b1cfd51788d30b76b2b673dc2dfdcc8ffb5ff7e0b0360c1d6d0f4b2923"),
+    (["type", "RepCyclic(2)", "--order", "40"],
+     "9541d3612cf223fa86c15e0809b863715de89219e6aba3c87bb3b1d1ffc76ef3"),
+    (["gen", "RepCyclic(2)", "--order", "40"],
+     "d0769d0274f54c91c23a0c36dc3c1721a5643453dbfafa367589621c3b378f24"),
+    (["type", "Elem", "--order", "30", "--q", "3"],
+     "eb8d20e582a774f09ea9445ec637944969e7d72f735351ab7f099be722edd9c3"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED, ids=[" ".join(a) for a, _d in PINNED])
+def test_orbit_count_outputs_are_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -12,12 +11,11 @@ import qspecies
 from qspecies import oracle, species
 from qspecies.cli import main
 from qspecies.field import field_make
-from qspecies.classes import enumerate_classes, part_centralizer_order, partitions
+from qspecies.classes import enumerate_classes, part_centralizer_order
 from qspecies.linalg import ConsistencyError, Matrix, enumerate_matrices, gl_order, qbinomial
 from qspecies.oracle import structure_count_bf
 from qspecies.parser import parse, render
-from qspecies.series import (POLY_T, RATIONAL, PowerSeries, TPoly, aut_type_product,
-                             ring_zero)
+from qspecies.series import POLY_T, RATIONAL, TPoly, aut_type_product
 from qspecies.species import (Assembly, Builtin, Mark, Plus, Power, Product,
                               Sum, SymPower, UnsupportedOperationError,
                               cycle_index, gen_series, type_series, validate,
@@ -230,21 +228,24 @@ def test_type_of_marked_assembly_unsupported():
         cycle_index(Mark(B("Vplus")), F2, 2)
 
 
-def _wrong_elem_part(q, d, lam, v, arg):
-    """Not a count of fixed vectors at the special phi = z - 1, the factor that
-    ``type`` still sums over partitions: at n=2 over F_2 the Burnside sum is
-    2/6 + 1/2 + 1/3 = 7/6 over the classes (z+1, 11), (z+1, 2), (z^2+z+1, 1)."""
-    return max(len(lam), 1) if v else 1
+def _wrong_centralizer(Q, lam):
+    """One too many at lam = (1, 1), so that over F_2 the g in GL_2 with g^2 = 1,
+    gamma_2 times the sum of 1/c_Q(lam) over lam = (2), (1, 1), read
+    6 (1/2 + 1/7) = 27/7."""
+    return part_centralizer_order(Q, lam) + (lam == (1, 1))
 
 
-def test_non_integral_burnside_sum_is_a_failed_check(monkeypatch, capsys):
-    monkeypatch.setitem(species.BUILTINS, "Elem",
-                        replace(species.BUILTINS["Elem"], part=_wrong_elem_part))
-    with pytest.raises(ConsistencyError) as info:
-        type_series(B("Elem"), F2, 2)
-    assert not isinstance(info.value, UnsupportedOperationError)
-    assert main(["type", "Elem", "--order", "2"]) == 1
-    assert "Burnside sum" in capsys.readouterr().err
+def test_non_integral_rep_cyclic_count_is_a_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr(species, "part_centralizer_order", _wrong_centralizer)
+    species._count_rep_cyclic.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError) as info:
+            cycle_index(parse("RepCyclic(2)"), F2, 3)
+        assert not isinstance(info.value, UnsupportedOperationError)
+        assert main(["zindex", "RepCyclic(2)", "--order", "3"]) == 1
+    finally:
+        species._count_rep_cyclic.cache_clear()
+    assert "RepCyclic(2) count 27/7 at n=2 is not an integer" in capsys.readouterr().err
 
 
 def test_mark_requires_weighted_ring():
@@ -296,61 +297,27 @@ def test_euler_products_are_the_class_sums(field, top, texts):
         assert gen_series(e, field, top) == z.specialize_generating(), text
 
 
-def _part_over_centralizer(text):
-    """The weight of a builtin's Burnside sum on a part (phi, lam) with v_phi = 0:
-    its part count over the part's centralizer order, by dimension in t."""
-    e = parse(text)
-    part = species.BUILTINS[e.name].part
-
-    def weight(q, d, lam):
-        count, c = part(q, d, lam, 0, e.arg), part_centralizer_order(q**d, lam)
-        if isinstance(count, tuple):
-            return TPoly({j: Fraction(x, c) for j, x in enumerate(count)})
-        return Fraction(count, c)
-    return weight
-
-
-# (what, the generic factor it names, the power of t that type reads, weight)
-GENERIC_FACTORS = [
-    ("Aut", "partitions", 0, _part_over_centralizer("Aut")),
-    ("type RepCyclic(0)", "partitions", 0, _part_over_centralizer("RepCyclic(0)")),
-    ("Elem", "euler", 0, _part_over_centralizer("Elem")),
-    ("gen RepCyclic(0)", "euler", 0,
-     lambda q, d, lam: Fraction(1, part_centralizer_order(q**d, lam))),
-    ("End", "feit_fine", 0, _part_over_centralizer("End")),
-    ("Proj", "riedtmann", 1, _part_over_centralizer("Proj")),
-    ("Sub(1)", "riedtmann", 1, _part_over_centralizer("Sub(1)")),
-    ("Sub(2)", "riedtmann", 2, _part_over_centralizer("Sub(2)")),
-    ("Sub(3)", "riedtmann", 3, _part_over_centralizer("Sub(3)")),
-    ("Bases", "one", 0, _part_over_centralizer("Bases")),
-    ("type RepCyclic(2)", "one", 0, _part_over_centralizer("RepCyclic(2)")),
-]
-
-
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_closed_logs_are_the_partition_sums(q):
-    # each generic Euler factor's closed log against the log of its sum over
-    # partitions, up to x^20, so y^(20 // d) for y = x^d; t^top and below
-    for what, generic, top, weight in GENERIC_FACTORS:
-        ring, closed_log = species.CLOSED_LOGS[generic]
-        for d in (1, 2, 3):
-            most = 20 // d
-            g = PowerSeries(ring, most, [
-                sum((weight(q, d, lam) for lam in partitions(k)), ring_zero(ring))
-                for k in range(most + 1)])
-            for n, c in enumerate(g.log().coeffs[1:], 1):
-                if ring == POLY_T:
-                    c = {j: x for j, x in c.coeffs.items() if j <= top}
-                    assert closed_log(q**d, d, n, top).coeffs == c, (what, d, n)
-                else:
-                    assert (closed_log(q**d, d, n, top) if closed_log else 0) == c, (what, d, n)
+@pytest.mark.parametrize("field, top", [(F2, 8), (F3, 5), (F4, 4)], ids=["q2", "q3", "q4"])
+def test_class_counts_are_the_enumerated_classes(field, top):
+    # the Euler product against the class tables: End's, and Aut's classes
+    # with sigma^m = 1 by the predicate on elementary divisors
+    assert list(species._class_counts(field, top, None).coeffs) == [
+        len(enumerate_classes(field, n, "end")) for n in range(top + 1)]
+    for m in range(7):
+        v = dict(species._cyclotomic(field, m))
+        assert list(species._class_counts(field, top, m).coeffs) == [
+            sum(all(species._is_root(lam, v.get(phi, 0), m) for phi, lam in c.invariant.partitions)
+                for c in enumerate_classes(field, n, "aut"))
+            for n in range(top + 1)], m
 
 
 def test_generic_factors_sum_no_partition(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("summed a weight over partitions")
     monkeypatch.setattr(species, "part_centralizer_order", refuse)
-    for text in ("Aut", "End", "Proj", "Sub(3)"):
+    monkeypatch.setattr(species, "partitions", refuse)
+    for text in ("Aut", "End", "Proj", "Sub(3)", "Elem", "Bases",
+                 "RepCyclic(0)", "RepCyclic(2)", "RepCyclic(3)"):
         assert type_series(parse(text), F2, 24).coeffs[24] >= 1
 
 
@@ -418,7 +385,7 @@ def test_non_integral_sym_type_is_a_failed_check(monkeypatch, capsys):
 
 def test_plethysm_checks_survive_python_O():
     script = (
-        "import dataclasses, sys\n"
+        "import sys\n"
         "from qspecies import cycleindex, species\n"
         "from qspecies.cli import main\n"
         "species._z_lambda = lambda lam: 3\n"
@@ -427,10 +394,9 @@ def test_plethysm_checks_survive_python_O():
         "cycleindex.monic_irreducibles = lambda field, d, exclude_z=False: [\n"
         "    f for f in irreducibles(field, d, exclude_z) if f.coeffs != (1, 1, 1)]\n"
         "print(main(['zindex', 'E(Vplus)', '--order', '4']), sys.flags.optimize)\n"
-        "species.BUILTINS['Elem'] = dataclasses.replace(\n"
-        "    species.BUILTINS['Elem'],\n"
-        "    part=lambda q, d, lam, v, arg: max(len(lam), 1) if v else 1)\n"
-        "print(main(['type', 'Elem', '--order', '2']))\n"
+        "centralizer = species.part_centralizer_order\n"
+        "species.part_centralizer_order = lambda Q, lam: centralizer(Q, lam) + (lam == (1, 1))\n"
+        "print(main(['zindex', 'RepCyclic(2)', '--order', '3']))\n"
     )
     src = str(Path(qspecies.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -439,4 +405,4 @@ def test_plethysm_checks_survive_python_O():
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["1", "1", "1", "1"]
     assert "sym type coefficient" in out.stderr and "account for degree" in out.stderr
-    assert "Burnside sum 7/6 at n=2" in out.stderr
+    assert "RepCyclic(2) count 27/7 at n=2 is not an integer" in out.stderr
