@@ -412,18 +412,21 @@ class Matrix:
 
     def kernel_basis(self) -> "Subspace":
         """Right kernel {v : A v = 0} as a Subspace of F_q^ncols."""
-        F = self.field
+        return Subspace.from_vectors(self.field, self.ncols, self.kernel_vectors())
+
+    def kernel_vectors(self) -> list[tuple[int, ...]]:
+        """A basis of the right kernel from one elimination, 1 at one free column each."""
         red, pivots = self.rref()
-        n = self.ncols
-        free = [c for c in range(n) if c not in pivots]
+        rows, neg, n = red.entries, self.field._neg, self.ncols
         vecs = []
-        for fc in free:
-            v = [0] * n
-            v[fc] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = F._neg[red.entries[r][fc]]
-            vecs.append(tuple(v))
-        return Subspace.from_vectors(self.field, n, vecs)
+        for fc in range(n):
+            if fc not in pivots:
+                v = [0] * n
+                v[fc] = 1
+                for row, pc in zip(rows, pivots):
+                    v[pc] = neg[row[fc]]
+                vecs.append(tuple(v))
+        return vecs
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(a) for a in row) for row in self.entries)
@@ -525,6 +528,22 @@ def block_diagonal(field: FieldSpec, blocks: list[Matrix]) -> Matrix:
                 rows[off + i][off + j] = b.entries[i][j]
         off += b.nrows
     return Matrix.make(field, rows)
+
+
+def commutant_basis(s: Matrix) -> list[tuple[int, ...]]:
+    """A basis of the commutant {X : s X = X s} of the n x n s, each member
+    flattened row by row: the kernel of X -> s X - X s, whose matrix has row
+    (i, j) holding s_it at column (t, j) less s_tj at column (i, t)."""
+    n, rows, add, neg = s.nrows, s.entries, s.field._add, s.field._neg
+    minus = [[neg[x] for x in column] for column in zip(*rows)]  # of s's columns
+    table = []
+    for i, j in product(range(n), repeat=2):
+        row = [0] * (n * n)
+        row[j::n] = rows[i]
+        row[i * n:i * n + n] = minus[j]
+        row[i * n + j] = add[rows[i][i]][minus[j][j]]  # both terms meet at (i, j)
+        table.append(tuple(row))
+    return Matrix(s.field, tuple(table)).kernel_vectors()
 
 
 # -- rational canonical invariants -------------------------------------------

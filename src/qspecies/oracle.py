@@ -29,12 +29,13 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, islice, product as iproduct
+from itertools import islice, product as iproduct
+from operator import getitem
 
 from .classes import enumerate_classes
 from .field import FieldSpec
-from .linalg import (BudgetExceededError, DEFAULT_BUDGET, InvariantData, Matrix, _char2,
-                     check_matrix_budget, direct_sum,
+from .linalg import (BudgetExceededError, DEFAULT_BUDGET, InvariantData, Matrix,
+                     check_matrix_budget, commutant_basis, direct_sum,
                      enumerate_decompositions, enumerate_matrices, enumerate_subspaces,
                      gl_order, invariant_data, require)
 from .series import TPoly
@@ -225,16 +226,16 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
 # image is a part.  What passes the screen is still decided by
 # _transport(s, sigma) == s.
 #
-# The XOR test.  Over F_(2^k), when every structure of F[E_d], d >= 1, is a
-# "mat", the Burnside loops count sigma's fixed points without moving any
-# structure.  L(a) = sigma a sigma⁻¹ + a is F_2-linear, and a is fixed iff
-# L(a) = 0.  Packed with entry (i, j) at bit offset k(d i + j), L(a) is
-# the XOR over j of U_j[a_j], for the packed rows a_j of a and d tables of
-# q^d ints per sigma (_xor_tables).  Once per enumeration the structures are
-# grouped by their first d - 1 rows (_PackedMatrices): per sigma a group costs
-# one XOR of d - 1 lookups, and each structure one lookup and compare.  Odd
-# q, matrices inside the parts of a split, every other tag, E_0 and the orbit
-# search all test _transport(s, sigma) == s, which stays the reference.
+# The commutant count.  When every structure of F[E_d], d >= 1, is a "mat",
+# as for End, Aut and RepCyclic(m), sigma fixes a iff sigma a = a sigma: the
+# fixed structures lie in the commutant C(sigma), on average one matrix per
+# similarity class of M_d.  So _prepare makes the structures a set of flat
+# matrices once per enumeration, and per sigma _commuting counts the members
+# of C(sigma) in it from a basis that one elimination gives
+# (linalg.commutant_basis): as a + b, for a in the span of one half of the
+# basis and b in that of the other, it holds 2 q^(r/2) of the q^r elements of
+# an r-dimensional C(sigma), never all of C(1).  Matrices inside the parts of
+# a split, every other tag, E_0 and the orbit search use transport.
 
 
 def _row_map(m: Matrix) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -436,69 +437,55 @@ def fix_counts_bf(e: SpeciesExpr, field: FieldSpec, n: int, sigmas: list[Matrix]
     return [_fix_count(sigma, structures) for sigma in sigmas]
 
 
-def _fix_count(sigma: Matrix, structures: list | _PackedMatrices) -> int:
+def _fix_count(sigma: Matrix, structures: list | frozenset) -> int:
     """The members of ``structures`` fixed by sigma, which nothing checks here:
-    by the XOR test of a ``_PackedMatrices``, else by transport of each
-    structure that passes the screen."""
-    if isinstance(structures, _PackedMatrices):
-        return structures.fixed_by(sigma)
+    by the commutant count of a set of flat matrices, else by transport of
+    each structure that passes the screen."""
+    if isinstance(structures, frozenset):
+        return _commuting(sigma, structures)
     a = _Acting(sigma, {})
     return sum(1 for s in structures if not _moves_parts(s, a) and _transport(s, a) == s)
 
 
-def _prepare(field: FieldSpec, n: int, structures: list) -> list | _PackedMatrices:
-    """What the Burnside loops hand to ``_fix_count`` for F[E_n]: the packed
-    form when the XOR test applies, else the list itself."""
-    if field.p == 2 and n and all(s[0] == "mat" for s in structures):
-        return _PackedMatrices(field, structures)
+def _prepare(field: FieldSpec, n: int, structures: list) -> list | frozenset:
+    """What the Burnside loops hand to ``_fix_count`` for F[E_n]: the set of
+    the ``_flat`` matrices when all are "mat" and n >= 1, else the list."""
+    if n and structures and all(s[0] == "mat" for s in structures):
+        return frozenset(_flat(field, sum(s[1], ())) for s in structures)
     return structures
 
 
-class _PackedMatrices:
-    """Matrix structures on E_d over F_(2^k), d >= 1, for the XOR test.  The
-    structures are grouped by their first d - 1 packed rows; consecutive in
-    the canonical order, a group is one run of the sorted list."""
-
-    __slots__ = ("groups",)
-
-    def __init__(self, field: FieldSpec, structures: list):
-        pack = _char2(field).pack
-        self.groups = [(prefix, [rows[-1] for rows in group]) for prefix, group in groupby(
-            (pack(s[1]) for s in structures), key=lambda rows: rows[:-1])]
-
-    def fixed_by(self, sigma: Matrix) -> int:
-        """a is fixed iff L(a) = XOR_j U_j[a_j] is 0, that is iff the last
-        table's entry for the last row equals the XOR over the others."""
-        *heads, last = _xor_tables(sigma)
-        count = 0
-        for prefix, lasts in self.groups:
-            x = 0
-            for table, r in zip(heads, prefix):
-                x ^= table[r]
-            count += list(map(last.__getitem__, lasts)).count(x)
-        return count
+def _flat(field: FieldSpec, entries: tuple) -> tuple | int:
+    """A matrix's entries, row by row, as _commuting adds them: over F_(2^k),
+    one int with entry c in byte c (q <= 64), so that a sum is an XOR."""
+    return int.from_bytes(bytes(entries), "little") if field.p == 2 else entries
 
 
-def _xor_tables(sigma: Matrix) -> list[list[int]]:
-    """U_0, ..., U_(d-1) for the d x d sigma over F_(2^k): U_j[v], for the
-    packed row v, is the matrix (sigma e_j)(v sigma⁻¹) + e_j v packed with
-    entry (i, m) at bit offset k(d i + m).  U_j is F_q-linear in v, so it
-    grows one coordinate at a time from its images of the unit rows, as
-    ``_row_map`` does: U_j[u + c e_l] = U_j[u] + c U_j[e_l]."""
-    field, d = sigma.field, sigma.nrows
-    codec, k = _char2(field), field.k
-    inverse = sigma.inverse()._rows
-    tables = []
-    for j, column in enumerate(zip(*sigma.entries)):
-        table = [0]
-        for l in range(d):
-            image = 1 << k * (d * j + l)  # U_j[e_l]: e_j e_l, and row i is sigma_ij e_l sigma⁻¹
-            for i, c in enumerate(column):
-                image ^= codec.scale(c, inverse[l]) << k * d * i
-            multiples = [codec.scale(c, image) for c in range(field.q)]
-            table = [t ^ m for m in multiples for t in table]
-        tables.append(table)
-    return tables
+def _commuting(sigma: Matrix, matrices: frozenset) -> int:
+    """The members of ``matrices`` that commute with sigma: the sums a + b in it,
+    for a and b in the spans of the two halves of a basis of the commutant."""
+    field = sigma.field
+    basis = commutant_basis(sigma)
+    half = len(basis) // 2
+    lows, highs = (_span(field, part, sigma.nrows ** 2) for part in (basis[:half], basis[half:]))
+    if field.p == 2:
+        return sum(len(matrices.intersection(map(a.__xor__, highs))) for a in lows)
+    add, count = field._add, 0
+    for a in lows:
+        plus = [add[x] for x in a]
+        count += len(matrices.intersection(tuple(map(getitem, plus, b)) for b in highs))
+    return count
+
+
+def _span(field: FieldSpec, basis: list, cells: int) -> list:
+    """Every F_q-combination of ``basis``, ``_flat`` matrices of ``cells`` entries."""
+    add, mul = field._add, field._mul
+    span = [_flat(field, (0,) * cells)]
+    for b in basis:
+        multiples = [_flat(field, tuple([mul[c][x] for x in b])) for c in range(field.q)]
+        span = ([v ^ m for m in multiples for v in span] if field.p == 2 else
+                [tuple(map(getitem, [add[x] for x in v], m)) for m in multiples for v in span])
+    return span
 
 
 def _gl_generator_slots(field: FieldSpec, n: int) -> list[tuple[int, int, int]]:

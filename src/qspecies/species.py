@@ -38,8 +38,8 @@ from math import factorial
 from .classes import ConjClass, enumerate_classes, part_centralizer_order, partitions
 from .field import FieldSpec, field_make
 from .linalg import (DEFAULT_BUDGET, BudgetExceededError, Matrix, block_diagonal,
-                     companion_matrix, gaussian_binomial, gl_order, q_int, qbinomial,
-                     require)
+                     commutant_basis, companion_matrix, gaussian_binomial, gl_order, q_int,
+                     qbinomial, require)
 from .poly import Poly, irreducible_count, poly_z_minus
 from .series import POLY_T, RATIONAL, PowerSeries, TPoly, euler_product, ring_one
 from .cycleindex import CycleIndexSeries, _factor_at_power, z_build, z_one
@@ -215,15 +215,9 @@ def _commutant_work(field: FieldSpec, n: int) -> int:
 def _commutant_roots(field: FieldSpec, phi: Poly, lam: tuple, m: int) -> int:
     """The g with g^m = 1 among the matrices commuting with s, the direct sum of
     the companion matrices of phi^i for i in lam: every F_q-combination of a
-    basis of the kernel of X -> sX - Xs is tried."""
-    s = block_diagonal(field, [companion_matrix(phi**i) for i in lam]).entries
-    size = len(s)
-    cells = [(i, j) for i in range(size) for j in range(size)]
-    # row (i, j): (sX - Xs)_ij = sum_k s_ik X_kj - sum_l X_il s_lj
-    commutator = Matrix.make(field, [
-        [field.sub(s[i][k] if l == j else 0, s[l][j] if k == i else 0) for k, l in cells]
-        for i, j in cells])
-    basis = commutator.kernel_basis().basis
+    basis of the commutant of s is tried."""
+    s = block_diagonal(field, [companion_matrix(phi**i) for i in lam])
+    size, basis = s.nrows, commutant_basis(s)
     require(len(basis) == _commutant_dim(phi.degree, lam),
             f"commutant of ({phi}, {lam}) has dimension {len(basis)}")
     matrices = [Matrix(field, tuple(v[i * size:(i + 1) * size] for i in range(size)))

@@ -77,7 +77,7 @@ def test_fix_counts_constant_on_classes(text):
 @pytest.mark.parametrize("text", ["Elem", "Proj", "End", "Aut", "Bases", "V", "Vplus"]
                          + [f"RepCyclic({m})" for m in range(5)])
 def test_closed_fix_matches_brute_force(text):
-    # over F_8 the XOR test of matrix structures scales by multi-bit entries
+    # over F_8 the commutant count packs and scales multi-bit entries
     e = parse(text)
     for field, n in ((F2, 1), (F2, 2), (F3, 1), (F3, 2), (F8, 2)):
         classes = enumerate_classes(field, n, "aut")
@@ -288,53 +288,49 @@ def test_row_maps_conjugate_as_matrix_products(field, top):
 
 @pytest.mark.parametrize("text", ["End", "End*End", "E(plus(End))"])
 def test_row_maps_once_per_acting_matrix(monkeypatch, text):
-    # an acting matrix's tables are built once per loop, whatever the number
-    # of matrix structures, and no call reuses another's: the XOR tables of
-    # sigma for End over F_2, else the row maps of each acting matrix
-    maps = []  # per group element: (kind, acting matrix) of each table built
-    builders = {"rows": oracle._conjugation_maps, "xor": oracle._xor_tables}
-    fix_count = oracle._fix_count
+    # an acting matrix's row maps are built once per loop, whatever the number
+    # of matrix structures, and no call reuses another's; top-level End is
+    # counted in each sigma's commutant, which moves no structure
+    maps = []  # per group element: the acting matrix of each pair of row maps built
+    conjugation_maps, fix_count = oracle._conjugation_maps, oracle._fix_count
 
-    def counted_builder(kind):
-        def counted_maps(g):
-            maps[-1].append((kind, g.entries))
-            return builders[kind](g)
-        return counted_maps
+    def counted_maps(g):
+        maps[-1].append(g.entries)
+        return conjugation_maps(g)
 
     def counted(sigma, structures):
         maps.append([])
         return fix_count(sigma, structures)
 
-    monkeypatch.setattr(oracle, "_conjugation_maps", counted_builder("rows"))
-    monkeypatch.setattr(oracle, "_xor_tables", counted_builder("xor"))
+    monkeypatch.setattr(oracle, "_conjugation_maps", counted_maps)
     monkeypatch.setattr(oracle, "_fix_count", counted)
     e = parse(text)
     for field in (F2, F3):
-        kind = "xor" if field is F2 and text == "End" else "rows"
         for _call in (1, 2):
             maps.clear()
             assert oracle.zindex_bf(e, field, 2) == cycle_index(e, field, 2)
             assert len(maps) == sum(gl_order(field, n) for n in range(3))
             assert all(len(set(per_sigma)) == len(per_sigma) for per_sigma in maps)
-            # each sigma acting on a matrix structure builds its tables
-            assert all(maps[1:])
-            assert {k for per_sigma in maps[1:] for k, _g in per_sigma} == {kind}
+            # past E_0, each sigma acting on a matrix inside a split builds
+            # its maps, and sigma acting on End builds none
+            assert all(maps[1:]) if text != "End" else not any(maps[1:])
 
 
-@pytest.mark.parametrize("text", ["End", "Aut", "RepCyclic(2)"])
-@pytest.mark.parametrize("field, top", [(F2, 3), (F4, 2), (F8, 1)], ids=["q2", "q4", "q8"])
-def test_xor_test_counts_as_transport(text, field, top):
-    # over F_(2^k) the Burnside loops test matrix structures on E_n, n >= 1,
-    # by the XOR tables of a -> sigma a sigma⁻¹ + a; transport is the reference
+@pytest.mark.parametrize("text", ["End", "Aut", "RepCyclic(2)", "RepCyclic(3)"])
+@pytest.mark.parametrize("field, top", [(F2, 3), (F3, 2), (F4, 2), (F5, 1), (F8, 1)],
+                         ids=["q2", "q3", "q4", "q5", "q8"])
+def test_commutant_count_is_the_transport_count(text, field, top):
+    # the Burnside loops count matrix structures on E_n, n >= 1, that lie in
+    # the commutant of sigma; transport is the reference
     e = parse(text)
     for n in range(top + 1):
         structures = oracle.enumerate_structures(e, field, n)
         prepared = oracle._prepare(field, n, structures)
-        assert isinstance(prepared, oracle._PackedMatrices) == (n > 0)
-        group = list(enumerate_matrices(field, n, True))
-        # _fix_count of the plain list counts by _transport(s, sigma) == s
-        assert oracle.fix_counts_bf(e, field, n, group) == [
-            oracle._fix_count(sigma, structures) for sigma in group]
+        assert isinstance(prepared, frozenset) == (n > 0)
+        for sigma in enumerate_matrices(field, n, True):
+            acting = oracle._Acting(sigma, {})
+            assert oracle._fix_count(sigma, prepared) == sum(
+                oracle._transport(s, acting) == s for s in structures)
 
 
 def test_matrices_of_the_wrong_shape_are_rejected():
@@ -509,7 +505,8 @@ def test_class_orbits_partition_gl_n(field, top):
 
 # the stdout of `qspecies oracle zindex EXPR 4`, a literal sum over GL_4(F_2)
 ZINDEX_AT_4 = {"Elem": "ef6b56a72865549f556bfa62f4fcd7491ccd0140f4202cbc7307a1e25b4b1a72",
-               "Proj": "1982df9abfe6f8469406596d5842f8e99dc9482506bd3eb56ea84a474af50528"}
+               "Proj": "1982df9abfe6f8469406596d5842f8e99dc9482506bd3eb56ea84a474af50528",
+               "RepCyclic(2)": "465de3610d86bcad66d052aafdbf83f8e5939093da177cdadd5184b7a5384a80"}
 
 
 @pytest.mark.parametrize("text", sorted(ZINDEX_AT_4))
@@ -529,6 +526,12 @@ def test_literal_zindex_at_n4(monkeypatch, text):
         assert main(["oracle", "zindex", text, "4"]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ZINDEX_AT_4[text]
     assert series == [cycle_index(parse(text), F2, 4)]
+
+
+def test_literal_zindex_of_aut_over_f3_at_n3():
+    # a literal sum over GL_3(F_3), counted in each sigma's commutant
+    e = parse("Aut")
+    assert oracle.zindex_bf(e, F3, 3) == cycle_index(e, F3, 3)
 
 
 def _resized(classes):
