@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .classes import enumerate_classes
-from .field import FieldSpec, require
+from .field import FieldSpec, power, require
 from .linalg import InvariantData
 from .poly import Poly, is_irreducible, monic_irreducibles
 from .series import RATIONAL, PowerSeries, _dot, ring_zero
@@ -94,10 +94,7 @@ class CycleIndexSeries:
         return CycleIndexSeries(self.field, self.order, terms)
 
     def __pow__(self, e: int) -> "CycleIndexSeries":
-        out = z_one(self.field, self.order)
-        for _ in range(e):
-            out = out * self
-        return out
+        return power(self, e, z_one(self.field, self.order))
 
     def scale(self, c) -> "CycleIndexSeries":
         return CycleIndexSeries(self.field, self.order,

@@ -45,6 +45,21 @@ def require(ok: bool, what: str) -> None:
         raise ConsistencyError(what)
 
 
+def power(x, e: int, one):
+    """x ** e by binary powering, for every type with ``*``; ``one`` is x ** 0.
+    It makes only the needed products: none for e <= 1, one for e = 2."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+    out = None  # one, until a factor arrives
+    while e:
+        if e & 1:
+            out = x if out is None else out * x
+        e >>= 1
+        if e:
+            x = x * x
+    return one if out is None else out
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -152,15 +167,13 @@ class FieldSpec:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: FieldElem, e: int) -> FieldElem:
+        """a^e; a nonzero a has a^(q-1) = 1, so at most q - 2 products."""
         self._check(a)
         if e < 0:
             a, e = self.inv(a), -e
         out = 1
-        while e:
-            if e & 1:
-                out = self._mul[out][a]
-            a = self._mul[a][a]
-            e >>= 1
+        for _ in range(e % (self.q - 1) if a else min(e, 1)):
+            out = self._mul[out][a]
         return out
 
     def elements(self) -> list[FieldElem]:

@@ -20,7 +20,8 @@ from operator import xor
 from typing import Callable, Iterator
 
 # re-exports ConsistencyError, BudgetExceededError and DEFAULT_BUDGET
-from .field import BudgetExceededError, ConsistencyError, DEFAULT_BUDGET, FieldSpec, require
+from .field import (BudgetExceededError, ConsistencyError, DEFAULT_BUDGET, FieldSpec, power,
+                    require)
 from .poly import Poly, monic_irreducibles
 
 
@@ -340,17 +341,7 @@ class Matrix:
     def __pow__(self, e: int) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("power of a non-square matrix")
-        base = self
-        if e < 0:
-            base, e = base.inverse(), -e
-        out = None  # the identity, until a factor arrives
-        while e:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return Matrix.identity(self.field, self.nrows) if out is None else out
+        return power(self, e, Matrix.identity(self.field, self.nrows))
 
     # -- elimination ---------------------------------------------------------
 
@@ -409,10 +400,6 @@ class Matrix:
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
         return Matrix(F, tuple(tuple(row[n:]) for row in table_rows))
-
-    def kernel_basis(self) -> "Subspace":
-        """Right kernel {v : A v = 0} as a Subspace of F_q^ncols."""
-        return Subspace.from_vectors(self.field, self.ncols, self.kernel_vectors())
 
     def kernel_vectors(self) -> list[tuple[int, ...]]:
         """A basis of the right kernel from one elimination, 1 at one free column each."""
@@ -655,15 +642,15 @@ def invariant_data(a: Matrix) -> InvariantData:
             if accounted == n:
                 break
             b = mat_poly_eval(phi, a)
-            power = b
+            b_j = b
             dims = [0]
             while True:
-                k = power.kernel_basis().dim
+                k = n - b_j.rank()  # dim ker phi(a)^j
                 require(k % d == 0, "kernel dimension is not a multiple of deg phi")
                 dims.append(k // d)
                 if dims[-1] == dims[-2]:
                     break
-                power = power * b
+                b_j = b_j * b
             dims.append(dims[-1])
             lam: list[int] = []
             for i in range(len(dims) - 2, 0, -1):

@@ -46,10 +46,6 @@ from .species import (Assembly, Builtin, Mark, Plus, Power, Product, SpeciesExpr
 Structure = tuple  # canonical encoding
 
 
-def _all_vectors(field: FieldSpec, n: int):
-    return iproduct(range(field.q), repeat=n)
-
-
 def enumerate_structures(e: SpeciesExpr, field: FieldSpec, n: int,
                          budget: int = DEFAULT_BUDGET) -> list[Structure]:
     """All structures of e on E_n, canonically ordered."""
@@ -103,16 +99,9 @@ def _enum_builtin(e: Builtin, field: FieldSpec, n: int, budget: int) -> list[Str
         if k > n:
             return []
         return [("sub", s.basis) for s in enumerate_subspaces(field, n, k, budget)]
-    if name in ("End", "Aut"):
-        return [("mat", m.entries) for m in enumerate_matrices(field, n, name == "Aut", budget)]
-    if name == "Bases":
-        if q ** (n * n) > budget:
-            raise BudgetExceededError("basis enumeration exceeds budget")
-        out = []
-        for vs in iproduct(_all_vectors(field, n), repeat=n):
-            if n == 0 or Matrix(field, vs).rank() == n:
-                out.append(("bas", vs))
-        return out
+    if name in ("End", "Aut", "Bases"):  # a basis is the rows of an invertible matrix
+        tag = "bas" if name == "Bases" else "mat"
+        return [(tag, m.entries) for m in enumerate_matrices(field, n, name != "End", budget)]
     if name == "RepCyclic":
         m = e.arg
         out = []
@@ -123,7 +112,7 @@ def _enum_builtin(e: Builtin, field: FieldSpec, n: int, budget: int) -> list[Str
         return out
     # the rest have at most q^n structures: enumerate one more than the budget
     if name == "Elem":
-        structures = (("vec", v) for v in _all_vectors(field, n))
+        structures = (("vec", v) for v in iproduct(range(q), repeat=n))
     elif name in ("Fscalar", "Fstar"):
         structures = [("scl", c) for c in range(1 if name == "Fstar" else 0, q)] if n == 1 else []
     elif name in ("One", "Zero", "V", "Vplus"):

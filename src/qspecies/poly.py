@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .field import BudgetExceededError, DEFAULT_BUDGET, FieldSpec, require
+from .field import BudgetExceededError, DEFAULT_BUDGET, FieldSpec, power, require
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,7 @@ class Poly:
         return divmod(self, other)[1]
 
     def __pow__(self, e: int) -> "Poly":
-        out = Poly(self.field, (1,))
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, Poly(self.field, (1,)))
 
     def evaluate(self, x: int) -> int:
         F = self.field

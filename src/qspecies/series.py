@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd
 
+from .field import power
+
 
 def _dot(pairs) -> Fraction:
     """sum(a * b for a, b in pairs) for rationals (``Fraction`` or ``int``), as a
@@ -79,18 +81,6 @@ class TPoly:
         return TPoly._of(out)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return TPoly._of({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        other = TPoly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return TPoly._coerce(other) + (-self)
 
     @staticmethod
     def dot(pairs) -> "TPoly":
@@ -228,11 +218,6 @@ class PowerSeries:
         return PowerSeries(self.ring, self.order,
                            [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        self._compat(other)
-        return PowerSeries(self.ring, self.order,
-                           [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         self._compat(other)
         dot, a, b = ring_dot(self.ring), self.coeffs, other.coeffs
@@ -248,17 +233,7 @@ class PowerSeries:
         return PowerSeries(self.ring, self.order, (ring_zero(self.ring),) + self.coeffs[1:])
 
     def __pow__(self, e: int) -> "PowerSeries":
-        base = self
-        if e < 0:
-            base, e = base.inverse(), -e
-        out = None  # the one series, until a factor arrives
-        while e:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return PowerSeries.one(self.ring, self.order) if out is None else out
+        return power(self, e, PowerSeries.one(self.ring, self.order))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PowerSeries)
@@ -267,17 +242,6 @@ class PowerSeries:
 
     def __hash__(self):
         return hash((self.ring, self.order, self.coeffs))
-
-    def inverse(self) -> "PowerSeries":
-        """Multiplicative inverse; constant term must be 1."""
-        if self.coeffs[0] != ring_one(self.ring):
-            raise ValueError("inverse requires constant term 1")
-        dot, a = ring_dot(self.ring), self.coeffs
-        nonzero = [k for k, c in enumerate(a) if k and c]
-        out = [ring_one(self.ring)]
-        for m in range(1, self.order + 1):
-            out.append(-dot((a[k], out[m - k]) for k in nonzero if k <= m))
-        return PowerSeries(self.ring, self.order, out)
 
     def exp(self) -> "PowerSeries":
         """exp(a) for a with zero constant term, via b_n = (1/n) sum k a_k b_{n-k}."""
@@ -288,18 +252,6 @@ class PowerSeries:
         out = [ring_one(self.ring)]
         for m in range(1, self.order + 1):
             out.append(dot((c, out[m - k]) for k, c in ka.items() if k <= m) / m)
-        return PowerSeries(self.ring, self.order, out)
-
-    def log(self) -> "PowerSeries":
-        """log(a) for a with constant term 1; inverse of exp."""
-        if self.coeffs[0] != ring_one(self.ring):
-            raise ValueError("log requires constant term 1")
-        dot, a = ring_dot(self.ring), self.coeffs
-        out = [ring_zero(self.ring)]
-        ka = [out[0]]  # k * out[k]
-        for m in range(1, self.order + 1):
-            out.append(a[m] - dot((ka[k], a[m - k]) for k in range(1, m) if a[m - k]) / m)
-            ka.append(out[m] * m)
         return PowerSeries(self.ring, self.order, out)
 
     def adams(self, r: int) -> "PowerSeries":
@@ -340,21 +292,17 @@ class PowerSeries:
         return [{"n": i, "coeff": coeff_str(c)} for i, c in enumerate(self.coeffs)]
 
 
-def binomial_inverse_power(ring: str, order: int, period: int, exponent: int) -> PowerSeries:
+def binomial_inverse_power(order: int, period: int, exponent: int) -> PowerSeries:
     """1/(1 - x^period)^exponent truncated; exponent >= 0."""
-    coeffs = [ring_zero(ring)] * (order + 1)
-    k = 0
-    while k * period <= order:
-        coeffs[k * period] = ring_one(ring) * comb(exponent + k - 1, k) if k else ring_one(ring)
-        k += 1
-    if exponent == 0:
-        return PowerSeries.one(ring, order)
-    return PowerSeries(ring, order, coeffs)
+    coeffs = [Fraction(0)] * (order + 1)
+    for k in range(order // period + 1):
+        coeffs[k * period] = Fraction(comb(exponent + k - 1, k) if k else 1)
+    return PowerSeries(RATIONAL, order, coeffs)
 
 
-def euler_product(exponents: dict[int, int], order: int, ring: str = RATIONAL) -> PowerSeries:
+def euler_product(exponents: dict[int, int], order: int) -> PowerSeries:
     """prod_{m>=1} 1/(1-x^m)^{a_m} truncated; a_m >= 0 integers."""
-    out = PowerSeries.one(ring, order)
+    out = PowerSeries.one(RATIONAL, order)
     for m, a in sorted(exponents.items()):
         if m < 1:
             raise ValueError("euler product indices start at 1")
@@ -363,19 +311,19 @@ def euler_product(exponents: dict[int, int], order: int, ring: str = RATIONAL) -
         if m > order or a == 0:
             continue
         # the sparse factor on the left: the product walks its nonzero terms
-        out = binomial_inverse_power(ring, order, m, a) * out
+        out = binomial_inverse_power(order, m, a) * out
     return out
 
 
-def aut_type_product(q: int, order: int, ring: str = RATIONAL) -> PowerSeries:
-    """prod_{r>=1} (1-x^r)/(1-q x^r) truncated; counts conjugacy classes of GL_n(F_q)."""
-    out = PowerSeries.one(ring, order)
+def aut_type_product(q: int, order: int) -> PowerSeries:
+    """prod_{r>=1} (1-x^r)/(1-q x^r) truncated; counts conjugacy classes of GL_n(F_q).
+    Each factor is (1 - x^r) times the geometric series sum_k q^k x^(rk)."""
+    out = PowerSeries.one(RATIONAL, order)
     for r in range(1, order + 1):
-        num = [ring_zero(ring)] * (order + 1)
-        num[0] = ring_one(ring)
-        num[r] = -ring_one(ring)
-        den = [ring_zero(ring)] * (order + 1)
-        den[0] = ring_one(ring)
-        den[r] = -(ring_one(ring) * q)
-        out = out * PowerSeries(ring, order, num) * PowerSeries(ring, order, den).inverse()
+        num = [Fraction(0)] * (order + 1)
+        num[0], num[r] = Fraction(1), Fraction(-1)
+        geometric = [Fraction(0)] * (order + 1)
+        for k in range(order // r + 1):
+            geometric[k * r] = Fraction(q**k)
+        out = out * PowerSeries(RATIONAL, order, num) * PowerSeries(RATIONAL, order, geometric)
     return out

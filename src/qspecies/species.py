@@ -349,9 +349,12 @@ def _check_operand(e: SpeciesExpr) -> None:
 
 
 def validate(e: SpeciesExpr) -> None:
-    """Enforce the F[0] = empty precondition on every sym/assembly operand."""
+    """Enforce n >= 0 on every power and sym, and the F[0] = empty
+    precondition on every sym/assembly operand."""
     for child in _children(e):
         validate(child)
+    if isinstance(e, (Power, SymPower)) and e.n < 0:
+        raise ValueError(f"negative exponent {e.n} in {type(e).__name__}")
     if isinstance(e, (SymPower, Assembly)):
         _check_operand(e.base)
 

@@ -30,9 +30,16 @@ def test_field_axioms_exhaustive(p, k):
 
 @pytest.mark.parametrize("p,k", TEST_FIELDS)
 def test_multiplicative_group_order(p, k):
+    # a^(q-1) = 1 by repeated products; pow reduces its exponent by q - 1
     F = field_make(p, k)
     for a in range(1, F.q):
-        assert F.pow(a, F.q - 1) == 1
+        powers = [1]
+        for _ in range(2 * F.q):
+            powers.append(F.mul(powers[-1], a))
+        assert powers[F.q - 1] == 1
+        assert [F.pow(a, e) for e in range(2 * F.q + 1)] == powers
+        assert F.pow(a, -3) == F.inv(powers[3])
+    assert [F.pow(0, e) for e in range(3)] == [1, 0, 0]
 
 
 def test_f4_modulus_and_arithmetic():

@@ -37,10 +37,10 @@ def test_rank_and_inverse():
 def test_power_matches_repeated_products():
     ident = Matrix.identity(F3, 2)
     for g in enumerate_matrices(F3, 2, True):
-        power, inverse_power = ident, ident
+        power = ident
         for e in range(6):
-            assert g**e == power and g**-e == inverse_power
-            power, inverse_power = power * g, inverse_power * g.inverse()
+            assert g**e == power
+            power = power * g
     singular = Matrix.make(F3, ((1, 2), (2, 1)))
     assert singular**0 == ident and singular**3 == singular * singular * singular
 
@@ -79,9 +79,9 @@ def test_make_range_check_survives_python_O():
 
 
 def test_kernel():
-    k = Matrix.make(F3, [(1, 2)]).kernel_basis()
-    assert k.dim == 1
-    assert k == Subspace.from_vectors(F3, 2, [(1, 1)])
+    k = Matrix.make(F3, [(1, 2)]).kernel_vectors()
+    assert k == [(1, 1)]
+    assert Subspace.from_vectors(F3, 2, k) == Subspace.from_vectors(F3, 2, [(2, 2)])
 
 
 def test_gl_order_vs_exhaustive():
@@ -250,9 +250,8 @@ def ref_inverse(F, a):
 def ref_pow(F, a, e):
     n = len(a)
     out = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    base = a if e >= 0 else ref_inverse(F, a)
-    for _ in range(abs(e)):
-        out = ref_mul(F, out, base)
+    for _ in range(e):
+        out = ref_mul(F, out, a)
     return out
 
 
@@ -268,7 +267,6 @@ def check_unary(F, a):
                 m.inverse()
         else:
             assert m.inverse().entries == inv
-            assert (m**-2).entries == ref_pow(F, a, -2)
         for e in range(4):
             assert (m**e).entries == ref_pow(F, a, e)
 
@@ -284,12 +282,11 @@ def check_binary(F, a, b, c):
 
 
 def check_kernel(F, a):
-    """kernel_basis is an RREF basis of vectors that a sends to 0, of dimension
-    ncols - rank."""
-    basis = Matrix.make(F, a).kernel_basis().basis
+    """kernel_vectors are independent vectors that a sends to 0, ncols - rank
+    of them."""
+    basis = Matrix.make(F, a).kernel_vectors()
     assert all(ref_matvec(F, a, v) == (0,) * len(a) for v in basis)
-    assert not basis or ref_rref(F, basis) == (basis, sorted(
-        next(j for j, x in enumerate(v) if x) for v in basis))
+    assert not basis or len(ref_rref(F, basis)[1]) == len(basis)
     assert len(basis) == len(a[0]) - len(ref_rref(F, a)[1])
 
 

@@ -6,9 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qspecies.cycleindex import z_one
+from qspecies.field import field_make
+from qspecies.linalg import Matrix
+from qspecies.poly import Poly
 from qspecies.series import (POLY_T, RATIONAL, PowerSeries, TPoly, _dot,
                              aut_type_product, binomial_inverse_power,
                              euler_product, ring_one, ring_zero)
+from qspecies.species import Builtin, cycle_index
 
 ORDER = 6
 
@@ -29,17 +34,17 @@ def test_tpoly_arithmetic_keeps_exact_coefficients():
     t = TPoly.t()
     p = TPoly({0: 2, 1: Fraction(1, 2)})
     assert all(type(c) is Fraction for c in p.coeffs.values())
-    for q in (p + t, p * p, -p, p / 3, p - p, p * 0):
+    for q in (p + t, p * p, p / 3, p * 0):
         assert all(type(c) is Fraction and c for c in q.coeffs.values())
     assert (p * p).coeffs == {0: 4, 1: 2, 2: Fraction(1, 4)}
-    assert (p + (-t) / 2).coeffs == {0: 2}
+    assert (p + t / -2).coeffs == {0: 2}
 
 def test_tpoly_arithmetic():
     t = TPoly.t()
     p = (t + 1) * (t + 1)
     assert p == t * t + 2 * t + 1
     assert p.subs_t(Fraction(1, 2)) == Fraction(9, 4)
-    assert (p - p) == 0
+    assert p * 0 == 0
     assert str(t * t / 2 + 1) == "1/2*t^2+1"
     assert str(TPoly.const(0)) == "0"
 
@@ -60,31 +65,47 @@ def test_tpoly_mul_commutes(a, b):
     assert pa + pb == pb + pa
 
 
-# ---------------------------------------------------------------- PowerSeries ring axioms
+# ---------------------------------------------------------------- powers
+
+def powered():
+    """(x, x ** 0) for each type that has ``**``."""
+    F3 = field_make(3, 1)
+    return [
+        (Matrix.make(F3, [(1, 2), (0, 1)]), Matrix.identity(F3, 2)),
+        (Poly.make(F3, [1, 2, 1]), Poly.make(F3, [1])),
+        (PowerSeries.from_coeffs(RATIONAL, ORDER, [1, 2, Fraction(1, 3)]),
+         PowerSeries.one(RATIONAL, ORDER)),
+        (cycle_index(Builtin("Elem"), F3, 3), z_one(F3, 3)),
+    ]
+
 
 @pytest.mark.parametrize("e, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
 def test_power_makes_only_the_needed_products(monkeypatch, e, products):
-    s = PowerSeries.from_coeffs(RATIONAL, ORDER, [1, 2, Fraction(1, 3)])
-    expected = PowerSeries.one(RATIONAL, ORDER)
-    for _ in range(e):
-        expected = expected * s
-    count = [0]
-    mul = PowerSeries.__mul__
+    for x, one in powered():
+        cls, expected = type(x), one
+        for _ in range(e):
+            expected = expected * x
+        count = [0]
+        mul = cls.__mul__
 
-    def counted(a, b):
-        count[0] += 1
-        return mul(a, b)
+        def counted(a, b):
+            count[0] += 1
+            return mul(a, b)
 
-    monkeypatch.setattr(PowerSeries, "__mul__", counted)
-    assert s**e == expected
-    assert count[0] == products
+        with monkeypatch.context() as patch:
+            patch.setattr(cls, "__mul__", counted)
+            assert x**e == expected, cls
+        assert count[0] == products, cls
 
 
-def test_negative_power_is_a_power_of_the_inverse():
-    s = PowerSeries.from_coeffs(RATIONAL, ORDER, [1, 2, Fraction(1, 3)])
-    assert s**-2 == s.inverse() * s.inverse()
-    assert s**-1 * s == PowerSeries.one(RATIONAL, ORDER)
+@pytest.mark.parametrize("x", [x for x, _one in powered()],
+                         ids=lambda x: type(x).__name__)
+def test_negative_power_is_rejected(x):
+    with pytest.raises(ValueError, match="negative exponent"):
+        x**-1
 
+
+# ---------------------------------------------------------------- PowerSeries ring axioms
 
 @given(rational_series, rational_series, rational_series)
 @settings(max_examples=40, deadline=None)
@@ -103,25 +124,6 @@ def test_identities(a):
     zero = PowerSeries.zero(RATIONAL, ORDER)
     assert a * one == a
     assert a + zero == a
-    assert a - a == zero
-
-
-@given(rational_series)
-@settings(max_examples=40, deadline=None)
-def test_inverse_roundtrip(a):
-    coeffs = [Fraction(1)] + list(a.coeffs[1:])
-    u = PowerSeries.from_coeffs(RATIONAL, ORDER, coeffs)
-    assert u * u.inverse() == PowerSeries.one(RATIONAL, ORDER)
-
-
-@given(rational_series)
-@settings(max_examples=40, deadline=None)
-def test_exp_log_roundtrip(a):
-    coeffs = [Fraction(0)] + list(a.coeffs[1:])
-    f = PowerSeries.from_coeffs(RATIONAL, ORDER, coeffs)
-    assert f.exp().log() == f
-    u = PowerSeries.one(RATIONAL, ORDER) + f
-    assert u.log().exp() == u
 
 
 @given(rational_series, rational_series)
@@ -137,13 +139,12 @@ def test_exp_of_x():
     assert x.exp().coeffs == tuple(Fraction(1, factorial(n)) for n in range(6))
     with pytest.raises(ValueError):
         PowerSeries.one(RATIONAL, 3).exp()
-    with pytest.raises(ValueError):
-        PowerSeries.zero(RATIONAL, 3).log()
 
 
 def test_binomial_inverse_power():
     # 1/(1-x^2)^2 = 1 + 2x^2 + 3x^4 + ...
-    assert binomial_inverse_power(RATIONAL, 5, 2, 2).coeffs == (1, 0, 2, 0, 3, 0)
+    assert binomial_inverse_power(5, 2, 2).coeffs == (1, 0, 2, 0, 3, 0)
+    assert binomial_inverse_power(4, 3, 0).coeffs == (1, 0, 0, 0, 0)
 
 
 def test_adams():
@@ -220,18 +221,6 @@ def loop_mul(a, b):
     return PowerSeries(a.ring, n, out)
 
 
-def loop_inverse(a):
-    n = a.order
-    out = [ring_one(a.ring)] + [ring_zero(a.ring)] * n
-    for m in range(1, n + 1):
-        s = ring_zero(a.ring)
-        for k in range(1, m + 1):
-            if a.coeffs[k]:
-                s = s + a.coeffs[k] * out[m - k]
-        out[m] = -s
-    return PowerSeries(a.ring, n, out)
-
-
 def loop_exp(a):
     n = a.order
     out = [ring_one(a.ring)] + [ring_zero(a.ring)] * n
@@ -241,18 +230,6 @@ def loop_exp(a):
             if a.coeffs[k]:
                 s = s + (a.coeffs[k] * k) * out[m - k]
         out[m] = s / m
-    return PowerSeries(a.ring, n, out)
-
-
-def loop_log(a):
-    n = a.order
-    out = [ring_zero(a.ring)] * (n + 1)
-    for m in range(1, n + 1):
-        s = ring_zero(a.ring)
-        for k in range(1, m):
-            if a.coeffs[m - k]:
-                s = s + (out[k] * k) * a.coeffs[m - k]
-        out[m] = a.coeffs[m] - s / m
     return PowerSeries(a.ring, n, out)
 
 
@@ -317,9 +294,7 @@ def test_tpoly_product_matches_the_loop(seed):
 
 KERNELS = [
     ("mul", lambda a, b: a * b, lambda a, b: loop_mul(a, b), None),
-    ("inverse", lambda a, b: a.inverse(), lambda a, b: loop_inverse(a), 1),
     ("exp", lambda a, b: a.exp(), lambda a, b: loop_exp(a), 0),
-    ("log", lambda a, b: a.log(), lambda a, b: loop_log(a), 1),
 ]
 
 

@@ -98,6 +98,17 @@ def test_validate_rejects_nonempty_base():
     validate(Assembly(Plus(B("Elem"))))   # plus() repairs the base
 
 
+@pytest.mark.parametrize("node", [Power, SymPower])
+def test_validate_rejects_negative_exponents(node):
+    # the parser builds no negative power, but the library can
+    e = node(B("Vplus"), -1)
+    for series in (gen_series, type_series, cycle_index):
+        with pytest.raises(ValueError, match="negative exponent"):
+            series(e, F2, 3)
+    with pytest.raises(ValueError, match="negative exponent"):
+        structure_count_bf(e, F2, 2)
+
+
 @pytest.mark.parametrize("text", [name for name, spec in species.BUILTINS.items()
                                   if not spec.needs_arg]
                          + ["Sub(0)", "Sub(2)", "RepCyclic(2)", "Vplus^0", "sym(0,Vplus)",
