@@ -14,8 +14,7 @@ from .classes import ConjClass, centralizer_order, enumerate_classes
 from .series import POLY_T, RATIONAL, PowerSeries, TPoly, euler_product
 from .cycleindex import CycleIndexSeries, z_build
 from .species import (Assembly, Builtin, Mark, Plus, Power, Product, SpeciesExpr,
-                      Sum, SymPower, cycle_index, gen_series, type_series,
-                      weighted_gen_series)
+                      Sum, cycle_index, gen_series, type_series, weighted_gen_series)
 from .parser import parse, render
 
 __all__ = [
@@ -28,8 +27,7 @@ __all__ = [
     "POLY_T", "RATIONAL", "PowerSeries", "TPoly", "euler_product",
     "CycleIndexSeries", "z_build",
     "Assembly", "Builtin", "Mark", "Plus", "Power", "Product", "SpeciesExpr",
-    "Sum", "SymPower", "cycle_index", "gen_series", "type_series",
-    "weighted_gen_series",
+    "Sum", "cycle_index", "gen_series", "type_series", "weighted_gen_series",
     "parse", "render",
 ]
 

@@ -31,7 +31,7 @@ from .classes import enumerate_classes
 from .field import FieldSpec, power, require
 from .linalg import InvariantData
 from .poly import Poly, is_irreducible, monic_irreducibles
-from .series import RATIONAL, PowerSeries, _dot, ring_zero
+from .series import RATIONAL, PowerSeries, _dot, coeff_str, ring_zero
 
 
 def monomial(inv: InvariantData) -> InvariantData:
@@ -163,20 +163,13 @@ class CycleIndexSeries:
         return PowerSeries(RATIONAL, self.order, coeffs)
 
     def render_lines(self) -> list[str]:
-        lines = []
-        for m in sorted(self.terms, key=InvariantData.sort_key):
-            c = self.terms[m]
-            cs = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            lines.append(f"{cs} * {_monomial_str(m)}")
-        return lines
+        return [f"{coeff_str(self.terms[m])} * {_monomial_str(m)}"
+                for m in sorted(self.terms, key=InvariantData.sort_key)]
 
     def to_json(self) -> list[dict]:
-        out = []
-        for m in sorted(self.terms, key=InvariantData.sort_key):
-            c = self.terms[m]
-            cs = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            out.append({"degree": m.degree, "monomial": _monomial_str(m), "coeff": cs})
-        return out
+        return [{"degree": m.degree, "monomial": _monomial_str(m),
+                 "coeff": coeff_str(self.terms[m])}
+                for m in sorted(self.terms, key=InvariantData.sort_key)]
 
     def __str__(self) -> str:
         return " + ".join(self.render_lines()) if self.terms else "0"

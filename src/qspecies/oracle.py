@@ -41,7 +41,7 @@ from .linalg import (BudgetExceededError, DEFAULT_BUDGET, InvariantData, Matrix,
 from .series import TPoly
 from .cycleindex import CycleIndexSeries, monomial
 from .species import (Assembly, Builtin, Mark, Plus, Power, Product, SpeciesExpr,
-                      Sum, SymPower, validate)
+                      Sum, validate)
 
 Structure = tuple  # canonical encoding
 
@@ -74,10 +74,8 @@ def _enum(e: SpeciesExpr, field: FieldSpec, n: int, budget: int) -> list[Structu
         return _enum_product(e.left, e.right, field, n, budget)
     if isinstance(e, Power):
         return _enum(_power_as_products(e), field, n, budget)
-    if isinstance(e, SymPower):
-        return _enum_multiset(e.base, field, n, e.n, e.n, budget)
     if isinstance(e, Assembly):
-        return _enum_multiset(e.base, field, n, 0, n, budget)
+        return _enum_multiset(e.base, field, n, e.n, budget)
     if isinstance(e, Plus):
         if n == 0:
             return []
@@ -142,13 +140,13 @@ def _enum_product(left: SpeciesExpr, right: SpeciesExpr, field: FieldSpec,
 
 
 def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
-                   min_parts: int, max_parts: int, budget: int) -> list[Structure]:
-    """Unordered splittings into m nonzero parts, min_parts <= m <= max_parts,
-    with a base-structure on each part.  The parts of a direct sum are distinct
-    subspaces, so each splitting is built once, with the parts' RREF bases in
-    increasing order: the sorted multiset encoding."""
+                   count: int | None, budget: int) -> list[Structure]:
+    """Unordered splittings into nonzero parts, ``count`` of them unless it is
+    None, with a base-structure on each part.  The parts of a direct sum are
+    distinct subspaces, so each splitting is built once, with the parts' RREF
+    bases in increasing order: the sorted multiset encoding."""
     if n == 0:
-        return [("mset", ())] if min_parts == 0 else []
+        return [("mset", ())] if not count else []
     per_dim = {d: _enum(base, field, d, budget) for d in range(1, n + 1)}
     bases = {d: [w.basis for w in enumerate_subspaces(field, n, d, budget)]
              for d in per_dim if per_dim[d]}
@@ -157,10 +155,10 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
 
     def rec(span: tuple, used: int, parts: tuple):
         if used == n:
-            if len(parts) >= min_parts:
+            if count in (None, len(parts)):
                 out.append(("mset", parts))
             return
-        if len(parts) == max_parts:
+        if len(parts) == count:
             return
         for d in range(1, n - used + 1):
             if not per_dim[d]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 
 from .species import (Assembly, Builtin, Mark, Plus, Power, SpeciesExpr, Sum,
-                      SymPower, Product, BUILTINS, validate)
+                      Product, BUILTINS, validate)
 
 
 class ParseError(ValueError):
@@ -97,25 +97,22 @@ class _Parser:
             return e
         if k != "name":
             raise ParseError(f"expected a species, found {v or 'end of input'!r}", p)
-        if v == "E":
+        if v in ("E", "sym", "plus", "mark"):
             self.expect("sym", "(")
+            n = None
+            if v == "sym":
+                ak, av, ap = self.next()
+                if ak != "int":
+                    raise ParseError("sym(n, expr) needs an integer first", ap)
+                self.expect("sym", ",")
+                n = int(av)
             inner = self.expr()
             self.expect("sym", ")")
-            return Assembly(inner)
-        if v == "sym":
-            self.expect("sym", "(")
-            ak, av, ap = self.next()
-            if ak != "int":
-                raise ParseError("sym(n, expr) needs an integer first", ap)
-            self.expect("sym", ",")
-            inner = self.expr()
-            self.expect("sym", ")")
-            return SymPower(inner, int(av))
-        if v in ("plus", "mark"):
-            self.expect("sym", "(")
-            inner = self.expr()
-            self.expect("sym", ")")
-            return Plus(inner) if v == "plus" else Mark(inner)
+            if v == "plus":
+                return Plus(inner)
+            if v == "mark":
+                return Mark(inner)
+            return Assembly(inner, n)
         if v in BUILTINS:
             if not BUILTINS[v].needs_arg:
                 return Builtin(v)
@@ -150,10 +147,8 @@ def render(e: SpeciesExpr, _prec: int = 0) -> str:
         return f"({s})" if _prec > 2 else s
     if isinstance(e, Power):
         return f"{render(e.base, 3)}^{e.n}"
-    if isinstance(e, SymPower):
-        return f"sym({e.n}, {render(e.base)})"
     if isinstance(e, Assembly):
-        return f"E({render(e.base)})"
+        return f"E({render(e.base)})" if e.n is None else f"sym({e.n}, {render(e.base)})"
     if isinstance(e, Plus):
         return f"plus({render(e.base)})"
     if isinstance(e, Mark):

@@ -3,20 +3,28 @@
 A species expression is a small immutable AST.  The generating, type and
 cycle index series are one fold over it, ``_fold``: F+G adds, FG multiplies,
 F^n is a power and plus(F) drops the constant term.  Each series supplies only
-its leaves (builtins, sym, E and mark).  Builtins carry closed-form structure
-counts and orbit counts (``BuiltinSpec``).  GL_n is transitive on the
-subspaces of each dimension and on bases, and has two orbits on vectors; the
-orbits on matrices, and on the g with g^m = 1 (RepCyclic(m)), are the
-conjugacy classes, counted by an Euler product over the monic irreducibles
+its leaves (builtins, assemblies and mark).  An ``Assembly`` structure is an
+unordered direct-sum decomposition into nonzero parts with an F-structure on
+each part: any number of parts for E(F), exactly m for sym(m, F).
+
+Builtins carry closed-form structure counts, orbit counts and fixed-point
+counts (``BuiltinSpec``).  GL_n is transitive on the subspaces of each
+dimension and on bases, and has two orbits on vectors; the orbits on
+matrices, and on the g with g^m = 1 (RepCyclic(m)), are the conjugacy
+classes, counted by an Euler product over the monic irreducibles
 (``_class_counts``) that enumerates no class.  So the type series sums no
-partition.  Unless fix(sigma) depends on the dimension alone, a builtin also
-carries one count per primary part of sigma: Sub(k) and Proj = Sub(1) by
-Birkhoff's count of submodules.  fix(sigma) is the product over sigma's
-parts, and only the cycle index walks the classes, with fix(sigma) per class
-(``class_fix``).  RepCyclic(m)'s generating series is a product over the phi
-dividing z^m - 1 (``_rep_cyclic_gen``).  E(F) and sym(m, F) are one plethysm
-rule, ``_plethysm``, applied to F's cycle index or to F's type series: the
-type specialisation sends the Adams operation Psi_r to x -> x^r, so the type
+partition.  A builtin's fix(sigma) is read off sigma's class (``class_fix``):
+its eigenvalue-1 part for Elem and Bases, its commutant for End, its
+centralizer for Aut, Birkhoff's count of submodules per primary part for
+Sub(k) and Proj = Sub(1), and the commutant's g with g^m = 1 for
+RepCyclic(m).  Only the cycle index walks the classes.  RepCyclic(m)'s
+generating series is a product over the phi dividing z^m - 1
+(``_rep_cyclic_gen``).
+
+Both assemblies are one plethysm rule, ``_plethysm``, applied to F's cycle
+index or to F's type series: E(F) is exp(sum_r Psi_r(F)/r), and sym(m, F) is
+h_m from Newton's identity m h_m = sum_(r <= m) Psi_r(F) h_(m-r).  The type
+specialisation sends the Adams operation Psi_r to x -> x^r, so the type
 series never builds a cycle index.  Nothing here uses the oracle; the only
 enumeration is RepCyclic(m)'s cycle index, of the commutant of each
 non-scalar primary part, bounded by DEFAULT_BUDGET per dimension.  The
@@ -32,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 from math import factorial
 
 from .classes import ConjClass, enumerate_classes, part_centralizer_order, partitions
@@ -83,14 +90,11 @@ class Power(SpeciesExpr):
 
 
 @dataclass(frozen=True)
-class SymPower(SpeciesExpr):
-    base: SpeciesExpr
-    n: int
-
-
-@dataclass(frozen=True)
 class Assembly(SpeciesExpr):
+    """E(F) for n = None, else sym(n, F): unordered direct-sum decompositions
+    into nonzero parts, n of them if n is given, with an F-structure on each."""
     base: SpeciesExpr
+    n: int | None = None
 
 
 @dataclass(frozen=True)
@@ -114,16 +118,22 @@ def _count_rep_cyclic(field, n, m):
     return c.numerator
 
 
-def _is_root(lam, v, m):
-    """Whether g^m = 1 on a part: z^m - 1 is a multiple of every elementary
-    divisor phi^i, i in lam, so lam_1 <= v_phi.  Always, for m = 0."""
-    return m == 0 or all(i <= v for i in lam)
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic(field, m):
     """The phi dividing z^m - 1, with their multiplicities v_phi; none for m = 0."""
     return _factor_at_power(poly_z_minus(field, 1), m) if m else ()
+
+
+def _fix_sub(field: FieldSpec, c: ConjClass, k: int) -> int:
+    """The k-subspaces invariant under sigma in the class c: its F_q[z]-submodules
+    of dimension k, the direct sums of one submodule per primary part, so the
+    parts' counts by dimension convolve up to k."""
+    out = [1] + [0] * k
+    for phi, lam in c.invariant.partitions:
+        count = _submodule_counts(lam, field.q**phi.degree, phi.degree, k)
+        if any(count[1:]):  # else the part's only submodule of dimension <= k is 0
+            out = [sum(out[i] * count[j - i] for i in range(j + 1)) for j in range(k + 1)]
+    return out[k]
 
 
 @lru_cache(maxsize=None)
@@ -233,26 +243,23 @@ def _commutant_roots(field: FieldSpec, phi: Poly, lam: tuple, m: int) -> int:
     return count(0, Matrix.zero(field, size, size))
 
 
+def _eigenvalue_1(field: FieldSpec, c: ConjClass) -> tuple:
+    """The partition at phi = z - 1 of the class c: sigma's Jordan blocks of
+    eigenvalue 1, so its length is dim ker(sigma - 1)."""
+    return dict(c.invariant.partitions).get(poly_z_minus(field, 1), ())
+
+
 @dataclass(frozen=True)
 class BuiltinSpec:
     """A builtin: its closed count |F[E_n]|; its type series, the GL_n-orbits
     on F[E_n] in closed form, unless GL_n acts trivially and the orbits are the
-    structures; and, unless fix F[sigma] depends on n alone, its count on one
-    primary part (phi, lam) of sigma, whose product over sigma's parts is
-    fix F[sigma].  A part count depends on q, deg phi, lam and v_phi, which is
-    0 except at the ``special`` phi, z - 1 for Elem and Bases, where it is 1.
-    ``type`` reads ``types`` and ``zindex`` reads ``part``; RepCyclic(m) has
-    fixed points of its own (``_fix_rep_cyclic``)."""
-    name: str
+    structures; and fix F[sigma] for sigma in an Aut class, unless it depends
+    on n alone and is the count.  ``gen`` reads ``count``, ``type`` reads
+    ``types`` and ``zindex`` reads ``fix``."""
     count: object                  # (field, n, arg) -> |F[E_n]|
-    part: object = None            # (q, deg phi, lam, v_phi, arg) -> count on one part
-    special: object = lambda field, arg: ()  # (field, arg) -> ((phi, v_phi), ...)
+    fix: object = None             # (field, c, arg) -> fix F[sigma], sigma in the class c
     needs_arg: bool = False
     types: object = None           # (field, order, arg) -> the type series
-
-
-def _z_minus_1(field, arg):
-    return _cyclotomic(field, 1)
 
 
 def _types_by_dimension(orbits):
@@ -266,7 +273,7 @@ def _class_counts(field: FieldSpec, order: int, m: int | None) -> PowerSeries:
     """The classes of each dimension: of End for m = None, else of the g in GL
     with g^m = 1.  A class is a partition lam_phi for each monic irreducible
     phi, z excluded in GL, and g^m = 1 when lam_phi has no part above v_phi,
-    the multiplicity of phi in z^m - 1 (``_is_root``; no bound for m = 0).  So
+    the multiplicity of phi in z^m - 1 (no bound for m = 0).  So
     the count is the Euler product over the phi of
     prod_(i <= v_phi) 1/(1 - x^(i deg phi)) (Macdonald, ch. IV), whose
     unbounded factors are shared by the N_d phi of each degree d."""
@@ -283,41 +290,38 @@ def _class_counts(field: FieldSpec, order: int, m: int | None) -> PowerSeries:
 
 
 BUILTINS: dict[str, BuiltinSpec] = {
-    "One": BuiltinSpec("One", lambda field, n, arg: 1 if n == 0 else 0),
-    "Zero": BuiltinSpec("Zero", lambda field, n, arg: 0),
-    # fixed vectors: the kernel of sigma - 1, one dimension per part of lam at
-    # z - 1; two orbits, the zero vector and the rest
-    "Elem": BuiltinSpec("Elem", lambda field, n, arg: field.q**n,
-                        lambda q, d, lam, v, arg: q ** len(lam) if v else 1, _z_minus_1,
+    "One": BuiltinSpec(lambda field, n, arg: 1 if n == 0 else 0),
+    "Zero": BuiltinSpec(lambda field, n, arg: 0),
+    # fixed vectors: the kernel of sigma - 1; two orbits, the zero vector and the rest
+    "Elem": BuiltinSpec(lambda field, n, arg: field.q**n,
+                        lambda field, c, arg: field.q ** len(_eigenvalue_1(field, c)),
                         types=_types_by_dimension(lambda field, n, arg: min(n, 1) + 1)),
-    # invariant subspaces of dimension k are F_q[z]-submodules, sums of their
-    # phi-parts: the per-part counts are vectors by dimension, which convolve;
-    # GL_n is transitive on the k-subspaces
-    "Proj": BuiltinSpec("Proj", lambda field, n, arg: q_int(field.q, n),
-                        lambda q, d, lam, v, arg: _submodule_counts(lam, q**d, d, 1),
+    # invariant subspaces; GL_n is transitive on the k-subspaces
+    "Proj": BuiltinSpec(lambda field, n, arg: q_int(field.q, n),
+                        lambda field, c, arg: _fix_sub(field, c, 1),
                         types=_types_by_dimension(lambda field, n, arg: int(n >= 1))),
-    "Sub": BuiltinSpec("Sub", lambda field, n, k: qbinomial(field, n, k) if k <= n else 0,
-                       lambda q, d, lam, v, k: _submodule_counts(lam, q**d, d, k),
-                       needs_arg=True,
+    "Sub": BuiltinSpec(lambda field, n, k: qbinomial(field, n, k) if k <= n else 0,
+                       _fix_sub, needs_arg=True,
                        types=_types_by_dimension(lambda field, n, k: int(n >= k))),
     # matrices commuting with sigma: its commutant algebra, and the units there;
     # the orbits are the classes
-    "End": BuiltinSpec("End", lambda field, n, arg: field.q ** (n * n),
-                       lambda q, d, lam, v, arg: q ** _commutant_dim(d, lam),
+    "End": BuiltinSpec(lambda field, n, arg: field.q ** (n * n),
+                       lambda field, c, arg: field.q ** sum(
+                           _commutant_dim(phi.degree, lam) for phi, lam in c.invariant.partitions),
                        types=lambda field, order, arg: _class_counts(field, order, None)),
-    "Aut": BuiltinSpec("Aut", lambda field, n, arg: gl_order(field, n),
-                       lambda q, d, lam, v, arg: part_centralizer_order(q**d, lam),
+    "Aut": BuiltinSpec(lambda field, n, arg: gl_order(field, n),
+                       lambda field, c, arg: c.centralizer_order,
                        types=lambda field, order, arg: _class_counts(field, order, 0)),
-    # the centralizer of sigma if sigma = 1 on the part, else nothing; one orbit
-    "Bases": BuiltinSpec("Bases", lambda field, n, arg: gl_order(field, n),
-                         lambda q, d, lam, v, arg:
-                         part_centralizer_order(q**d, lam) if _is_root(lam, v, 1) else 0,
-                         _z_minus_1, types=_types_by_dimension(lambda field, n, arg: 1)),
-    "V": BuiltinSpec("V", lambda field, n, arg: 1),
-    "Vplus": BuiltinSpec("Vplus", lambda field, n, arg: 1 if n >= 1 else 0),
-    "Fscalar": BuiltinSpec("Fscalar", lambda field, n, arg: field.q if n == 1 else 0),
-    "Fstar": BuiltinSpec("Fstar", lambda field, n, arg: field.q - 1 if n == 1 else 0),
-    "RepCyclic": BuiltinSpec("RepCyclic", _count_rep_cyclic, needs_arg=True,
+    # only the identity fixes a basis; one orbit
+    "Bases": BuiltinSpec(lambda field, n, arg: gl_order(field, n),
+                         lambda field, c, arg:
+                         c.centralizer_order if _eigenvalue_1(field, c) == (1,) * c.n else 0,
+                         types=_types_by_dimension(lambda field, n, arg: 1)),
+    "V": BuiltinSpec(lambda field, n, arg: 1),
+    "Vplus": BuiltinSpec(lambda field, n, arg: 1 if n >= 1 else 0),
+    "Fscalar": BuiltinSpec(lambda field, n, arg: field.q if n == 1 else 0),
+    "Fstar": BuiltinSpec(lambda field, n, arg: field.q - 1 if n == 1 else 0),
+    "RepCyclic": BuiltinSpec(_count_rep_cyclic, _fix_rep_cyclic, needs_arg=True,
                              types=_class_counts),
 }
 
@@ -350,12 +354,12 @@ def _check_operand(e: SpeciesExpr) -> None:
 
 def validate(e: SpeciesExpr) -> None:
     """Enforce n >= 0 on every power and sym, and the F[0] = empty
-    precondition on every sym/assembly operand."""
+    precondition on every E/sym operand."""
     for child in _children(e):
         validate(child)
-    if isinstance(e, (Power, SymPower)) and e.n < 0:
+    if isinstance(e, (Power, Assembly)) and e.n is not None and e.n < 0:
         raise ValueError(f"negative exponent {e.n} in {type(e).__name__}")
-    if isinstance(e, (SymPower, Assembly)):
+    if isinstance(e, Assembly):
         _check_operand(e.base)
 
 
@@ -412,10 +416,9 @@ def _gen_series(e: SpeciesExpr, field: FieldSpec, order: int, ring: str) -> Powe
                 coeffs = [Fraction(count(field, n, x.arg), gl_order(field, n))
                           for n in range(order + 1)]
             return PowerSeries(ring, order, [one * c for c in coeffs])
-        if isinstance(x, SymPower):
-            return (_fold(x.base, leaf) ** x.n).scale(Fraction(1, factorial(x.n)))
         if isinstance(x, Assembly):
-            return _fold(x.base, leaf).exp()
+            f = _fold(x.base, leaf)
+            return f.exp() if x.n is None else (f ** x.n).scale(Fraction(1, factorial(x.n)))
         # the remaining leaf is mark(F)
         if ring != POLY_T:
             raise ValueError("mark(...) requires the weighted coefficient ring")
@@ -429,27 +432,13 @@ def weighted_gen_series(e: SpeciesExpr, field: FieldSpec, order: int) -> PowerSe
     return gen_series(e, field, order, POLY_T)
 
 
-# -- sums over classes as products over parts ----------------------------------
+# -- fixed points ---------------------------------------------------------------
 
 def class_fix(e: Builtin, field: FieldSpec, c: ConjClass) -> int:
-    """fix F[sigma] for a builtin F and sigma in the Aut class c: the product of
-    the builtin's per-part counts over sigma's primary parts, where Sub(k)'s and
-    Proj's vectors convolve up to dimension k; the count on E_n for a builtin
-    without per-part counts; RepCyclic(m) from ``_fix_rep_cyclic``."""
-    if e.name == "RepCyclic":
-        return _fix_rep_cyclic(field, c, e.arg)
+    """fix F[sigma] for a builtin F and sigma in the Aut class c: the builtin's
+    ``fix``, or its count on E_n if that is all fix depends on."""
     spec = BUILTINS[e.name]
-    if spec.part is None:
-        return spec.count(field, c.n, e.arg)
-    q, arg, special = field.q, e.arg, dict(spec.special(field, e.arg))
-    out = spec.part(q, 1, (), 0, arg)  # the empty part: 1, or (1, 0, ..., 0)
-    for phi, lam in c.invariant.partitions:
-        count = spec.part(q, phi.degree, lam, special.get(phi, 0), arg)
-        if isinstance(out, int):
-            out *= count
-        elif any(count[1:]):  # else the part's only submodule of dimension <= k is 0
-            out = [sum(out[i] * count[j - i] for i in range(j + 1)) for j in range(len(out))]
-    return out if isinstance(out, int) else out[-1]
+    return spec.fix(field, c, e.arg) if spec.fix else spec.count(field, c.n, e.arg)
 
 
 def _rep_cyclic_gen(field: FieldSpec, order: int, m: int) -> PowerSeries:
@@ -472,33 +461,23 @@ def _rep_cyclic_gen(field: FieldSpec, order: int, m: int) -> PowerSeries:
 
 # -- plethysm ---------------------------------------------------------------------
 
-def _plethysm(x: SymPower | Assembly, f, one):
+def _plethysm(x: Assembly, f, one):
     """E(F) or sym(m, F) from F's cycle index or type series f, whose series 1 is
-    ``one``: exp(sum_r Psi_r(f)/r) and sum over partitions lambda of m of
-    prod_j Psi_{lambda_j}(f) / z_lambda (Bergeron-Labelle-Leroux 1998).  Psi_r is
-    ``adams(r)``; the type specialisation is a ring map that sends Psi_r to
-    x -> x^r, so one rule serves both series."""
+    ``one``: exp(sum_r Psi_r(f)/r), or h_m from Newton's identity
+    m h_m = sum_(r <= m) Psi_r(f) h_(m-r), h_0 = 1 (Bergeron-Labelle-Leroux
+    1998; Macdonald, I (2.11)), in m(m+1)/2 products.  Psi_r is ``adams(r)``;
+    the type specialisation is a ring map that sends Psi_r to x -> x^r, so one
+    rule serves both series."""
     zero = one.scale(0)
-    if isinstance(x, Assembly):
+    if x.n is None:
         return sum((f.adams(r).scale(Fraction(1, r)) for r in range(1, f.order + 1)),
                    zero).exp()
     adams = {r: f.adams(r) for r in range(1, x.n + 1)}
-    total = zero
-    for lam in partitions(x.n):
-        term = one.scale(Fraction(1, _z_lambda(lam)))
-        for part in lam:
-            term = term * adams[part]
-        total = total + term
-    return total
-
-
-def _z_lambda(lam: tuple) -> int:
-    """prod_i i^(m_i) m_i!, where lam has m_i parts equal to i."""
-    out = 1
-    for part, run in groupby(lam):
-        m = len(list(run))
-        out *= part**m * factorial(m)
-    return out
+    h = [one]
+    for m in range(1, x.n + 1):
+        h.append(sum((adams[r] * h[m - r] for r in range(1, m + 1)), zero)
+                 .scale(Fraction(1, m)))
+    return h[x.n]
 
 
 # -- type generating series ------------------------------------------------------
@@ -515,9 +494,9 @@ def type_series(e: SpeciesExpr, field: FieldSpec, order: int) -> PowerSeries:
     _validate_unweighted(e, "type series")
 
     def leaf(x: SpeciesExpr) -> PowerSeries:
-        if isinstance(x, (Assembly, SymPower)):
+        if isinstance(x, Assembly):
             types = _plethysm(x, _fold(x.base, leaf), PowerSeries.one(RATIONAL, order))
-            what = "E" if isinstance(x, Assembly) else "sym"
+            what = "E" if x.n is None else "sym"
             for n, c in enumerate(types.coeffs):
                 require(c.denominator == 1 and c >= 0,
                         f"{what} type coefficient {c} at n={n} is not a nonnegative integer")
@@ -543,7 +522,7 @@ def cycle_index(e: SpeciesExpr, field: FieldSpec, order: int) -> CycleIndexSerie
     _validate_unweighted(e, "cycle index")
 
     def leaf(x: SpeciesExpr) -> CycleIndexSeries:
-        if isinstance(x, (Assembly, SymPower)):
+        if isinstance(x, Assembly):
             return _plethysm(x, _fold(x.base, leaf), z_one(field, order))
         return z_build(field, lambda c: class_fix(x, field, c), order)
 

@@ -13,9 +13,8 @@ from qspecies.field import ConsistencyError, field_make
 from qspecies.linalg import Matrix, Subspace, enumerate_matrices, gl_order, invariant_data
 from qspecies.parser import parse
 from qspecies.cycleindex import z_build
-from qspecies.species import (Assembly, Builtin, Mark, Plus, Power, Product, Sum, SymPower,
-                              class_fix, cycle_index, gen_series, type_series,
-                              weighted_gen_series)
+from qspecies.species import (Assembly, Builtin, Mark, Plus, Power, Product, Sum, class_fix,
+                              cycle_index, gen_series, type_series, weighted_gen_series)
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -210,7 +209,7 @@ def reference_transport(e, s, g):
     if isinstance(e, Product):
         return ("prod",) + tuple(reference_part(part_e, rows, enc, g)
                                  for part_e, (rows, enc) in zip((e.left, e.right), s[1:]))
-    if isinstance(e, (SymPower, Assembly)):
+    if isinstance(e, Assembly):
         return ("mset", tuple(sorted(reference_part(e.base, rows, enc, g)
                                      for rows, enc in s[1])))
     raise TypeError(e)

@@ -3,8 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qspecies.parser import ParseError, parse, render
-from qspecies.species import (Assembly, Builtin, Mark, Plus, Power, Product,
-                              Sum, SymPower)
+from qspecies.species import Assembly, Builtin, Mark, Plus, Power, Product, Sum
 
 
 def B(name, arg=None):
@@ -38,7 +37,7 @@ def test_left_associativity():
 
 def test_functions():
     assert parse("E(Vplus)") == Assembly(B("Vplus"))
-    assert parse("sym(2, Vplus)") == SymPower(B("Vplus"), 2)
+    assert parse("sym(2, Vplus)") == Assembly(B("Vplus"), 2)
     assert parse("plus(Elem)") == Plus(B("Elem"))
     assert parse("mark(Vplus)") == Mark(B("Vplus"))
     assert parse("E(mark(Vplus))") == Assembly(Mark(B("Vplus")))

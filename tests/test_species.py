@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import groupby
 from math import factorial
 from pathlib import Path
 
@@ -11,13 +12,14 @@ import qspecies
 from qspecies import oracle, species
 from qspecies.cli import main
 from qspecies.field import field_make
-from qspecies.classes import enumerate_classes, part_centralizer_order
+from qspecies.classes import enumerate_classes, part_centralizer_order, partitions
+from qspecies.cycleindex import z_one
 from qspecies.linalg import ConsistencyError, Matrix, enumerate_matrices, gl_order, qbinomial
 from qspecies.oracle import structure_count_bf
 from qspecies.parser import parse, render
-from qspecies.series import POLY_T, RATIONAL, TPoly, aut_type_product
+from qspecies.series import POLY_T, RATIONAL, PowerSeries, TPoly, aut_type_product
 from qspecies.species import (Assembly, Builtin, Mark, Plus, Power, Product,
-                              Sum, SymPower, UnsupportedOperationError,
+                              Sum, UnsupportedOperationError,
                               cycle_index, gen_series, type_series, validate,
                               weighted_gen_series)
 
@@ -86,7 +88,7 @@ def test_plus_drops_constant():
 
 def test_sym_power_divides_by_factorial():
     p = gen_series(Power(B("Vplus"), 3), F2, 4)
-    s = gen_series(SymPower(B("Vplus"), 3), F2, 4)
+    s = gen_series(Assembly(B("Vplus"), 3), F2, 4)
     assert s == p.scale(Fraction(1, factorial(3)))
 
 
@@ -94,11 +96,11 @@ def test_validate_rejects_nonempty_base():
     with pytest.raises(ValueError):
         validate(Assembly(B("V")))
     with pytest.raises(ValueError):
-        validate(SymPower(B("One"), 2))
+        validate(Assembly(B("One"), 2))
     validate(Assembly(Plus(B("Elem"))))   # plus() repairs the base
 
 
-@pytest.mark.parametrize("node", [Power, SymPower])
+@pytest.mark.parametrize("node", [Power, Assembly])
 def test_validate_rejects_negative_exponents(node):
     # the parser builds no negative power, but the library can
     e = node(B("Vplus"), -1)
@@ -119,30 +121,30 @@ def test_empty_at_zero_matches_the_oracle(text):
     assert species.empty_at_zero(e) == (structure_count_bf(e, F2, 0) == 0)
 
 
-# one sample per AST node type: each walk over the AST must handle every type
+# samples of each AST node type, one per form: each walk over the AST must
+# handle every type
 NODE_SAMPLES = {
-    Builtin: Builtin("Proj"),
-    Sum: Sum(B("Vplus"), B("Elem")),
-    Product: Product(B("Vplus"), B("Proj")),
-    Power: Power(B("Vplus"), 2),
-    SymPower: SymPower(B("Vplus"), 2),
-    Assembly: Assembly(B("Vplus")),
-    Plus: Plus(B("Elem")),
-    Mark: Mark(B("Vplus")),
+    Builtin: [Builtin("Proj")],
+    Sum: [Sum(B("Vplus"), B("Elem"))],
+    Product: [Product(B("Vplus"), B("Proj"))],
+    Power: [Power(B("Vplus"), 2)],
+    Assembly: [Assembly(B("Vplus")), Assembly(B("Vplus"), 2)],  # E and sym
+    Plus: [Plus(B("Elem"))],
+    Mark: [Mark(B("Vplus"))],
 }
 
 
 @pytest.mark.parametrize("node", species.SpeciesExpr.__subclasses__(),
                          ids=lambda node: node.__name__)
 def test_every_node_type_has_every_walk(node):
-    e = NODE_SAMPLES[node]  # a KeyError here: a new node type without a sample
-    assert parse(render(e)) == e
-    counts = weighted_gen_series(e, F2, 2).coeffs
-    for n in range(3):
-        structures = set(oracle.enumerate_structures(e, F2, n))
-        assert len(structures) == counts[n].subs_t(1) * gl_order(F2, n)
-        for g in enumerate_matrices(F2, n, True):
-            assert {oracle.transport(s, g) for s in structures} == structures
+    for e in NODE_SAMPLES[node]:  # a KeyError here: a new node type without a sample
+        assert parse(render(e)) == e
+        counts = weighted_gen_series(e, F2, 2).coeffs
+        for n in range(3):
+            structures = set(oracle.enumerate_structures(e, F2, n))
+            assert len(structures) == counts[n].subs_t(1) * gl_order(F2, n)
+            for g in enumerate_matrices(F2, n, True):
+                assert {oracle.transport(s, g) for s in structures} == structures
 
 
 # ------------------------------------------------------------ type series
@@ -308,6 +310,12 @@ def test_euler_products_are_the_class_sums(field, top, texts):
         assert gen_series(e, field, top) == z.specialize_generating(), text
 
 
+def _is_root(lam, v, m):
+    """Whether g^m = 1 on a part: z^m - 1 is a multiple of every elementary
+    divisor phi^i, i in lam, so lam_1 <= v_phi.  Always, for m = 0."""
+    return m == 0 or all(i <= v for i in lam)
+
+
 @pytest.mark.parametrize("field, top", [(F2, 8), (F3, 5), (F4, 4)], ids=["q2", "q3", "q4"])
 def test_class_counts_are_the_enumerated_classes(field, top):
     # the Euler product against the class tables: End's, and Aut's classes
@@ -317,7 +325,7 @@ def test_class_counts_are_the_enumerated_classes(field, top):
     for m in range(7):
         v = dict(species._cyclotomic(field, m))
         assert list(species._class_counts(field, top, m).coeffs) == [
-            sum(all(species._is_root(lam, v.get(phi, 0), m) for phi, lam in c.invariant.partitions)
+            sum(all(_is_root(lam, v.get(phi, 0), m) for phi, lam in c.invariant.partitions)
                 for c in enumerate_classes(field, n, "aut"))
             for n in range(top + 1)], m
 
@@ -328,7 +336,7 @@ def test_generic_factors_sum_no_partition(monkeypatch):
     monkeypatch.setattr(species, "part_centralizer_order", refuse)
     monkeypatch.setattr(species, "partitions", refuse)
     for text in ("Aut", "End", "Proj", "Sub(3)", "Elem", "Bases",
-                 "RepCyclic(0)", "RepCyclic(2)", "RepCyclic(3)"):
+                 "RepCyclic(0)", "RepCyclic(2)", "RepCyclic(3)", "sym(3,Proj)"):
         assert type_series(parse(text), F2, 24).coeffs[24] >= 1
 
 
@@ -362,6 +370,41 @@ def test_rep_cyclic_cycle_index_never_loads_the_oracle():
     assert out.stdout.split() == ["False"]
 
 
+def _partition_sum(f, m, one):
+    """h_m as the sum over the partitions lam of m of prod_j Psi_(lam_j)(f) / z_lam,
+    z_lam = prod_i i^(m_i) m_i! for m_i parts equal to i: the reference for
+    Newton's identity."""
+    total = one.scale(0)
+    for lam in partitions(m):
+        z = 1
+        for part, run in groupby(lam):
+            k = len(list(run))
+            z *= part**k * factorial(k)
+        term = one.scale(Fraction(1, z))
+        for part in lam:
+            term = term * f.adams(part)
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("field, order", [(F2, 6), (F3, 5), (F4, 4)], ids=["q2", "q3", "q4"])
+def test_newton_plethysm_is_the_partition_sum(field, order):
+    base = parse("Proj + Vplus")
+    routes = [(type_series(base, field, 12), PowerSeries.one(RATIONAL, 12)),
+              (cycle_index(base, field, order), z_one(field, order))]
+    for f, one in routes:
+        for m in range(7):
+            assert species._plethysm(Assembly(base, m), f, one) == _partition_sum(f, m, one), m
+
+
+def test_sym_of_many_parts_takes_polynomial_time():
+    # the types of sym(45, Vplus) on E_n are the partitions of n into exactly
+    # 45 parts, p(n - 45) for n <= 90; a sum over the 89,134 partitions of 45
+    # took over 120 s on the CLI
+    coeffs = type_series(parse("sym(45,Vplus)"), F2, 50).coeffs
+    assert list(coeffs) == [0] * 45 + [1, 1, 2, 3, 5, 7]
+
+
 @pytest.mark.parametrize("field, order", [(F3, 5), (field_make(2, 2), 4)], ids=["q3", "q4"])
 @pytest.mark.parametrize("text", ["sym(3,Proj)", "E(plus(Elem))", "sym(2,E(Vplus)*Vplus)"])
 def test_type_plethysm_is_the_type_specialisation_of_the_cycle_index(field, order, text):
@@ -379,15 +422,17 @@ def test_rep_cyclic_predicate_matches_representative_powers(field, top):
         v = dict(species._cyclotomic(field, m))
         for n in range(top + 1):
             for c in enumerate_classes(field, n, "aut"):
-                fixed = all(species._is_root(lam, v.get(phi, 0), m)
+                fixed = all(_is_root(lam, v.get(phi, 0), m)
                             for phi, lam in c.invariant.partitions)
                 assert fixed == (c.representative(field) ** m
                                  == Matrix.identity(field, n)), (m, c)
 
 
 def test_non_integral_sym_type_is_a_failed_check(monkeypatch, capsys):
-    # with 1/z_lambda replaced by 1/3, type(sym(2,Vplus)) at n=2 reads 2/3
-    monkeypatch.setattr(species, "_z_lambda", lambda lam: 3)
+    # with the plethysm scaled by 2/3, type(sym(2,Vplus)) at n=2 reads 2/3
+    plethysm = species._plethysm
+    monkeypatch.setattr(species, "_plethysm",
+                        lambda x, f, one: plethysm(x, f, one).scale(Fraction(2, 3)))
     with pytest.raises(ConsistencyError):
         type_series(parse("sym(2,Vplus)"), F2, 3)
     assert main(["type", "sym(2,Vplus)", "--order", "3"]) == 1
@@ -397,10 +442,13 @@ def test_non_integral_sym_type_is_a_failed_check(monkeypatch, capsys):
 def test_plethysm_checks_survive_python_O():
     script = (
         "import sys\n"
+        "from fractions import Fraction\n"
         "from qspecies import cycleindex, species\n"
         "from qspecies.cli import main\n"
-        "species._z_lambda = lambda lam: 3\n"
+        "plethysm = species._plethysm\n"
+        "species._plethysm = lambda x, f, one: plethysm(x, f, one).scale(Fraction(2, 3))\n"
         "print(main(['type', 'sym(2,Vplus)', '--order', '3']))\n"
+        "species._plethysm = plethysm\n"
         "irreducibles = cycleindex.monic_irreducibles\n"
         "cycleindex.monic_irreducibles = lambda field, d, exclude_z=False: [\n"
         "    f for f in irreducibles(field, d, exclude_z) if f.coeffs != (1, 1, 1)]\n"
