@@ -425,22 +425,6 @@ class Subspace:
     ambient: int
     basis: tuple[tuple[int, ...], ...]  # RREF rows, strictly increasing pivots
 
-    @staticmethod
-    def from_vectors(field: FieldSpec, ambient: int, vectors) -> "Subspace":
-        vectors = list(vectors)
-        if not vectors:
-            return Subspace(field, ambient, ())
-        red, pivots = Matrix.make(field, vectors).rref()
-        return Subspace(field, ambient, red.entries[:len(pivots)])
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(next(i for i, x in enumerate(row) if x) for row in self.basis)
-
 
 # -- group orders and counts ------------------------------------------------
 
@@ -674,12 +658,25 @@ def check_matrix_budget(field: FieldSpec, n: int, budget: int) -> None:
 
 def enumerate_matrices(field: FieldSpec, n: int, invertible_only: bool = False,
                        budget: int = DEFAULT_BUDGET) -> Iterator[Matrix]:
+    """The n x n matrices over F_q, or those of GL_n, in the product order of
+    their entries row by row.  GL_n is walked row by row: row i takes, in
+    product order, each vector outside the span of rows 0..i-1, so the walk
+    meets only the rank-n matrices and tests none for rank.  Raises
+    BudgetExceededError before yielding anything when q^(n²) exceeds ``budget``."""
     check_matrix_budget(field, n, budget)
-    for flat in product(range(field.q), repeat=n * n):
-        m = Matrix(field, tuple(flat[i * n:(i + 1) * n] for i in range(n)))
-        if invertible_only and not m.is_invertible():
-            continue
-        yield m
+    vectors = list(product(range(field.q), repeat=n))
+
+    def walk(rows: tuple, span: tuple) -> Iterator[tuple]:
+        if len(rows) == n:
+            yield rows
+            return
+        for v in vectors:
+            joined = direct_sum(field, span, (v,))  # None when v is in the span
+            if joined is not None:
+                yield from walk(rows + (v,), joined)
+
+    for rows in walk((), ()) if invertible_only else product(vectors, repeat=n):
+        yield Matrix(field, rows)
 
 
 def enumerate_subspaces(field: FieldSpec, n: int, k: int,

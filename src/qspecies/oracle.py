@@ -102,12 +102,9 @@ def _enum_builtin(e: Builtin, field: FieldSpec, n: int, budget: int) -> list[Str
         return [(tag, m.entries) for m in enumerate_matrices(field, n, name != "End", budget)]
     if name == "RepCyclic":
         m = e.arg
-        out = []
         ident = Matrix.identity(field, n)
-        for g in enumerate_matrices(field, n, True, budget):
-            if g**m == ident:
-                out.append(("mat", g.entries))
-        return out
+        return [("mat", g.entries) for g in enumerate_matrices(field, n, True, budget)
+                if g**m == ident]
     # the rest have at most q^n structures: enumerate one more than the budget
     if name == "Elem":
         structures = (("vec", v) for v in iproduct(range(q), repeat=n))
@@ -195,23 +192,22 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
 # g (a g⁻¹) is g c_k for column c_k of a g⁻¹, that is the image of c_k under
 # the row map of gᵀ.  So a costs 2d lookups and two transposes.
 #
-# Lifetimes.  An _Acting keeps the image of each W once, the chart on W once
-# a structure on W is moved, and, once a "mat" leaf first asks for them, its
-# two row maps, for one sigma's counting loop, one orbit search over fixed
-# generators, or one public ``transport`` call.  The maps of one acting
-# matrix on a d-dimensional space hold 2 q^d rows, no more than the q^(d²)
-# matrices the oracle has already enumerated there; nothing is kept per
-# structure.
+# Lifetimes.  An _Acting keeps its images, charts and row maps for one
+# sigma's counting loop, one orbit search over fixed generators, or one
+# public ``transport`` call.  The maps of one acting matrix on a
+# d-dimensional space hold 2 q^d rows, no more than the q^(d²) matrices the
+# oracle has already enumerated there; nothing is kept per structure.
 #
-# The screen.  sigma fixes a split only if it maps the split's parts onto
-# themselves: each part of a "prod" to itself, the set of parts of an "mset"
-# onto itself.  So before it transports a structure, _fix_count drops one
-# whose top-level split (under any L, R or M tags) fails that test
-# (_moves_parts), which reads the images of the parts off the table that
-# transport fills anyway.  For an "mset" the test is exact: its parts are
-# distinct subspaces and sigma is injective, so sigma permutes them iff each
-# image is a part.  What passes the screen is still decided by
-# _transport(s, sigma) == s.
+# The screen.  sigma fixes a split only if it maps each part of a "prod" to
+# itself and the parts of an "mset" onto themselves; for an "mset" this is
+# exact, as its parts are distinct subspaces and sigma is injective.
+# Once per enumeration, _prepare groups the structures by their top-level
+# split (under any L, R or M tags), gives each split an id, and keeps for each
+# distinct part the ids of the splits that hold it, as the bits of an int.
+# Per sigma, _fix_count images each part that a split still kept holds,
+# reading the table that transport fills anyway, and drops at once every
+# split that holds the part but not its image.  Only the members of the
+# splits kept are moved; _transport(s, sigma) == s decides.
 #
 # The commutant count.  When every structure of F[E_d], d >= 1, is a "mat",
 # as for End, Aut and RepCyclic(m), sigma fixes a iff sigma a = a sigma: the
@@ -365,25 +361,6 @@ def _move_part(part: tuple, a: _Acting) -> tuple:
     return (image, _transport(enc, h))
 
 
-def _moves_parts(s: Structure, a: _Acting) -> bool:
-    """Whether g moves the top-level split of s, under any L, R or M tags, off
-    itself: some part W of a "prod" has g(W) != W, or some part of an "mset"
-    goes to a subspace that is no part.  Then g does not fix s.  False for a
-    structure that is no split."""
-    while s[0] in ("L", "R", "M"):
-        s = s[1]
-    tag = s[0]
-    image = a.image
-    if tag == "prod":
-        return any(rows and image(rows) != rows for rows, _enc in s[1:])
-    if tag == "mset":
-        parts = {rows for rows, _enc in s[1]}
-        for rows in parts:
-            if image(rows) not in parts:
-                return True
-    return False
-
-
 # -- counting ------------------------------------------------------------------
 
 def structure_count_bf(e: SpeciesExpr, field: FieldSpec, n: int,
@@ -424,22 +401,49 @@ def fix_counts_bf(e: SpeciesExpr, field: FieldSpec, n: int, sigmas: list[Matrix]
     return [_fix_count(sigma, structures) for sigma in sigmas]
 
 
-def _fix_count(sigma: Matrix, structures: list | frozenset) -> int:
-    """The members of ``structures`` fixed by sigma, which nothing checks here:
-    by the commutant count of a set of flat matrices, else by transport of
-    each structure that passes the screen."""
-    if isinstance(structures, frozenset):
-        return _commuting(sigma, structures)
+def _fix_count(sigma: Matrix, prepared: tuple | frozenset) -> int:
+    """The structures of ``_prepare``'s value fixed by sigma, which nothing
+    checks here: by the commutant count of a set of flat matrices, else by
+    transport of the members of each split that passes the screen."""
+    if isinstance(prepared, frozenset):
+        return _commuting(sigma, prepared)
+    holders, members = prepared
     a = _Acting(sigma, {})
-    return sum(1 for s in structures if not _moves_parts(s, a) and _transport(s, a) == s)
+    kept, count = (1 << len(members)) - 1, 0
+    for (slot, rows), held in holders.items():
+        held &= kept
+        if held:  # drop the splits that hold this part but not its image
+            kept ^= held & ~holders.get((slot, a.image(rows)), 0)
+    while kept:
+        low = kept & -kept
+        kept ^= low
+        count += sum(1 for s in members[low.bit_length() - 1] if _transport(s, a) == s)
+    return count
 
 
-def _prepare(field: FieldSpec, n: int, structures: list) -> list | frozenset:
+def _prepare(field: FieldSpec, n: int, structures: list) -> tuple | frozenset:
     """What the Burnside loops hand to ``_fix_count`` for F[E_n]: the set of
-    the ``_flat`` matrices when all are "mat" and n >= 1, else the list."""
+    the ``_flat`` matrices when all are "mat" and n >= 1, else the screen's
+    tables: the split ids that hold each nonzero part, keyed by (its place in
+    a "prod" or None, rows); and the members of each split by id, with the
+    structures that are no split as one split with no parts."""
     if n and structures and all(s[0] == "mat" for s in structures):
         return frozenset(_flat(field, sum(s[1], ())) for s in structures)
-    return structures
+    holders, splits = {}, {}
+    for s in structures:
+        top = s
+        while top[0] in ("L", "R", "M"):
+            top = top[1]
+        tag = top[0]
+        parts = top[1:] if tag == "prod" else top[1] if tag == "mset" else ()
+        split = tuple((slot if tag == "prod" else None, rows)
+                      for slot, (rows, _enc) in enumerate(parts) if rows)
+        members = splits.setdefault(split, [])
+        if not members:
+            for part in split:
+                holders[part] = holders.get(part, 0) | 1 << (len(splits) - 1)
+        members.append(s)
+    return holders, list(splits.values())
 
 
 def _flat(field: FieldSpec, entries: tuple) -> tuple | int:
@@ -531,9 +535,8 @@ def orbit_count_bf(e: SpeciesExpr, field: FieldSpec, n: int,
     orbits = _orbits(field, n, structures)
     if gl_order(field, n) * field.q ** (n * n) <= budget:
         prepared = _prepare(field, n, structures)
-        total = 0
-        for sigma in enumerate_matrices(field, n, True, budget):
-            total += _fix_count(sigma, prepared)
+        total = sum(_fix_count(sigma, prepared)
+                    for sigma in enumerate_matrices(field, n, True, budget))
         burnside, rest = divmod(total, gl_order(field, n))
         require(rest == 0, f"Burnside total {total} is not divisible by |GL_{n}|")
         require(burnside == len(orbits),

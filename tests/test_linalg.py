@@ -78,10 +78,24 @@ def test_make_range_check_survives_python_O():
     assert out.stdout.split() == ["ValueError", "1"] * 6
 
 
+def span_of(field, n, vectors):
+    """The subspace of F_q^n spanned by ``vectors``: the nonzero rows of their RREF."""
+    red, pivots = Matrix.make(field, vectors).rref()
+    return Subspace(field, n, red.entries[:len(pivots)])
+
+
 def test_kernel():
     k = Matrix.make(F3, [(1, 2)]).kernel_vectors()
     assert k == [(1, 1)]
-    assert Subspace.from_vectors(F3, 2, k) == Subspace.from_vectors(F3, 2, [(2, 2)])
+    assert span_of(F3, 2, k) == span_of(F3, 2, [(2, 2)])
+
+
+def _rank_filtered(field, n):
+    """GL_n as the q^(n²) matrices, in product order row by row, of rank n."""
+    for flat in product(range(field.q), repeat=n * n):
+        m = Matrix(field, tuple(flat[i * n:(i + 1) * n] for i in range(n)))
+        if m.rank() == n:
+            yield m.entries
 
 
 def test_gl_order_vs_exhaustive():
@@ -89,6 +103,16 @@ def test_gl_order_vs_exhaustive():
         assert gl_order(F2, n) == sum(1 for _ in enumerate_matrices(F2, n, True))
     assert gl_order(F2, 0) == 1
     assert sum(1 for _ in enumerate_matrices(F2, 2)) == 16
+    # the row-by-row walk of GL_n yields the rank filter's matrices, in its order
+    for field, top in ((F2, 3), (F3, 2), (F4, 2)):
+        for n in range(top + 1):
+            walk = [g.entries for g in enumerate_matrices(field, n, True)]
+            assert walk == list(_rank_filtered(field, n))
+            assert len(walk) == gl_order(field, n)
+    # an over-budget walk raises before it yields anything
+    walk = enumerate_matrices(F2, 3, True, budget=100)
+    with pytest.raises(BudgetExceededError, match=r"^q\^\(n\^2\) = 512 exceeds budget 100$"):
+        next(walk)
 
 
 def test_invariant_data_examples():
@@ -168,13 +192,13 @@ def test_direct_sum_is_full_rank(field, n):
         span = direct_sum(field, (), u.basis)
         for w in subspaces:
             stacked = Matrix(field, u.basis + w.basis)
-            direct = not stacked.entries or stacked.rank() == u.dim + w.dim
+            direct = not stacked.entries or stacked.rank() == len(u.basis) + len(w.basis)
             assert (direct_sum(field, span, w.basis) is not None) == direct
 
 
 def test_subspace_canonical_equality():
-    a = Subspace.from_vectors(F2, 2, [(1, 1)])
-    b = Subspace.from_vectors(F2, 2, [(1, 1), (0, 0)])
+    a = span_of(F2, 2, [(1, 1)])
+    b = span_of(F2, 2, [(1, 1), (0, 0)])
     assert a == b and hash(a) == hash(b)
 
 

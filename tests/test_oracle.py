@@ -216,7 +216,9 @@ def reference_transport(e, s, g):
 
 
 def reference_image(g, rows):
-    return Subspace.from_vectors(g.field, g.ncols, [g.matvec(b) for b in rows])
+    """g(W) as a Subspace, from the RREF of the images of W's basis rows."""
+    red, pivots = Matrix.make(g.field, [g.matvec(b) for b in rows]).rref()
+    return Subspace(g.field, g.ncols, red.entries[:len(pivots)])
 
 
 def reference_part(e, rows, enc, g):
@@ -224,7 +226,8 @@ def reference_part(e, rows, enc, g):
     if not rows:
         return (image.basis, enc)
     images = [g.matvec(b) for b in rows]
-    chart = Matrix.make(g.field, [[v[p] for v in images] for p in image.pivots])
+    pivots = [next(i for i, x in enumerate(row) if x) for row in image.basis]
+    chart = Matrix.make(g.field, [[v[p] for v in images] for p in pivots])
     return (image.basis, reference_transport(e, enc, chart))
 
 
@@ -567,15 +570,24 @@ def test_zindex_walk_keeps_the_matrix_budget(capsys):
     assert "q^(n^2) = 65536 exceeds budget 1000" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["Vplus*Elem", "Vplus*E(Vplus)", "Vplus + mark(E(Vplus))"])
+@pytest.mark.parametrize("text", [
+    "Vplus*Elem", "Vplus*E(Vplus)", "Vplus + mark(E(Vplus))",
+    "One*Proj",          # a prod with a zero part
+    "Elem + E(Vplus)",   # splits mixed with structures that are no split
+    "mark(Proj*Proj)",   # a prod under a tag
+    "sym(2,Proj)",       # an mset whose parts sigma may swap
+    "E(plus(End))",      # matrices inside the parts
+])
 @pytest.mark.parametrize("field, top", [(F2, 3), (F3, 2), (F4, 2)], ids=["q2", "q3", "q4"])
 def test_screened_fix_count_is_the_transport_count(text, field, top):
     # the screen drops only splits that sigma moves: an mset whose parts sigma
     # permutes among themselves still goes to transport
     e = parse(text)
+    top = min(top, 2) if "End" in text else top
     for n in range(top + 1):
         structures = oracle.enumerate_structures(e, field, n)
+        prepared = oracle._prepare(field, n, structures)
         for sigma in enumerate_matrices(field, n, True):
             acting = oracle._Acting(sigma, {})
-            assert oracle._fix_count(sigma, structures) == sum(
+            assert oracle._fix_count(sigma, prepared) == sum(
                 oracle._transport(s, acting) == s for s in structures)
