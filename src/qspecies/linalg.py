@@ -532,14 +532,16 @@ class InvariantData:
 
     __slots__ = ("partitions", "degree", "_hash", "_items", "_sort_key")
 
-    def __init__(self, partitions: tuple = (), degree: int | None = None):
+    def __init__(self, partitions: tuple = (), degree: int | None = None,
+                 items: tuple | None = None, sort_key: tuple | None = None):
         """``partitions`` must be canonical already; ``of`` makes it so.  A
-        caller that knows the degree (``mul``) passes it."""
+        caller that knows the degree (``mul``), or ``items`` and ``sort_key``
+        (the class walk), passes them; otherwise they are made on first use."""
         self.partitions = partitions
         self.degree = (sum(phi.degree * sum(lam) for phi, lam in partitions)
                        if degree is None else degree)
         self._hash = hash(partitions)
-        self._items = self._sort_key = None  # made on first use
+        self._items, self._sort_key = items, sort_key
 
     @staticmethod
     def of(pairs) -> "InvariantData":
@@ -585,8 +587,7 @@ class InvariantData:
     def sort_key(self) -> tuple:
         """The one order of invariants: by degree, then by ``items``; computed once."""
         if self._sort_key is None:
-            self._sort_key = (self.degree,
-                              tuple((phi.sort_key, i, e) for phi, i, e in self.items()))
+            self._sort_key = (self.degree, tuple((f.sort_key, i, e) for f, i, e in self.items()))
         return self._sort_key
 
     def is_automorphism(self) -> bool:

@@ -5,6 +5,7 @@ first, trailing zeros stripped) over a :class:`~qspecies.field.FieldSpec`.
 The monic irreducibles are the index set of the cycle-index variables, so
 their enumeration order matters: z-1 comes first among the degree-1
 polynomials, then the rest by coefficient order, then increasing degree.
+``Poly.sort_key`` is that order as one int, and the sieve yields it unsorted.
 """
 
 from __future__ import annotations
@@ -108,11 +109,15 @@ class Poly:
         return hash((self.field, self.coeffs))
 
     @cached_property
-    def sort_key(self) -> tuple:
-        """Degree first, z-1 before other degree-1 polynomials, then
-        coefficient order with the constant term last; computed once."""
-        z_minus_1 = self.coeffs == (self.field.neg(1), 1)
-        return (self.degree, 0 if z_minus_1 else 1, tuple(reversed(self.coeffs)))
+    def sort_key(self) -> int:
+        """One int, computed once: degree first, z-1 before the other degree-1
+        polynomials, then sum c_i q^i, which orders one degree as the
+        coefficients read from the top down do."""
+        q, code = self.field.q, 0
+        for c in reversed(self.coeffs):
+            code = code * q + c
+        flag = self.coeffs != (self.field.neg(1), 1)
+        return (2 * self.degree + flag) * q ** (self.degree + 1) + code
 
     def __str__(self) -> str:
         return self._str
@@ -149,36 +154,42 @@ def _irreducibles_cached(field: FieldSpec, d: int) -> tuple[Poly, ...]:
     """Sieve: mark every product g*h, g monic irreducible of degree e <= d/2 and
     h monic of degree d-e; the unmarked monics of degree d are the irreducibles.
     A monic of degree d is marked at the code sum_{i<d} c_i q^i of its lower
-    coefficients.  More than DEFAULT_BUDGET monics raise BudgetExceededError
-    before anything is allocated."""
-    q, add, mul = field.q, field._add, field._mul
+    coefficients, so ascending codes are canonical order but for z-1, moved
+    first at d = 1.  For each g an odometer steps h's lower coefficients: moving
+    h_k from a to a+1 adds (a+1 - a)*g*z^k to g*h and its code, O(e) work.
+    More than DEFAULT_BUDGET monics raise BudgetExceededError before anything is
+    allocated."""
+    q, add, mul, neg = field.q, field._add, field._mul, field._neg
     if q**d > DEFAULT_BUDGET:
         raise BudgetExceededError(
             f"the q^d = {q**d} monics of degree {d} exceed budget {DEFAULT_BUDGET}")
     reducible = bytearray(q**d)
+    powers = [q**i for i in range(d)]
     for e in range(1, d // 2 + 1):
         for g in _irreducibles_cached(field, e):
-            g_low = [(i, mul[c]) for i, c in enumerate(g.coeffs[:-1]) if c]
-            for lower in product(range(q), repeat=d - e):
-                h = lower + (1,)
-                out = [0] * e + list(lower)  # z^e * h without its z^d term
-                for i, row in g_low:
-                    for j, c in enumerate(h):
-                        if c:
-                            out[i + j] = add[out[i + j]][row[c]]
-                code = 0
-                for c in reversed(out):
-                    code = code * q + c
+            # steps[k][a]: (z^j, its coefficient in (a+1 - a)*g*z^k, q^j), the step from h_k = a
+            steps = [[[(k + t, mul[add[(a + 1) % q][neg[a]]][c], powers[k + t])
+                       for t, c in enumerate(g.coeffs) if c] for a in range(q)]
+                     for k in range(d - e)]
+            out = [0] * (d - e) + list(g.coeffs[:-1])  # g*h below z^d, from h = z^(d-e)
+            code = sum(c * p for c, p in zip(out, powers))
+            h = [0] * (d - e)
+            for _ in range(q ** (d - e)):
                 reducible[code] = 1
-    polys = []
-    for code in range(q**d):
-        if not reducible[code]:
-            coeffs = []
-            for _ in range(d):
-                code, c = divmod(code, q)
-                coeffs.append(c)
-            polys.append(Poly(field, tuple(coeffs) + (1,)))
-    polys.sort(key=lambda f: f.sort_key)
+                for k in range(d - e):  # the odometer: step h_k, and carry on a wrap to 0
+                    a = h[k]
+                    for j, b, pw in steps[k][a]:
+                        old = out[j]
+                        out[j] = new = add[old][b]
+                        code += (new - old) * pw
+                    h[k] = a = (a + 1) % q
+                    if a:
+                        break
+    # product() runs through the lower coefficients, top one first, in code order
+    polys = [Poly(field, top_down[::-1] + (1,))
+             for top_down, marked in zip(product(range(q), repeat=d), reducible) if not marked]
+    if d == 1:
+        polys.insert(0, polys.pop(neg[1]))
     return tuple(polys)
 
 
@@ -187,18 +198,13 @@ def monic_irreducibles(field: FieldSpec, d: int, exclude_z: bool = False) -> lis
     if d < 1:
         raise ValueError("degree must be >= 1")
     polys = _irreducibles_cached(field, d)
-    if exclude_z and d == 1:
-        zp = poly_z(field)
-        return [f for f in polys if f != zp]
-    return list(polys)
+    return [f for f in polys if f.coeffs != (0, 1)] if exclude_z and d == 1 else list(polys)
 
 
 def is_irreducible(f: Poly) -> bool:
     if not f.is_monic or f.degree < 1:
         raise ValueError("irreducibility is defined for monic polynomials of degree >= 1")
-    if f.degree == 1:
-        return True
-    if f.degree <= 3:
+    if 1 < f.degree <= 3:
         return all(f.evaluate(x) != 0 for x in f.field.elements())
     for e in range(1, f.degree // 2 + 1):
         for g in _irreducibles_cached(f.field, e):

@@ -185,7 +185,7 @@ def check_centralizers(field: FieldSpec, max_dim: int) -> list[CheckResult]:
     sizes' sum against gamma_n."""
     out = []
     for n in range(max_dim + 1):
-        classes = enumerate_classes(field, n)
+        classes = enumerate_classes(field, n, "aut")
         orders = tuple(c.centralizer_order for c in classes)
         fixed = oracle.fix_counts_bf(Builtin("Aut"), field, n,
                                      [c.representative(field) for c in classes])

@@ -3,14 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from qspecies import classes as classes_mod
 from qspecies.classes import (centralizer_order, enumerate_classes,
                               part_centralizer_order, partitions)
 from qspecies.field import field_make
-from qspecies.linalg import enumerate_matrices, gl_order, invariant_data
+from qspecies.linalg import (ConsistencyError, InvariantData, enumerate_matrices, gl_order,
+                             invariant_data)
+from qspecies.poly import monic_irreducibles
+from qspecies.verify import check_centralizers
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
 F4 = field_make(2, 2)
+F5 = field_make(5, 1)
+F7 = field_make(7, 1)
 
 
 def brute_class_table(field, n, invertible_only):
@@ -130,3 +136,66 @@ def test_bounded_partitions_are_the_filtered_ones():
         for largest in range(k + 2):
             assert partitions(k, largest) == tuple(
                 lam for lam in partitions(k) if all(part <= largest for part in lam)), (k, largest)
+
+
+def tuple_key(phi):
+    """The polynomial order as a tuple: degree, z-1 first, then the
+    coefficients from the top down."""
+    return (phi.degree, 0 if phi.coeffs == (phi.field.neg(1), 1) else 1,
+            tuple(reversed(phi.coeffs)))
+
+
+def reference_invariants(field, n, kind):
+    """The class invariants built independently of the walk: each choice of one
+    partition per irreducible, then sorted by degree and items under
+    ``tuple_key``."""
+    polys = [phi for d in range(1, n + 1)
+             for phi in monic_irreducibles(field, d, exclude_z=(kind == "aut"))]
+    invariants, acc = [], []
+
+    def rec(start, weight):
+        if weight == 0:
+            invariants.append(InvariantData(tuple(acc), n))
+            return
+        for j in range(start, len(polys)):
+            phi, d = polys[j], polys[j].degree
+            if d > weight:
+                break
+            for m in range(1, weight // d + 1):
+                for lam in partitions(m):
+                    acc.append((phi, lam))
+                    rec(j + 1, weight - m * d)
+                    acc.pop()
+
+    rec(0, n)
+    return sorted(invariants, key=lambda inv: (inv.degree, tuple(
+        (tuple_key(phi), i, e) for phi, i, e in inv.items())))
+
+
+@pytest.mark.parametrize("field,top", [(F2, 8), (F3, 5), (F4, 4), (F5, 3), (F7, 2)])
+@pytest.mark.parametrize("kind", ["aut", "end"])
+def test_walk_matches_the_sorted_reference(field, top, kind):
+    for n in range(top + 1):
+        classes = enumerate_classes(field, n, kind)
+        assert [c.invariant for c in classes] == reference_invariants(field, n, kind)
+        for c in classes:
+            inv = c.invariant
+            assert c.centralizer_order == centralizer_order(field, inv)
+            assert c.class_size == gl_order(field, n) // c.centralizer_order
+            fresh = InvariantData(inv.partitions)
+            assert (inv.items(), inv.sort_key()) == (fresh.items(), fresh.sort_key())
+
+
+def test_centralizer_order_not_dividing_the_group_order_raises(monkeypatch):
+    monkeypatch.setattr(classes_mod, "part_centralizer_order", lambda Q, parts: 7)
+    with pytest.raises(ConsistencyError, match="does not divide"):
+        enumerate_classes.__wrapped__(F2, 2, "aut")
+
+
+def test_check_centralizers_reuses_the_aut_tables():
+    enumerate_classes.cache_clear()
+    for n in range(3):
+        enumerate_classes(F2, n, "aut")
+    misses = enumerate_classes.cache_info().misses
+    check_centralizers(F2, 2)
+    assert enumerate_classes.cache_info().misses == misses

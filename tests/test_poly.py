@@ -15,6 +15,8 @@ from qspecies.poly import (Poly, irreducible_count, is_irreducible,
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
 F4 = field_make(2, 2)
+F5 = field_make(5, 1)
+F7 = field_make(7, 1)
 
 
 def P2(*coeffs):
@@ -163,3 +165,29 @@ def test_sieve_matches_trial_division(field, top):
     reference = trial_division_irreducibles(field, top)
     for d in range(1, top + 1):
         assert monic_irreducibles(field, d) == reference[d]
+
+
+def tuple_key(f):
+    """The polynomial order as a tuple: degree, z-1 first, then the
+    coefficients from the top down."""
+    return (f.degree, 0 if f.coeffs == (f.field.neg(1), 1) else 1, tuple(reversed(f.coeffs)))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4])
+def test_int_sort_key_orders_as_the_tuple_key(field):
+    monics = [Poly(field, lower + (1,)) for d in range(5)
+              for lower in product(range(field.q), repeat=d)]
+    assert sorted(monics, key=lambda f: f.sort_key) == sorted(monics, key=tuple_key)
+
+
+@pytest.mark.parametrize("field,top", [(F2, 10), (F3, 6), (F4, 4), (F5, 4), (F7, 3)])
+def test_sieve_matches_brute_force_products(field, top):
+    monics = {d: [Poly(field, lower + (1,)) for lower in product(range(field.q), repeat=d)]
+              for d in range(top + 1)}
+    for d in range(1, top + 1):
+        reducible = {g * h for e in range(1, d // 2 + 1)
+                     for g in monics[e] for h in monics[d - e]}
+        found = monic_irreducibles(field, d)
+        assert set(found) == set(monics[d]) - reducible
+        assert len(found) == irreducible_count(field, d)
+        assert found == sorted(found, key=tuple_key)

@@ -32,4 +32,6 @@ def test_every_trace_target_resolves(spans):
         if cls is None or vars(cls).get(attr) is None:
             missing.append(f"{module_name}.{cls_name}.{attr}")
     assert missing == []
+    # the tracer's enumerate_classes wrapper counts cache misses from cache_info
+    assert callable(getattr(by_name["classes"].enumerate_classes, "cache_info", None))
     assert spans["FUNCTIONS"] and spans["METHODS"] and spans["FIELD_OPS"]
