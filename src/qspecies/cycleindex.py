@@ -3,10 +3,10 @@
 A monomial of graded degree n is the invariant of an Aut(E_n) conjugacy
 class, and the code has one type for both, ``linalg.InvariantData``: the
 monomial prod x_{phi,i}^(e_{phi,i}) is the class with e_{phi,i} parts i in
-lambda_phi, the product of monomials is the direct sum of classes, and
-``monomial`` admits a class invariant as a term once it has no phi = z.  The
+lambda_phi, and the product of monomials is the direct sum of classes.  The
 series is built class-by-class as fix(class)/centralizer_order(class) on the
-class monomial.
+class monomial.  No monomial has phi = z: the Aut class walk draws phi only
+from the monic irreducibles other than z.
 
 Psi_r (``adams``) is the ring map x_{psi,i} -> prod_phi x_{phi, i*v_phi},
 where psi(z^r) = prod_phi phi^(v_phi): if z^r acts on a module of invariant
@@ -32,14 +32,6 @@ from .field import FieldSpec, power, require
 from .linalg import InvariantData
 from .poly import Poly, is_irreducible, monic_irreducibles
 from .series import RATIONAL, PowerSeries, _dot, coeff_str, ring_zero
-
-
-def monomial(inv: InvariantData) -> InvariantData:
-    """A class invariant as a cycle-index term: the same value, which must be
-    the invariant of an automorphism, so that no x_{phi,i} has phi = z."""
-    if not inv.is_automorphism():
-        raise ValueError("cycle index monomials exclude the polynomial z")
-    return inv
 
 
 def _monomial_str(m: InvariantData) -> str:
@@ -210,7 +202,7 @@ def _factor_at_power(psi: Poly, r: int) -> tuple[tuple[Poly, int], ...]:
 
 def z_build(field: FieldSpec, fix, order: int) -> CycleIndexSeries:
     """Cycle index from a fix-count class function:
-    sum over Aut classes of (fix(c)/centralizer_order(c)) * monomial(c).
+    sum over Aut classes c of (fix(c)/centralizer_order(c)) * c's invariant.
     Dimensions are walked from the top down, so that a fix count that fails on
     its budget fails before it has spent any work on lower dimensions."""
     terms: dict[InvariantData, Fraction] = {}
@@ -218,7 +210,7 @@ def z_build(field: FieldSpec, fix, order: int) -> CycleIndexSeries:
         for c in enumerate_classes(field, n, "aut"):
             v = Fraction(fix(c), c.centralizer_order)
             if v:
-                terms[monomial(c.invariant)] = v
+                terms[c.invariant] = v
     return CycleIndexSeries(field, order, terms)
 
 

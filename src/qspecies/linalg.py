@@ -429,13 +429,18 @@ class Subspace:
 # -- group orders and counts ------------------------------------------------
 
 def gl_order(field: FieldSpec, n: int) -> int:
-    """Order of GL_n(F_q); the empty product gives 1 at n = 0."""
+    """Order of GL_n(F_q), prod_(i < n) (q^n - q^i); 1 at n = 0."""
     if n < 0:
         raise ValueError("dimension must be >= 0")
-    q = field.q
-    out = 1
-    for i in range(n):
-        out *= q**n - q**i
+    return gl_orders(field, n)[n]
+
+
+def gl_orders(field: FieldSpec, order: int) -> list[int]:
+    """gl_order(field, n) for n <= order, each from the one before:
+    gamma_n = gamma_(n-1) (q^(2n-1) - q^(n-1))."""
+    q, out = field.q, [1]
+    for n in range(1, order + 1):
+        out.append(out[-1] * (q ** (2 * n - 1) - q ** (n - 1)))
     return out
 
 
@@ -589,9 +594,6 @@ class InvariantData:
         if self._sort_key is None:
             self._sort_key = (self.degree, tuple((f.sort_key, i, e) for f, i, e in self.items()))
         return self._sort_key
-
-    def is_automorphism(self) -> bool:
-        return all(phi.coeffs != (0, 1) for phi, _lam in self.partitions)
 
     def is_identity(self) -> bool:
         """The class of the identity: every elementary divisor is z - 1."""

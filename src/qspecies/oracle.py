@@ -39,7 +39,7 @@ from .linalg import (BudgetExceededError, DEFAULT_BUDGET, InvariantData, Matrix,
                      enumerate_decompositions, enumerate_matrices, enumerate_subspaces,
                      gl_order, invariant_data, require)
 from .series import TPoly
-from .cycleindex import CycleIndexSeries, monomial
+from .cycleindex import CycleIndexSeries
 from .species import (Assembly, Builtin, Mark, Plus, Power, Product, SpeciesExpr,
                       Sum, validate)
 
@@ -557,7 +557,7 @@ def zindex_bf(e: SpeciesExpr, field: FieldSpec, order: int,
         for c, orbit in _conjugacy_orbits(field, n):
             fix = sum(_fix_count(sigma, structures) for sigma in orbit)
             if fix:
-                terms[monomial(c.invariant)] = Fraction(fix, gl_order(field, n))
+                terms[c.invariant] = Fraction(fix, gl_order(field, n))
     return CycleIndexSeries(field, order, terms)
 
 

@@ -1,16 +1,24 @@
 """Truncated formal power series with exact coefficients.
 
-Two coefficient rings are supported: exact rationals (``Fraction``) and
-univariate polynomials in the weight variable t over the rationals
-(:class:`TPoly`).  No floating point anywhere.
+A ``PowerSeries`` has coefficients in one of two rings: exact rationals
+(``Fraction``) or univariate polynomials in the weight variable t over the
+rationals (:class:`TPoly`).  Its products and ``exp`` are over the
+rationals and sum each coefficient with one ``_dot``; they serve the type
+series.  A generating series sum f_n x^n / gamma_n, gamma_n = |GL_n(F_q)|,
+is computed as a ``CountSeries`` over its integer counts f_n (a ``TPoly``
+with int coefficients when weighted), and divided by gamma_n once at the
+end.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import starmap
 from math import comb, gcd
+from operator import mul
 
-from .field import power
+from .field import power, require
 
 
 def _dot(pairs) -> Fraction:
@@ -34,7 +42,9 @@ def _dot(pairs) -> Fraction:
 
 
 class TPoly:
-    """A polynomial in t with rational coefficients, used for weights."""
+    """A polynomial in t with exact coefficients, used for weights: ``Fraction``
+    ones, as the constructor makes them, in a weighted generating series, and
+    int ones, which ``_of``, ``+``, ``*`` and ``dot`` keep int, in its counts."""
 
     __slots__ = ("coeffs",)
 
@@ -49,8 +59,8 @@ class TPoly:
 
     @staticmethod
     def _of(coeffs: dict) -> "TPoly":
-        """From ``Fraction`` coefficients, as arithmetic makes them: zeros are
-        dropped and nothing is coerced."""
+        """From coefficients as arithmetic makes them: zeros are dropped and
+        nothing is coerced."""
         out = TPoly.__new__(TPoly)
         out.coeffs = {e: c for e, c in coeffs.items() if c}
         return out
@@ -84,34 +94,29 @@ class TPoly:
 
     @staticmethod
     def dot(pairs) -> "TPoly":
-        """sum(a * b for a, b in pairs) for pairs of ``TPoly``: the products'
-        terms are collected by power of t, then summed by one ``_dot`` per
-        power."""
-        terms: dict[int, list] = {}
+        """sum(a * b for a, b in pairs) for pairs of ``TPoly``, collected by power
+        of t into one dict; int coefficients stay int."""
+        out: dict = {}
         for a, b in pairs:
             b = b.coeffs.items()
             for e1, c1 in a.coeffs.items():
                 for e2, c2 in b:
-                    terms.setdefault(e1 + e2, []).append((c1, c2))
-        out = TPoly.__new__(TPoly)
-        out.coeffs = cs = {}
-        for e, ps in terms.items():
-            c = _dot(ps)
-            if c:
-                cs[e] = c
-        return out
+                    e = e1 + e2
+                    out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return TPoly._of(out)
 
     def __mul__(self, other):
-        other = TPoly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return TPoly.dot(((self, other),))
+        if isinstance(other, TPoly):
+            return TPoly.dot(((self, other),))
+        if isinstance(other, (int, Fraction)):
+            return TPoly._of({e: c * other for e, c in self.coeffs.items()})
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return TPoly._of({e: c / other for e, c in self.coeffs.items()})
+            return TPoly._of({e: Fraction(c, other) for e, c in self.coeffs.items()})
         return NotImplemented
 
     def __eq__(self, other):
@@ -171,11 +176,6 @@ def ring_one(ring: str):
     return Fraction(1) if ring == RATIONAL else TPoly.const(1)
 
 
-def ring_dot(ring: str):
-    """The ring's sum of products: ``_dot`` or ``TPoly.dot``."""
-    return _dot if ring == RATIONAL else TPoly.dot
-
-
 def coeff_str(c) -> str:
     return _frac_str(c) if isinstance(c, Fraction) else str(c)
 
@@ -218,12 +218,17 @@ class PowerSeries:
         return PowerSeries(self.ring, self.order,
                            [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
+    def _rational(self) -> None:
+        if self.ring != RATIONAL:
+            raise ValueError("products and exp of power series are over the rationals")
+
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         self._compat(other)
-        dot, a, b = ring_dot(self.ring), self.coeffs, other.coeffs
+        self._rational()
+        a, b = self.coeffs, other.coeffs
         nonzero = [i for i, c in enumerate(a) if c]
         return PowerSeries(self.ring, self.order, [
-            dot((a[i], b[m - i]) for i in nonzero if i <= m and b[m - i])
+            _dot((a[i], b[m - i]) for i in nonzero if i <= m and b[m - i])
             for m in range(self.order + 1)])
 
     def scale(self, c) -> "PowerSeries":
@@ -245,13 +250,13 @@ class PowerSeries:
 
     def exp(self) -> "PowerSeries":
         """exp(a) for a with zero constant term, via b_n = (1/n) sum k a_k b_{n-k}."""
-        if self.coeffs[0] != ring_zero(self.ring):
+        self._rational()
+        if self.coeffs[0]:
             raise ValueError("exp requires zero constant term")
-        dot = ring_dot(self.ring)
         ka = {k: c * k for k, c in enumerate(self.coeffs) if c}
-        out = [ring_one(self.ring)]
+        out = [Fraction(1)]
         for m in range(1, self.order + 1):
-            out.append(dot((c, out[m - k]) for k, c in ka.items() if k <= m) / m)
+            out.append(_dot((c, out[m - k]) for k, c in ka.items() if k <= m) / m)
         return PowerSeries(self.ring, self.order, out)
 
     def adams(self, r: int) -> "PowerSeries":
@@ -290,6 +295,93 @@ class PowerSeries:
 
     def to_json(self) -> list[dict]:
         return [{"n": i, "coeff": coeff_str(c)} for i, c in enumerate(self.coeffs)]
+
+
+@lru_cache(maxsize=None)
+def eulerian_binomials(q: int, order: int) -> tuple[tuple[int, ...], ...]:
+    """Row n <= order holds c(n, k) = gamma_n / (gamma_k gamma_(n-k))
+    = q^(k(n-k)) [n choose k]_q for k <= n: the ways to split F_q^n as
+    U + W with dim U = k.  Built by the q-Pascal rule
+    c(n, k) = q^(2k) c(n-1, k) + q^(n-k) c(n-1, k-1), c(n, 0) = 1, which
+    multiplies only by powers of q."""
+    powers = [q**j for j in range(2 * order + 1)]
+    rows = [(1,)]
+    for n in range(1, order + 1):
+        prev = rows[-1] + (0,)
+        rows.append((1,) + tuple(powers[2 * k] * prev[k] + powers[n - k] * prev[k - 1]
+                                 for k in range(1, n + 1)))
+    return tuple(rows)
+
+
+def _exact_quotient(x, d: int, what: str):
+    """x / d for an int or a TPoly of ints that d divides; a remainder raises
+    ConsistencyError, so a count is never truncated."""
+    if isinstance(x, TPoly):
+        return TPoly._of({e: _exact_quotient(c, d, what) for e, c in x.coeffs.items()})
+    quotient, remainder = divmod(x, d)
+    require(not remainder, f"{what}: a count is not divisible by {d}")
+    return quotient
+
+
+class CountSeries:
+    """sum f_n x^n / gamma_n over F_q, truncated at order, held by its counts
+    f_n: Goldman and Rota's Eulerian generating functions.  A count is an int,
+    or a TPoly of ints for weighted counts, with ``unit`` the count 1.  Each
+    product is a convolution with the integer weights ``eulerian_binomials``,
+    so no count is ever a fraction."""
+
+    __slots__ = ("q", "order", "unit", "counts")
+
+    def __init__(self, q: int, order: int, unit, counts):
+        self.q, self.order, self.unit, self.counts = q, order, unit, list(counts)
+
+    def _of(self, counts) -> "CountSeries":
+        return CountSeries(self.q, self.order, self.unit, counts)
+
+    def __add__(self, other: "CountSeries") -> "CountSeries":
+        return self._of(a + b for a, b in zip(self.counts, other.counts))
+
+    def _dot(self, pairs):
+        """sum(a * b for a, b in pairs) over the counts' ring."""
+        if isinstance(self.unit, TPoly):
+            return TPoly.dot(pairs)
+        return sum(starmap(mul, pairs))
+
+    def __mul__(self, other: "CountSeries") -> "CountSeries":
+        """(fg)_n = sum_k c(n, k) f_k g_(n-k)."""
+        c, a, b = eulerian_binomials(self.q, self.order), self.counts, other.counts
+        nonzero = [k for k, x in enumerate(a) if x]
+        return self._of(self._dot((c[n][k] * a[k], b[n - k]) for k in nonzero
+                                  if k <= n and b[n - k])
+                        for n in range(self.order + 1))
+
+    def __pow__(self, e: int) -> "CountSeries":
+        return power(self, e, self._of([self.unit] + [self.unit * 0] * self.order))
+
+    def drop_constant(self) -> "CountSeries":
+        return self._of([self.unit * 0] + self.counts[1:])
+
+    def scale(self, c) -> "CountSeries":
+        return self._of(x * c for x in self.counts)
+
+    def divide_exactly(self, d: int, what: str) -> "CountSeries":
+        return self._of(_exact_quotient(x, d, what) for x in self.counts)
+
+    def exp(self) -> "CountSeries":
+        """exp(a) for a with zero constant term.  x d/dx is a derivation that
+        multiplies x^n / gamma_n by n, so b = exp(a) has
+        n b_n = sum_k k c(n, k) a_k b_(n-k); each division by n is checked exact."""
+        a = self.counts
+        if a[0]:
+            raise ValueError("exp requires zero constant term")
+        c = eulerian_binomials(self.q, self.order)
+        ka = [(k, x * k) for k, x in enumerate(a) if x]
+        b = [self.unit]
+        for n in range(1, self.order + 1):
+            row = c[n]
+            total = self._dot((row[k] * x, b[n - k]) for k, x in ka if k <= n)
+            b.append(_exact_quotient(total, n, f"exp at n={n}"))
+        return self._of(b)
 
 
 def binomial_inverse_power(order: int, period: int, exponent: int) -> PowerSeries:

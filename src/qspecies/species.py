@@ -3,7 +3,9 @@
 A species expression is a small immutable AST.  The generating, type and
 cycle index series are one fold over it, ``_fold``: F+G adds, FG multiplies,
 F^n is a power and plus(F) drops the constant term.  Each series supplies only
-its leaves (builtins, assemblies and mark).  An ``Assembly`` structure is an
+its leaves (builtins, assemblies and mark).  The generating series folds over
+the integer counts f_n (``series.CountSeries``) and divides by gamma_n once
+at the end.  An ``Assembly`` structure is an
 unordered direct-sum decomposition into nonzero parts with an F-structure on
 each part: any number of parts for E(F), exactly m for sym(m, F).
 
@@ -45,10 +47,10 @@ from math import factorial
 from .classes import ConjClass, enumerate_classes, part_centralizer_order, partitions
 from .field import FieldSpec, field_make
 from .linalg import (DEFAULT_BUDGET, BudgetExceededError, Matrix, block_diagonal,
-                     commutant_basis, companion_matrix, gaussian_binomial, gl_order, q_int,
-                     qbinomial, require)
+                     commutant_basis, companion_matrix, gaussian_binomial, gl_order, gl_orders,
+                     q_int, qbinomial, require)
 from .poly import Poly, irreducible_count, poly_z_minus
-from .series import POLY_T, RATIONAL, PowerSeries, TPoly, euler_product, ring_one
+from .series import POLY_T, RATIONAL, CountSeries, PowerSeries, TPoly, euler_product
 from .cycleindex import CycleIndexSeries, _factor_at_power, z_build, z_one
 
 
@@ -109,13 +111,22 @@ class Mark(SpeciesExpr):
 
 # -- builtin semantics --------------------------------------------------------
 
+def _rep_cyclic_counts(field, order, m) -> tuple[int, ...]:
+    """Automorphisms g with g^m = 1 in each dimension n <= order: gamma_n times
+    the x^n coefficient of one ``_rep_cyclic_gen``, checked to be an integer."""
+    out = []
+    for n, (c, gamma) in enumerate(zip(_rep_cyclic_gen(field, order, m).coeffs,
+                                       gl_orders(field, order))):
+        c *= gamma
+        require(c.denominator == 1, f"RepCyclic({m}) count {c} at n={n} is not an integer")
+        out.append(c.numerator)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def _count_rep_cyclic(field, n, m):
-    """Automorphisms g with g^m = 1: gamma_n times the x^n coefficient of
-    ``_rep_cyclic_gen``."""
-    c = _rep_cyclic_gen(field, n, m).coeffs[n] * gl_order(field, n)
-    require(c.denominator == 1, f"RepCyclic({m}) count {c} at n={n} is not an integer")
-    return c.numerator
+    """Automorphisms g with g^m = 1 in dimension n."""
+    return _rep_cyclic_counts(field, n, m)[n]
 
 
 @lru_cache(maxsize=None)
@@ -334,7 +345,7 @@ def empty_at_zero(e: SpeciesExpr) -> bool:
     """Does F[0] = empty hold?  |F[E_0]| is the constant term of F's weighted
     generating series, for every node and every q; e's own sym/E operands must
     already satisfy the precondition (``validate`` checks children first)."""
-    return not _gen_series(e, field_make(2, 1), 0, POLY_T).coeffs[0]
+    return not _gen_counts(e, field_make(2, 1), 0, POLY_T).counts[0]
 
 
 def _children(e: SpeciesExpr) -> tuple[SpeciesExpr, ...]:
@@ -394,35 +405,41 @@ def _fold(e: SpeciesExpr, leaf):
 
 def gen_series(e: SpeciesExpr, field: FieldSpec, order: int,
                ring: str = RATIONAL) -> PowerSeries:
-    """The generating series sum f_n x^n / gamma_n, truncated.
-
-    Builtins use their closed counts, and RepCyclic(m) ``_rep_cyclic_gen``.
-    sym(n, F) is F^n / n!, E(F) is exp(F) and mark(F) multiplies F's series
-    by t, which needs ``ring=POLY_T``."""
+    """The generating series sum f_n x^n / gamma_n, truncated: the counts f_n
+    of ``_gen_counts``, each divided by gamma_n = |GL_n(F_q)| once.  mark(F)
+    needs ``ring=POLY_T``, whose counts are polynomials in t."""
     validate(e)
-    return _gen_series(e, field, order, ring)
+    pairs = zip(_gen_counts(e, field, order, ring).counts, gl_orders(field, order))
+    if ring == POLY_T:
+        return PowerSeries(ring, order, [c / gamma for c, gamma in pairs])
+    return PowerSeries(ring, order, [Fraction(c, gamma) for c, gamma in pairs])
 
 
-def _gen_series(e: SpeciesExpr, field: FieldSpec, order: int, ring: str) -> PowerSeries:
-    """``gen_series`` of an expression that has been validated."""
-    one = ring_one(ring)
+def _gen_counts(e: SpeciesExpr, field: FieldSpec, order: int, ring: str) -> CountSeries:
+    """The counts f_n, ints or for ``POLY_T`` TPolys of ints, of an expression
+    that has been validated.  Builtins give their closed counts, and
+    RepCyclic(m) those of one ``_rep_cyclic_gen``.  Products convolve with
+    ``eulerian_binomials``, E(F) is ``CountSeries.exp``, sym(m, F) is F^m / m!
+    and mark(F) multiplies by t; every division is checked to be exact."""
+    unit = 1 if ring == RATIONAL else TPoly._of({0: 1})
 
-    def leaf(x: SpeciesExpr) -> PowerSeries:
+    def leaf(x: SpeciesExpr) -> CountSeries:
         if isinstance(x, Builtin):
             if x.name == "RepCyclic":
-                coeffs = _rep_cyclic_gen(field, order, x.arg).coeffs
+                counts = _rep_cyclic_counts(field, order, x.arg)
             else:
                 count = BUILTINS[x.name].count
-                coeffs = [Fraction(count(field, n, x.arg), gl_order(field, n))
-                          for n in range(order + 1)]
-            return PowerSeries(ring, order, [one * c for c in coeffs])
+                counts = [count(field, n, x.arg) for n in range(order + 1)]
+            return CountSeries(field.q, order, unit, [unit * c for c in counts])
         if isinstance(x, Assembly):
             f = _fold(x.base, leaf)
-            return f.exp() if x.n is None else (f ** x.n).scale(Fraction(1, factorial(x.n)))
+            if x.n is None:
+                return f.exp()
+            return (f ** x.n).divide_exactly(factorial(x.n), f"sym({x.n}, F)")
         # the remaining leaf is mark(F)
         if ring != POLY_T:
             raise ValueError("mark(...) requires the weighted coefficient ring")
-        return _fold(x.base, leaf).scale(TPoly.t())
+        return _fold(x.base, leaf).scale(TPoly._of({1: 1}))
 
     return _fold(e, leaf)
 

@@ -7,8 +7,7 @@ import pytest
 from qspecies import cycleindex
 from qspecies.classes import enumerate_classes
 from qspecies.cli import main
-from qspecies.cycleindex import (CycleIndexSeries, _factor_at_power, monomial, z_build,
-                                 z_one)
+from qspecies.cycleindex import CycleIndexSeries, _factor_at_power, z_build, z_one
 from qspecies.field import ConsistencyError, field_make
 from qspecies.linalg import InvariantData, block_diagonal, gl_order, invariant_data
 from qspecies.parser import parse
@@ -44,10 +43,14 @@ def test_monomial_mul_and_str():
     assert CycleIndexSeries(F2, 2, {zm((Z1, 1, 2)): 1}).render_lines() == ["1 * x[z+1,1]^2"]
 
 
-def test_from_invariant_rejects_nilpotent_part():
-    z = Poly.make(F2, (0, 1))
-    with pytest.raises(ValueError):
-        monomial(InvariantData(((z, (1,)),)))
+@pytest.mark.parametrize("field, top", [(F2, 8), (F3, 5), (F4, 4)], ids=["q2", "q3", "q4"])
+def test_aut_classes_have_no_z_part(field, top):
+    """z_build takes each Aut class invariant as its monomial unchecked: no
+    class of an automorphism has an elementary divisor z."""
+    z = Poly.make(field, (0, 1))
+    for n in range(top + 1):
+        for c in enumerate_classes(field, n, "aut"):
+            assert all(phi != z for phi, _lam in c.invariant.partitions), (n, c.invariant)
 
 
 @pytest.mark.parametrize("field,top", [(F2, 4), (F3, 3), (F4, 2)], ids=["q2", "q3", "q4"])
@@ -73,9 +76,8 @@ def brute_cycle_index(field, order, fix):
     for n in range(order + 1):
         gamma = gl_order(field, n)
         for c in enumerate_classes(field, n, "aut"):
-            m = monomial(c.invariant)
             w = Fraction(fix(c) * c.class_size, gamma)
-            terms[m] = terms.get(m, Fraction(0)) + w
+            terms[c.invariant] = terms.get(c.invariant, Fraction(0)) + w
     return CycleIndexSeries(field, order, terms)
 
 
