@@ -26,7 +26,7 @@ from .linalg import (ConsistencyError, InvariantData, Matrix, block_diagonal,
 from .poly import monic_irreducibles
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConjClass:
     invariant: InvariantData
     centralizer_order: int
@@ -98,13 +98,8 @@ def enumerate_classes(field: FieldSpec, n: int, kind: str = "aut") -> tuple[Conj
     def rec(j, i_next, weight, parts, cent_before, cent, items, keys):
         """Extend the class so far (``parts``, its ``items`` and sort ``keys``,
         centralizer order ``cent``, and ``cent_before`` without its last part,
-        that of polys[j]) by an item of polys[j] with i >= i_next, or of a later phi."""
-        if weight == 0:
-            # class size is the GL conjugation orbit size, for End classes too
-            if order_n % cent:
-                raise ConsistencyError(f"centralizer order {cent} does not divide |GL_{n}|")
-            out.append(ConjClass(InvariantData(parts, n, items, (n, keys)), cent, order_n // cent))
-            return
+        that of polys[j]) by an item of polys[j] with i >= i_next, or of a later
+        phi; an item that leaves weight 0 completes a class."""
         for jj in range(max(j, 0), len(polys)):
             phi, d, key, Q = polys[jj]
             if d > weight:
@@ -114,9 +109,21 @@ def enumerate_classes(field: FieldSpec, n: int, kind: str = "aut") -> tuple[Conj
             for i in range(i_next if same else 1, weight // d + 1):
                 for e in range(1, weight // (d * i) + 1):
                     lam = (i,) * e + parts[-1][1] if same else (i,) * e
-                    rec(jj, i + 1, weight - d * i * e, base + ((phi, lam),), base_cent,
-                        base_cent * part_centralizer_order(Q, lam),
-                        items + ((phi, i, e),), keys + ((key, i, e),))
+                    left = weight - d * i * e
+                    c = base_cent * part_centralizer_order(Q, lam)
+                    if left:
+                        rec(jj, i + 1, left, base + ((phi, lam),), base_cent, c,
+                            items + ((phi, i, e),), keys + ((key, i, e),))
+                        continue
+                    # class size is the GL conjugation orbit size, for End classes too
+                    size, rest = divmod(order_n, c)
+                    if rest:
+                        raise ConsistencyError(f"centralizer order {c} does not divide |GL_{n}|")
+                    invariant = InvariantData(base + ((phi, lam),), n, items + ((phi, i, e),),
+                                              (n, keys + ((key, i, e),)))
+                    out.append(ConjClass(invariant, c, size))
 
+    if n == 0:  # GL_0 is the identity of the zero space: one class, of no parts
+        return (ConjClass(InvariantData(), 1, 1),)
     rec(-1, 1, n, (), 1, 1, (), ())
     return tuple(out)

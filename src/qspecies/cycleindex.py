@@ -51,6 +51,14 @@ class CycleIndexSeries:
         self.terms = {m: c if type(c) is Fraction else Fraction(c)
                       for m, c in terms.items() if c and m.degree <= order}
 
+    @staticmethod
+    def _of(field: FieldSpec, order: int, terms: dict) -> "CycleIndexSeries":
+        """From terms as ``z_build`` and the products make them, nonzero
+        ``Fraction``s of degree <= order: nothing is dropped or coerced."""
+        out = CycleIndexSeries.__new__(CycleIndexSeries)
+        out.field, out.order, out.terms = field, order, terms
+        return out
+
     def _compat(self, other: "CycleIndexSeries") -> None:
         if self.field != other.field:
             raise ValueError("cycle index series over different fields")
@@ -82,8 +90,11 @@ class CycleIndexSeries:
                     for m1, c1 in part:
                         for m2, c2 in bucket:
                             pairs.setdefault(m1.mul(m2), []).append((c1, c2))
-            terms.update((m, _dot(ps)) for m, ps in pairs.items())
-        return CycleIndexSeries(self.field, self.order, terms)
+            for m, ps in pairs.items():
+                c = _dot(ps)
+                if c:
+                    terms[m] = c
+        return CycleIndexSeries._of(self.field, self.order, terms)
 
     def __pow__(self, e: int) -> "CycleIndexSeries":
         return power(self, e, z_one(self.field, self.order))
@@ -124,12 +135,12 @@ class CycleIndexSeries:
                     for m2, c2 in b[n - k].items():
                         pairs.setdefault(m1.mul(m2), []).append((c1, c2))
             b.append({m: c / n for m, ps in pairs.items() if (c := _dot(ps))})
-        return CycleIndexSeries(self.field, self.order,
-                                {m: c for part in b for m, c in part.items()})
+        return CycleIndexSeries._of(self.field, self.order,
+                                    {m: c for part in b for m, c in part.items()})
 
     def drop_constant(self) -> "CycleIndexSeries":
-        return CycleIndexSeries(self.field, self.order,
-                                {m: v for m, v in self.terms.items() if m.degree > 0})
+        return CycleIndexSeries._of(self.field, self.order,
+                                    {m: v for m, v in self.terms.items() if m.degree > 0})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CycleIndexSeries)
@@ -208,10 +219,10 @@ def z_build(field: FieldSpec, fix, order: int) -> CycleIndexSeries:
     terms: dict[InvariantData, Fraction] = {}
     for n in range(order, -1, -1):
         for c in enumerate_classes(field, n, "aut"):
-            v = Fraction(fix(c), c.centralizer_order)
+            v = fix(c)
             if v:
-                terms[c.invariant] = v
-    return CycleIndexSeries(field, order, terms)
+                terms[c.invariant] = Fraction(v, c.centralizer_order)
+    return CycleIndexSeries._of(field, order, terms)
 
 
 def z_one(field: FieldSpec, order: int) -> CycleIndexSeries:

@@ -13,7 +13,6 @@ end.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import starmap
 from math import comb, gcd
 from operator import mul
@@ -297,20 +296,24 @@ class PowerSeries:
         return [{"n": i, "coeff": coeff_str(c)} for i, c in enumerate(self.coeffs)]
 
 
-@lru_cache(maxsize=None)
+_EULERIAN_ROWS: dict[int, list[tuple[int, ...]]] = {}
+
+
 def eulerian_binomials(q: int, order: int) -> tuple[tuple[int, ...], ...]:
     """Row n <= order holds c(n, k) = gamma_n / (gamma_k gamma_(n-k))
     = q^(k(n-k)) [n choose k]_q for k <= n: the ways to split F_q^n as
     U + W with dim U = k.  Built by the q-Pascal rule
     c(n, k) = q^(2k) c(n-1, k) + q^(n-k) c(n-1, k-1), c(n, 0) = 1, which
-    multiplies only by powers of q."""
-    powers = [q**j for j in range(2 * order + 1)]
-    rows = [(1,)]
-    for n in range(1, order + 1):
-        prev = rows[-1] + (0,)
-        rows.append((1,) + tuple(powers[2 * k] * prev[k] + powers[n - k] * prev[k - 1]
-                                 for k in range(1, n + 1)))
-    return tuple(rows)
+    multiplies only by powers of q.  Each q keeps one table, which a higher
+    order extends, so a lower order's rows are a prefix of the same rows."""
+    rows = _EULERIAN_ROWS.setdefault(q, [(1,)])
+    if len(rows) <= order:
+        powers = [q**j for j in range(2 * order + 1)]
+        for n in range(len(rows), order + 1):
+            prev = rows[-1] + (0,)
+            rows.append((1,) + tuple(powers[2 * k] * prev[k] + powers[n - k] * prev[k - 1]
+                                     for k in range(1, n + 1)))
+    return tuple(rows[:order + 1])
 
 
 def _exact_quotient(x, d: int, what: str):

@@ -15,13 +15,13 @@ dimension and on bases, and has two orbits on vectors; the orbits on
 matrices, and on the g with g^m = 1 (RepCyclic(m)), are the conjugacy
 classes, counted by an Euler product over the monic irreducibles
 (``_class_counts``) that enumerates no class.  So the type series sums no
-partition.  A builtin's fix(sigma) is read off sigma's class (``class_fix``):
-its eigenvalue-1 part for Elem and Bases, its commutant for End, its
-centralizer for Aut, Birkhoff's count of submodules per primary part for
-Sub(k) and Proj = Sub(1), and the commutant's g with g^m = 1 for
-RepCyclic(m).  Only the cycle index walks the classes.  RepCyclic(m)'s
-generating series is a product over the phi dividing z^m - 1
-(``_rep_cyclic_gen``).
+partition.  A builtin's fix(sigma) is read off sigma's class (``class_fix``),
+from factors of its primary parts memoised per part: its eigenvalue-1 part for
+Elem and Bases, its commutant for End, its centralizer for Aut, Birkhoff's
+count of submodules per primary part for Sub(k) and Proj = Sub(1), and the
+commutant's g with g^m = 1 for RepCyclic(m).  Only the cycle index walks the
+classes.  RepCyclic(m)'s generating series is a product over the phi dividing
+z^m - 1 (``_rep_cyclic_gen``).
 
 Both assemblies are one plethysm rule, ``_plethysm``, applied to F's cycle
 index or to F's type series: E(F) is exp(sum_r Psi_r(F)/r), and sym(m, F) is
@@ -141,9 +141,12 @@ def _fix_sub(field: FieldSpec, c: ConjClass, k: int) -> int:
     parts' counts by dimension convolve up to k."""
     out = [1] + [0] * k
     for phi, lam in c.invariant.partitions:
-        count = _submodule_counts(lam, field.q**phi.degree, phi.degree, k)
-        if any(count[1:]):  # else the part's only submodule of dimension <= k is 0
-            out = [sum(out[i] * count[j - i] for i in range(j + 1)) for j in range(k + 1)]
+        d = phi.degree
+        if d <= k:  # else the part's only submodule of dimension <= k is 0
+            count = _submodule_counts(lam, field.q**d, d, k)
+            for j in range(k, 0, -1):  # from the top down, so out[i < j] is not yet updated
+                for i in range(j):
+                    out[j] += out[i] * count[j - i]
     return out[k]
 
 
@@ -190,6 +193,7 @@ def _birkhoff(lam: tuple, nu: tuple, Q: int) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
 def _commutant_dim(d: int, lam: tuple) -> int:
     """F_q-dimension of the commutant of a phi-primary part of type lam, deg phi = d."""
     return d * sum(min(a, b) for a in lam for b in lam)
@@ -254,10 +258,26 @@ def _commutant_roots(field: FieldSpec, phi: Poly, lam: tuple, m: int) -> int:
     return count(0, Matrix.zero(field, size, size))
 
 
+@lru_cache(maxsize=None)
+def _z_minus_1_coeffs(field: FieldSpec) -> tuple:
+    """The coefficients of z - 1."""
+    return poly_z_minus(field, 1).coeffs
+
+
 def _eigenvalue_1(field: FieldSpec, c: ConjClass) -> tuple:
     """The partition at phi = z - 1 of the class c: sigma's Jordan blocks of
-    eigenvalue 1, so its length is dim ker(sigma - 1)."""
-    return dict(c.invariant.partitions).get(poly_z_minus(field, 1), ())
+    eigenvalue 1, so its length is dim ker(sigma - 1).  z - 1 has the least
+    ``Poly.sort_key``, so it is the class's first part if it is a part."""
+    parts = c.invariant.partitions
+    return parts[0][1] if parts and parts[0][0].coeffs == _z_minus_1_coeffs(field) else ()
+
+
+def _fix_end(field: FieldSpec, c: ConjClass, arg) -> int:
+    """q to the dimension of sigma's commutant, the sum over its parts."""
+    dim = 0
+    for phi, lam in c.invariant.partitions:
+        dim += _commutant_dim(phi.degree, lam)
+    return field.q**dim
 
 
 @dataclass(frozen=True)
@@ -265,12 +285,14 @@ class BuiltinSpec:
     """A builtin: its closed count |F[E_n]|; its type series, the GL_n-orbits
     on F[E_n] in closed form, unless GL_n acts trivially and the orbits are the
     structures; and fix F[sigma] for sigma in an Aut class, unless it depends
-    on n alone and is the count.  ``gen`` reads ``count``, ``type`` reads
-    ``types`` and ``zindex`` reads ``fix``."""
+    on n alone and is the count.  ``gen`` reads ``counts``, or ``count`` once
+    per dimension if there is none, ``type`` reads ``types`` and ``zindex``
+    reads ``fix``."""
     count: object                  # (field, n, arg) -> |F[E_n]|
     fix: object = None             # (field, c, arg) -> fix F[sigma], sigma in the class c
     needs_arg: bool = False
     types: object = None           # (field, order, arg) -> the type series
+    counts: object = None          # (field, order, arg) -> |F[E_n]| for n <= order, in one pass
 
 
 def _types_by_dimension(orbits):
@@ -316,24 +338,24 @@ BUILTINS: dict[str, BuiltinSpec] = {
                        types=_types_by_dimension(lambda field, n, k: int(n >= k))),
     # matrices commuting with sigma: its commutant algebra, and the units there;
     # the orbits are the classes
-    "End": BuiltinSpec(lambda field, n, arg: field.q ** (n * n),
-                       lambda field, c, arg: field.q ** sum(
-                           _commutant_dim(phi.degree, lam) for phi, lam in c.invariant.partitions),
+    "End": BuiltinSpec(lambda field, n, arg: field.q ** (n * n), _fix_end,
                        types=lambda field, order, arg: _class_counts(field, order, None)),
     "Aut": BuiltinSpec(lambda field, n, arg: gl_order(field, n),
                        lambda field, c, arg: c.centralizer_order,
-                       types=lambda field, order, arg: _class_counts(field, order, 0)),
-    # only the identity fixes a basis; one orbit
+                       types=lambda field, order, arg: _class_counts(field, order, 0),
+                       counts=lambda field, order, arg: gl_orders(field, order)),
+    # only the identity, whose lam at z - 1 is 1^n, fixes a basis; one orbit
     "Bases": BuiltinSpec(lambda field, n, arg: gl_order(field, n),
                          lambda field, c, arg:
-                         c.centralizer_order if _eigenvalue_1(field, c) == (1,) * c.n else 0,
-                         types=_types_by_dimension(lambda field, n, arg: 1)),
+                         c.centralizer_order if len(_eigenvalue_1(field, c)) == c.n else 0,
+                         types=_types_by_dimension(lambda field, n, arg: 1),
+                         counts=lambda field, order, arg: gl_orders(field, order)),
     "V": BuiltinSpec(lambda field, n, arg: 1),
     "Vplus": BuiltinSpec(lambda field, n, arg: 1 if n >= 1 else 0),
     "Fscalar": BuiltinSpec(lambda field, n, arg: field.q if n == 1 else 0),
     "Fstar": BuiltinSpec(lambda field, n, arg: field.q - 1 if n == 1 else 0),
     "RepCyclic": BuiltinSpec(_count_rep_cyclic, _fix_rep_cyclic, needs_arg=True,
-                             types=_class_counts),
+                             types=_class_counts, counts=_rep_cyclic_counts),
 }
 
 
@@ -417,19 +439,18 @@ def gen_series(e: SpeciesExpr, field: FieldSpec, order: int,
 
 def _gen_counts(e: SpeciesExpr, field: FieldSpec, order: int, ring: str) -> CountSeries:
     """The counts f_n, ints or for ``POLY_T`` TPolys of ints, of an expression
-    that has been validated.  Builtins give their closed counts, and
-    RepCyclic(m) those of one ``_rep_cyclic_gen``.  Products convolve with
-    ``eulerian_binomials``, E(F) is ``CountSeries.exp``, sym(m, F) is F^m / m!
-    and mark(F) multiplies by t; every division is checked to be exact."""
+    that has been validated.  Builtins give their closed counts, in one pass
+    for Aut and Bases (gamma_n) and RepCyclic(m) (one ``_rep_cyclic_gen``).
+    Products convolve with ``eulerian_binomials``, E(F) is ``CountSeries.exp``,
+    sym(m, F) is F^m / m! and mark(F) multiplies by t; every division is
+    checked to be exact."""
     unit = 1 if ring == RATIONAL else TPoly._of({0: 1})
 
     def leaf(x: SpeciesExpr) -> CountSeries:
         if isinstance(x, Builtin):
-            if x.name == "RepCyclic":
-                counts = _rep_cyclic_counts(field, order, x.arg)
-            else:
-                count = BUILTINS[x.name].count
-                counts = [count(field, n, x.arg) for n in range(order + 1)]
+            spec = BUILTINS[x.name]
+            counts = (spec.counts(field, order, x.arg) if spec.counts
+                      else [spec.count(field, n, x.arg) for n in range(order + 1)])
             return CountSeries(field.q, order, unit, [unit * c for c in counts])
         if isinstance(x, Assembly):
             f = _fold(x.base, leaf)

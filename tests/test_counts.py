@@ -20,10 +20,10 @@ from pathlib import Path
 import pytest
 
 import qspecies
-from qspecies import series, species
+from qspecies import linalg, series, species
 from qspecies.cli import main
 from qspecies.field import ConsistencyError, field_make
-from qspecies.linalg import gaussian_binomial, gl_order
+from qspecies.linalg import gaussian_binomial, gl_order, gl_orders
 from qspecies.parser import parse, render
 from qspecies.series import RATIONAL, PowerSeries, eulerian_binomials
 from qspecies.species import (Assembly, Builtin, Mark, Plus, Power, Product, Sum, gen_series,
@@ -46,6 +46,32 @@ def test_eulerian_binomials_are_the_split_counts(field):
         for k, c in enumerate(row):
             assert c * gl_order(field, k) * gl_order(field, n - k) == gl_order(field, n), (n, k)
             assert c == q ** (k * (n - k)) * gaussian_binomial(q, n, k), (n, k)
+
+
+def test_eulerian_binomials_extend_one_table_per_q():
+    for q in (2, 3):
+        low = eulerian_binomials(q, 10)
+        high = eulerian_binomials(q, 30)
+        assert len(low) == 11 and len(high) == 31
+        assert all(low[n] is high[n] for n in range(11))
+        assert eulerian_binomials(q, 10) == low
+
+
+@pytest.mark.parametrize("command, e", [(gen_series, "Aut"), (weighted_gen_series, "Bases")])
+def test_gamma_is_built_in_one_pass(monkeypatch, command, e):
+    """``gl_order`` builds gamma_0..gamma_n on every call, so the counts of Aut
+    and Bases read one ``gl_orders`` pass, as the division by gamma_n does."""
+    orders = []
+
+    def spy(field, order):
+        orders.append(order)
+        return gl_orders(field, order)
+
+    # gl_order calls the one in linalg; species imported its own name
+    monkeypatch.setattr(linalg, "gl_orders", spy)
+    monkeypatch.setattr(species, "gl_orders", spy)
+    command(parse(e), FIELDS[0], 60)
+    assert orders and len(orders) <= 2 and set(orders) == {60}
 
 
 def rational_gen(e, field, order):
