@@ -63,31 +63,24 @@ def _add_options(p: argparse.ArgumentParser, *, field: bool = True, order: bool 
     p.add_argument("--format", choices=list(formats), default="text")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="qspecies",
-                                 description="Exact series of q-species over F_q.")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _series_args(p: argparse.ArgumentParser, formats=("text", "json", "csv")) -> None:
+    p.add_argument("expr")
+    _add_options(p, order=True, formats=formats)
 
-    for cmd, help_text in [("gen", "generating series of EXPR"),
-                           ("type", "type generating series of EXPR"),
-                           ("wgen", "weighted generating series of EXPR"),
-                           ("zindex", "cycle index series of EXPR")]:
-        p = sub.add_parser(cmd, help=help_text)
-        p.add_argument("expr")
-        _add_options(p, order=True,
-                     formats=("text", "json") if cmd == "zindex" else ("text", "json", "csv"))
 
-    p = sub.add_parser("classes", help="conjugacy class table of Aut(E_n)")
+def _classes_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("n", type=_size)
     p.add_argument("--kind", choices=["aut", "end"], default="aut")
     _add_options(p)
 
-    p = sub.add_parser("irreducibles", help="monic irreducibles of degree d")
+
+def _irreducibles_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("d", type=int)
     p.add_argument("--exclude-z", action="store_true")
     _add_options(p)
 
-    p = sub.add_parser("oracle", help="exhaustive-enumeration ground truth")
+
+def _oracle_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("what", choices=["count", "fix", "orbits", "zindex"])
     p.add_argument("expr")
     p.add_argument("n", type=_size)
@@ -95,20 +88,45 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap on each oracle enumeration")
     _add_options(p, formats=("text", "json", "csv"))
 
-    p = sub.add_parser("verify", help="oracle-vs-closed-form identity suite")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-dim", type=_size, default=3)
     _add_options(p)
 
-    p = sub.add_parser("selftest", help="the selftest table: the verify identities at "
-                                        "pinned fields and sizes, with pinned values")
-    _add_options(p, field=False)
 
+# every command once: its name, its help, and the function that adds its arguments
+COMMANDS = [
+    ("gen", "generating series of EXPR", _series_args),
+    ("type", "type generating series of EXPR", _series_args),
+    ("wgen", "weighted generating series of EXPR", _series_args),
+    ("zindex", "cycle index series of EXPR", lambda p: _series_args(p, ("text", "json"))),
+    ("classes", "conjugacy class table of Aut(E_n)", _classes_args),
+    ("irreducibles", "monic irreducibles of degree d", _irreducibles_args),
+    ("oracle", "exhaustive-enumeration ground truth", _oracle_args),
+    ("verify", "oracle-vs-closed-form identity suite", _verify_args),
+    ("selftest", "the selftest table: the verify identities at pinned fields and sizes, "
+                 "with pinned values", lambda p: _add_options(p, field=False)),
+]
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The top-level parser with only the subparser that argv[0] names (building
+    all nine costs more than most small queries), or all nine if it names none."""
+    ap = argparse.ArgumentParser(prog="qspecies",
+                                 description="Exact series of q-species over F_q.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    chosen = [c for c in COMMANDS if c[0] in argv[:1]] or COMMANDS
+    if len(chosen) == 1:
+        # "unrecognized arguments" errors print a usage line listing every command
+        sub.metavar = "{" + ",".join(name for name, _help, _args in COMMANDS) + "}"
+    for name, help_text, add_arguments in chosen:
+        add_arguments(sub.add_parser(name, help=help_text))
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     # exact outputs print integers of any length: Python (3.11+) refuses to
     # convert one of more than 4300 digits to text unless the limit is lifted
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

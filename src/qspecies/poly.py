@@ -140,10 +140,6 @@ class Poly:
         return "+".join(terms)
 
 
-def poly_z(field: FieldSpec) -> Poly:
-    return Poly(field, (0, 1))
-
-
 def poly_z_minus(field: FieldSpec, lam: int) -> Poly:
     """The linear polynomial z - lam."""
     return Poly.make(field, (field.neg(lam), 1))

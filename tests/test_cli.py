@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -345,12 +346,17 @@ def test_oracle_zindex_has_no_csv(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_python_dash_m_runs_the_cli():
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this qspecies."""
     src = str(Path(qspecies.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
     out = subprocess.run([sys.executable, "-m", "qspecies", "gen", "Elem", "--order", "2"],
-                         env=env, capture_output=True, text=True)
+                         env=_src_env(), capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip()
 
@@ -374,3 +380,111 @@ def test_orbit_count_outputs_are_pinned(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The whole surface of the parser, pinned by the sha256 of (exit code, stdout,
+# stderr): the help of the top level and of every command, and its usage errors.
+# "verify --order 2" and "selftest --q 3" are errors of the top-level parser,
+# whose usage line lists every command.
+SURFACE = [
+    (["--help"],
+     "072e5b86cf5c37e6e54e70fb8a6969e9fa364f8ec0272878245f3f7638392fad"),
+    ([],
+     "b9bbd92900f7f57e4b9c287ba34302a1434771cc2c17544972297ab78db0b4db"),
+    (["nosuch"],
+     "3facf94cfe0d39ecafa88a91aa7b9b5cd421ab7dbe918e76ec55343e43ab337f"),
+    (["--q", "3", "gen", "Elem"],
+     "cafd3c1641bfb7aec85498dcf31050c9161231dee9389d8dc592bbebb0a6d598"),
+    (["gen", "--help"],
+     "d92fd99471b1a297b1e8aa7f64f35c38430e8dddc4a6b5be1863a602fb0f881c"),
+    (["type", "--help"],
+     "2457bec0e274ffa2dc0d77fc66f904c2a3721802ec5980474f57f4cac745d1e8"),
+    (["wgen", "--help"],
+     "821f0b7d560a6892a110f8fedf956c149d8449098e035d41250dd16a4b18db57"),
+    (["zindex", "--help"],
+     "74344db6c2a45e9674c3020e2839bfa5f05721361d44a2c7d9178f250ef55d52"),
+    (["classes", "--help"],
+     "a2ee74fcbd707a6b81718c2cdefbb99a16f7cb1a6403408051cc32c4868df2fc"),
+    (["irreducibles", "--help"],
+     "a97e4e95e42511792c4caaed98f18a2f3abd48e94daa470928fd12b9a88e8971"),
+    (["oracle", "--help"],
+     "5f9bf2bff6d425f1f2d0c5d07938f7152b29d05c749c53086842c0be7c6c40e7"),
+    (["verify", "--help"],
+     "3c31d790ba6138071ed7ea2721165b20ff1697d03ecae5a2bd2fd5914f6f1390"),
+    (["selftest", "--help"],
+     "5db8d53bd06a6404ec0e5822f4a3fb285765bd7ad53c987be0a924503baab120"),
+    (["zindex"],
+     "efdcc8df5a4ab1b40064b67e4df08e36893c39296f0b4fc1cf281b3a54ebc785"),
+    (["gen", "Elem", "extra"],
+     "968477042f36a42177fae8d90665167a726a2753d3a555dee59f19849d804289"),
+    (["classes", "2", "--kind", "foo"],
+     "a2a9042ed9131129ca43dc8c27f5756ae2abc57d480e24b5c4412cb788ff5334"),
+    (["gen", "Elem", "--order", "-1"],
+     "5e5f804df637a0cfa9e41ed56a87a1e908ff3fbf5f8e3011c3cd0a09837e4195"),
+    (["verify", "--order", "2"],
+     "05c2a3a11e5443c89aa369f21b42c5c83fc8b5756b8b2a404198c5e4000b806c"),
+    (["selftest", "--q", "3"],
+     "b7ffeb67554f7259518f7adbce888985166a2d748b860ba63fb8137f3ed9f974"),
+]
+
+
+def _outcome(capsys, argv) -> tuple:
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, digest", SURFACE,
+                         ids=[" ".join(a) or "(none)" for a, _d in SURFACE])
+def test_cli_surface_is_pinned(monkeypatch, capsys, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    blob = json.dumps(list(_outcome(capsys, argv)))
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+BUILT = [(["gen", "Elem", "--order", "1"], 1), (["--help"], 9), (["nosuch"], 9),
+         (["verify", "--order", "2"], 1)]
+
+
+@pytest.mark.parametrize("argv, built", BUILT, ids=[" ".join(a) for a, _n in BUILT])
+def test_a_call_builds_only_the_subparser_it_runs(monkeypatch, capsys, argv, built):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    _outcome(capsys, argv)
+    assert len(added) == built
+
+
+def test_importing_the_cli_builds_no_parser():
+    """The parser is built inside each call, so that a timed call pays for it:
+    the import builds none and leaves argparse's locale import to the call."""
+    script = ("import argparse, sys\n"
+              "built = []\n"
+              "init = argparse.ArgumentParser.__init__\n"
+              "argparse.ArgumentParser.__init__ = "
+              "lambda self, *a, **k: (built.append(1), init(self, *a, **k))[1]\n"
+              "import qspecies.cli\n"
+              "print(len(built), 'locale' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "False"]
+
+
+SYS_ARGV = [["gen", "Elem", "--order", "2"], ["verify", "--order", "2"], ["--help"], []]
+
+
+@pytest.mark.parametrize("argv", SYS_ARGV, ids=[" ".join(a) or "(none)" for a in SYS_ARGV])
+def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    given = _outcome(capsys, list(argv))
+    monkeypatch.setattr(sys, "argv", ["qspecies", *argv])
+    assert _outcome(capsys, None) == given

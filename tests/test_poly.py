@@ -10,7 +10,7 @@ import qspecies
 from qspecies import poly
 from qspecies.field import ConsistencyError, field_make
 from qspecies.poly import (Poly, irreducible_count, is_irreducible,
-                           monic_irreducibles, poly_z, poly_z_minus)
+                           monic_irreducibles, poly_z_minus)
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -46,7 +46,7 @@ def test_hash_is_the_value_hash_computed_once(monkeypatch):
 def test_is_irreducible_examples():
     assert is_irreducible(P2(1, 1, 1))          # z^2+z+1
     assert not is_irreducible(P2(1, 0, 1))      # (z+1)^2
-    assert is_irreducible(poly_z(F3))
+    assert is_irreducible(Poly(F3, (0, 1)))     # z
     with pytest.raises(ValueError):
         is_irreducible(P2(1))                    # constant
     with pytest.raises(ValueError):

@@ -3,13 +3,17 @@
 The fixed corpus of the other tests reaches only the rules its expressions
 exercise.  Here ``random.Random(SEED)`` draws expressions of depth <= 3 over
 every builtin, RepCyclic(0..3) and Sub(0..3) included, with +, *, ^k
-(k = 1, 2), plus, E and sym(m) (m = 1, 2, 3).  Each one is checked at F_2
-(n <= 3) and at F_3 and F_4 (n <= 2): ``gen`` against ``structure_count_bf``,
-``type`` against ``orbit_count_bf``, and ``cycle_index`` against
-``zindex_bf`` at n <= 2 (n <= 1 over F_4).  The draws are the same on every
-run, and ``test_the_draws_reach_every_builtin_and_node`` checks that every
-leaf and every node kind reaches the checked series.  F^0 and sym(0, F) are
-One, which would hide their operands; the fixed corpus covers them.
+(k = 1, 2), plus, E and sym(m) (m = 1, 2, 3).  A random draw seldom gives
+one builtin the whole space at the largest checked dimension, where most
+fixed-point faults first show, so each builtin B is also drawn alone, as
+plus(B), and as B*X and X + B with a small random X.  Each expression is
+checked at F_2 (n <= 3) and at F_3 and F_4 (n <= 2): ``gen`` against
+``structure_count_bf``, ``type`` against ``orbit_count_bf``, and
+``cycle_index`` against ``zindex_bf`` at the same n (n <= 1 over F_4).  The
+draws are the same on every run, and
+``test_the_draws_reach_every_builtin_and_node`` checks that every leaf and
+every node kind reaches the checked series.  F^0 and sym(0, F) are One, which
+would hide their operands; the fixed corpus covers them.
 """
 
 import random
@@ -31,7 +35,7 @@ COUNT = 30
 MAX_STRUCTURES = 300
 
 # (field, largest n for gen and type, largest n for the cycle index)
-SIZES = [(field_make(2, 1), 3, 2), (field_make(3, 1), 2, 2), (field_make(2, 2), 2, 1)]
+SIZES = [(field_make(2, 1), 3, 3), (field_make(3, 1), 2, 2), (field_make(2, 2), 2, 1)]
 LEAVES = ([Builtin(name) for name, spec in species.BUILTINS.items() if not spec.needs_arg]
           + [Builtin("Sub", k) for k in range(4)] + [Builtin("RepCyclic", m) for m in range(4)])
 
@@ -52,9 +56,27 @@ def draw(rng: random.Random, depth: int, top: bool = False):
     return Assembly(base, None if op == "E" else rng.randint(1, 3))
 
 
-def small(e) -> bool:
-    return all(gen_series(e, field, top).coeffs[top] * gl_order(field, top) <= MAX_STRUCTURES
+def small(e, cap: int = MAX_STRUCTURES) -> bool:
+    return all(gen_series(e, field, top).coeffs[top] * gl_order(field, top) <= cap
                for field, top, _ in SIZES)
+
+
+def top_draws(rng: random.Random) -> list:
+    """For each builtin B (Sub and RepCyclic with a drawn argument): B and
+    plus(B), and B*X and X + B with a random X that has a structure on E_0, so
+    that B takes the whole space in one term of B*X.  B and plus(B) are kept at
+    any size.  X has at most a tenth of MAX_STRUCTURES, so that B's structures
+    dominate, and a composite at most half: the literal oracle is slow on a
+    split over a large builtin, and End*X and X + End never fit."""
+    out = []
+    for name, spec in species.BUILTINS.items():
+        b = Builtin(name, rng.randint(0, 3) if spec.needs_arg else None)
+        x = draw(rng, 1)
+        while not (gen_series(x, SIZES[0][0], 0).coeffs[0] and small(x, MAX_STRUCTURES // 10)):
+            x = draw(rng, 1)
+        composites = [Product(b, x), Sum(x, b)]
+        out += [b, Plus(b)] + [e for e in composites if small(e, MAX_STRUCTURES // 2)]
+    return out
 
 
 def expressions() -> list:
@@ -64,6 +86,8 @@ def expressions() -> list:
         e = draw(rng, 3, top=True)
         if small(e):
             out.setdefault(render(e), e)
+    for e in top_draws(rng):
+        out.setdefault(render(e), e)
     return list(out.values())
 
 
