@@ -12,14 +12,15 @@ Psi_r (``adams``) is the ring map x_{psi,i} -> prod_phi x_{phi, i*v_phi},
 where psi(z^r) = prod_phi phi^(v_phi): if z^r acts on a module of invariant
 x_{psi,i}, then z acts on F_q[z] tensored with it over F_q[z^r], which is
 F_q[z]/(psi(z^r)^i), with one cyclic primary part F_q[z]/(phi^(i*v_phi)) per
-factor.  With ``exp`` it gives the plethysms of E(F) and sym(m, F).
+factor.  With ``derivative`` and ``exp_of_integral`` it gives the plethysms
+of E(F) and sym(m, F), as for type series (``series.euler_transform``).
 
 The type specialisation substitutes x_{phi,i} -> x^(i*deg phi), i.e. every
 class of dimension n lands on x^n.  The literal substitution x_{phi,i} ->
 x^i stated alongside the definition only recovers the type series when all
 irreducibles involved have degree 1; the degree-weighted exponent is the
 one that makes Burnside's lemma (and hence the type series identity) hold.
-It sends Psi_r to x -> x^r (``PowerSeries.adams``).
+It sends Psi_r to x -> x^r (``CountSeries.adams``).
 """
 
 from __future__ import annotations
@@ -119,24 +120,32 @@ class CycleIndexSeries:
             out[m_r] = out.get(m_r, Fraction(0)) + c
         return CycleIndexSeries(self.field, self.order, out)
 
-    def exp(self) -> "CycleIndexSeries":
-        """exp(A) for A without constant term.  Multiplying each monomial by its
-        degree is a derivation, so the degree-n part of B = exp(A) is
-        B_n = (1/n) sum_k k A_k B_(n-k), with A_k the degree-k part of A."""
-        a = self._by_degree()
-        if 0 in a:
+    def derivative(self) -> "CycleIndexSeries":
+        """D: each monomial times its degree, a derivation."""
+        return CycleIndexSeries._of(self.field, self.order,
+                                    {m: c * m.degree for m, c in self.terms.items() if m.degree})
+
+    def exp_of_integral(self) -> "CycleIndexSeries":
+        """The B with B_0 = 1 and D B = G B for G = self without constant term:
+        exp(A) for the A with D A = G.  So the degree-n part of B is
+        B_n = (1/n) sum_k G_k B_(n-k), with G_k the degree-k part of G."""
+        g = self._by_degree()
+        if 0 in g:
             raise ValueError("exp requires zero constant term")
-        ka = {k: [(m, c * k) for m, c in part] for k, part in a.items()}
         b: list[dict] = [{InvariantData(): Fraction(1)}]
         for n in range(1, self.order + 1):
             pairs: dict[InvariantData, list] = {}
             for k in range(1, n + 1):
-                for m1, c1 in ka.get(k, ()):
+                for m1, c1 in g.get(k, ()):
                     for m2, c2 in b[n - k].items():
                         pairs.setdefault(m1.mul(m2), []).append((c1, c2))
             b.append({m: c / n for m, ps in pairs.items() if (c := _dot(ps))})
         return CycleIndexSeries._of(self.field, self.order,
                                     {m: c for part in b for m, c in part.items()})
+
+    def divide_exactly(self, d: int, what: str) -> "CycleIndexSeries":
+        """self / d; rational coefficients always divide."""
+        return self.scale(Fraction(1, d))
 
     def drop_constant(self) -> "CycleIndexSeries":
         return CycleIndexSeries._of(self.field, self.order,

@@ -1,20 +1,18 @@
 """Truncated formal power series with exact coefficients.
 
-A ``PowerSeries`` has coefficients in one of two rings: exact rationals
-(``Fraction``) or univariate polynomials in the weight variable t over the
-rationals (:class:`TPoly`).  Its products and ``exp`` are over the
-rationals and sum each coefficient with one ``_dot``; they serve the type
-series.  A generating series sum f_n x^n / gamma_n, gamma_n = |GL_n(F_q)|,
-is computed as a ``CountSeries`` over its integer counts f_n (a ``TPoly``
-with int coefficients when weighted), and divided by gamma_n once at the
-end.  No floating point anywhere.
+Generating and type series are computed over their integer counts, as a
+``CountSeries``, and returned as a ``PowerSeries``, whose coefficients are
+exact rationals (``Fraction``) or polynomials in the weight variable t over
+the rationals (:class:`TPoly`).  The rational products and ``exp`` of a
+``PowerSeries``, each coefficient summed by one ``_dot``, are the independent
+reference routes of ``verify`` and the tests.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import starmap
-from math import comb, gcd
+from math import gcd
 from operator import mul
 
 from .field import power, require
@@ -171,10 +169,6 @@ def ring_zero(ring: str):
     return Fraction(0) if ring == RATIONAL else TPoly()
 
 
-def ring_one(ring: str):
-    return Fraction(1) if ring == RATIONAL else TPoly.const(1)
-
-
 def coeff_str(c) -> str:
     return _frac_str(c) if isinstance(c, Fraction) else str(c)
 
@@ -195,16 +189,6 @@ class PowerSeries:
     @staticmethod
     def zero(ring: str, order: int) -> "PowerSeries":
         return PowerSeries(ring, order, [ring_zero(ring)] * (order + 1))
-
-    @staticmethod
-    def one(ring: str, order: int) -> "PowerSeries":
-        return PowerSeries(ring, order, [ring_one(ring)] + [ring_zero(ring)] * order)
-
-    @staticmethod
-    def from_coeffs(ring: str, order: int, coeffs) -> "PowerSeries":
-        cs = list(coeffs)[:order + 1]
-        cs += [ring_zero(ring)] * (order + 1 - len(cs))
-        return PowerSeries(ring, order, cs)
 
     def _compat(self, other: "PowerSeries") -> None:
         if self.ring != other.ring:
@@ -232,12 +216,6 @@ class PowerSeries:
 
     def scale(self, c) -> "PowerSeries":
         return PowerSeries(self.ring, self.order, [a * c for a in self.coeffs])
-
-    def drop_constant(self) -> "PowerSeries":
-        return PowerSeries(self.ring, self.order, (ring_zero(self.ring),) + self.coeffs[1:])
-
-    def __pow__(self, e: int) -> "PowerSeries":
-        return power(self, e, PowerSeries.one(self.ring, self.order))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PowerSeries)
@@ -327,19 +305,27 @@ def _exact_quotient(x, d: int, what: str):
 
 
 class CountSeries:
-    """sum f_n x^n / gamma_n over F_q, truncated at order, held by its counts
-    f_n: Goldman and Rota's Eulerian generating functions.  A count is an int,
-    or a TPoly of ints for weighted counts, with ``unit`` the count 1.  Each
-    product is a convolution with the integer weights ``eulerian_binomials``,
-    so no count is ever a fraction."""
+    """A series truncated at order and held by its counts f_n: over F_q,
+    sum f_n x^n / gamma_n (Goldman and Rota's Eulerian generating functions),
+    gamma_n = |GL_n(F_q)|; for q = None, the type series sum f_n x^n.  A count
+    is an int, or a TPoly of ints for weighted counts, with ``unit`` the count
+    1.  Each product is a convolution with integer weights c(n, k), so no
+    count is ever a fraction.  D = x d/dx multiplies f_n by n and is a
+    derivation, so exp(a) solves D b = (D a) b."""
 
     __slots__ = ("q", "order", "unit", "counts")
 
-    def __init__(self, q: int, order: int, unit, counts):
+    def __init__(self, q: int | None, order: int, unit, counts):
         self.q, self.order, self.unit, self.counts = q, order, unit, list(counts)
 
     def _of(self, counts) -> "CountSeries":
         return CountSeries(self.q, self.order, self.unit, counts)
+
+    def _weights(self):
+        """``eulerian_binomials``; for a type series, one row of ones for every n."""
+        if self.q is None:
+            return ((1,) * (self.order + 1),) * (self.order + 1)
+        return eulerian_binomials(self.q, self.order)
 
     def __add__(self, other: "CountSeries") -> "CountSeries":
         return self._of(a + b for a, b in zip(self.counts, other.counts))
@@ -352,7 +338,7 @@ class CountSeries:
 
     def __mul__(self, other: "CountSeries") -> "CountSeries":
         """(fg)_n = sum_k c(n, k) f_k g_(n-k)."""
-        c, a, b = eulerian_binomials(self.q, self.order), self.counts, other.counts
+        c, a, b = self._weights(), self.counts, other.counts
         nonzero = [k for k, x in enumerate(a) if x]
         return self._of(self._dot((c[n][k] * a[k], b[n - k]) for k in nonzero
                                   if k <= n and b[n - k])
@@ -370,55 +356,63 @@ class CountSeries:
     def divide_exactly(self, d: int, what: str) -> "CountSeries":
         return self._of(_exact_quotient(x, d, what) for x in self.counts)
 
-    def exp(self) -> "CountSeries":
-        """exp(a) for a with zero constant term.  x d/dx is a derivation that
-        multiplies x^n / gamma_n by n, so b = exp(a) has
-        n b_n = sum_k k c(n, k) a_k b_(n-k); each division by n is checked exact."""
-        a = self.counts
-        if a[0]:
+    def derivative(self) -> "CountSeries":
+        """D = x d/dx: the count of degree n times n."""
+        return self._of(x * n for n, x in enumerate(self.counts))
+
+    def adams(self, r: int) -> "CountSeries":
+        """f(x^r), the image of Psi_r on a type series."""
+        if self.q is not None:
+            raise ValueError("Adams operations act on type series")
+        out = [self.unit * 0] * (self.order + 1)
+        out[::r] = self.counts[:self.order // r + 1]
+        return self._of(out)
+
+    def exp_of_integral(self) -> "CountSeries":
+        """The b with b_0 = 1 and D b = self * b, for self without constant term:
+        exp(a) for the a with D a = self.  So n b_n = sum_k c(n, k) self_k b_(n-k),
+        and each division by n is checked exact."""
+        if self.counts[0]:
             raise ValueError("exp requires zero constant term")
-        c = eulerian_binomials(self.q, self.order)
-        ka = [(k, x * k) for k, x in enumerate(a) if x]
+        c = self._weights()
+        nonzero = [(k, x) for k, x in enumerate(self.counts) if x]
         b = [self.unit]
         for n in range(1, self.order + 1):
             row = c[n]
-            total = self._dot((row[k] * x, b[n - k]) for k, x in ka if k <= n)
+            total = self._dot((row[k] * x, b[n - k]) for k, x in nonzero if k <= n)
             b.append(_exact_quotient(total, n, f"exp at n={n}"))
         return self._of(b)
 
 
-def binomial_inverse_power(order: int, period: int, exponent: int) -> PowerSeries:
-    """1/(1 - x^period)^exponent truncated; exponent >= 0."""
-    coeffs = [Fraction(0)] * (order + 1)
-    for k in range(order // period + 1):
-        coeffs[k * period] = Fraction(comb(exponent + k - 1, k) if k else 1)
-    return PowerSeries(RATIONAL, order, coeffs)
+def euler_transform(f):
+    """exp(sum_r Psi_r(f)/r) for f without constant term: a type series
+    (``CountSeries``) or a cycle index.  D Psi_r = r Psi_r D, so this is the b
+    with D b = G b for G = sum_r Psi_r(D f), which needs no division by r."""
+    g = f.derivative()
+    return sum((g.adams(r) for r in range(2, f.order + 1)), g).exp_of_integral()
 
 
 def euler_product(exponents: dict[int, int], order: int) -> PowerSeries:
-    """prod_{m>=1} 1/(1-x^m)^{a_m} truncated; a_m >= 0 integers."""
-    out = PowerSeries.one(RATIONAL, order)
-    for m, a in sorted(exponents.items()):
-        if m < 1:
-            raise ValueError("euler product indices start at 1")
-        if a < 0:
-            raise ValueError("euler product exponents must be >= 0")
-        if m > order or a == 0:
-            continue
-        # the sparse factor on the left: the product walks its nonzero terms
-        out = binomial_inverse_power(order, m, a) * out
-    return out
+    """prod_{m>=1} 1/(1-x^m)^{a_m} truncated, with int coefficients; a_m >= 0
+    integers.  It is the Euler transform of sum_m a_m x^m."""
+    counts = [0] * (order + 1)
+    for m, a in exponents.items():
+        if m < 1 or a < 0:
+            raise ValueError("euler product needs indices >= 1 and exponents >= 0")
+        if m <= order:
+            counts[m] = a
+    product = euler_transform(CountSeries(None, order, 1, counts))
+    return PowerSeries(RATIONAL, order, product.counts)
 
 
 def aut_type_product(q: int, order: int) -> PowerSeries:
-    """prod_{r>=1} (1-x^r)/(1-q x^r) truncated; counts conjugacy classes of GL_n(F_q).
-    Each factor is (1 - x^r) times the geometric series sum_k q^k x^(rk)."""
-    out = PowerSeries.one(RATIONAL, order)
+    """prod_{r>=1} (1-x^r)/(1-q x^r) truncated, with int coefficients; counts
+    conjugacy classes of GL_n(F_q).  Each factor multiplies by 1 - x^r, then
+    divides by 1 - q x^r, in place."""
+    out = [1] + [0] * order
     for r in range(1, order + 1):
-        num = [Fraction(0)] * (order + 1)
-        num[0], num[r] = Fraction(1), Fraction(-1)
-        geometric = [Fraction(0)] * (order + 1)
-        for k in range(order // r + 1):
-            geometric[k * r] = Fraction(q**k)
-        out = out * PowerSeries(RATIONAL, order, num) * PowerSeries(RATIONAL, order, geometric)
-    return out
+        for n in range(order, r - 1, -1):
+            out[n] -= out[n - r]
+        for n in range(r, order + 1):
+            out[n] += q * out[n - r]
+    return PowerSeries(RATIONAL, order, out)

@@ -3,9 +3,9 @@
 A species expression is a small immutable AST.  The generating, type and
 cycle index series are one fold over it, ``_fold``: F+G adds, FG multiplies,
 F^n is a power and plus(F) drops the constant term.  Each series supplies only
-its leaves (builtins, assemblies and mark).  The generating series folds over
-the integer counts f_n (``series.CountSeries``) and divides by gamma_n once
-at the end.  An ``Assembly`` structure is an
+its leaves (builtins, assemblies and mark).  The generating and type series
+fold over integer counts (``series.CountSeries``): the structures f_n, divided
+by gamma_n once at the end, and the orbits.  An ``Assembly`` structure is an
 unordered direct-sum decomposition into nonzero parts with an F-structure on
 each part: any number of parts for E(F), exactly m for sym(m, F).
 
@@ -20,12 +20,13 @@ from factors of its primary parts memoised per part: its eigenvalue-1 part for
 Elem and Bases, its commutant for End, its centralizer for Aut, Birkhoff's
 count of submodules per primary part for Sub(k) and Proj = Sub(1), and the
 commutant's g with g^m = 1 for RepCyclic(m).  Only the cycle index walks the
-classes.  RepCyclic(m)'s generating series is a product over the phi dividing
-z^m - 1 (``_rep_cyclic_gen``).
+classes.  RepCyclic(m)'s counts are a product of class sizes over the phi
+dividing z^m - 1 (``_rep_cyclic_counts``).
 
 Both assemblies are one plethysm rule, ``_plethysm``, applied to F's cycle
-index or to F's type series: E(F) is exp(sum_r Psi_r(F)/r), and sym(m, F) is
-h_m from Newton's identity m h_m = sum_(r <= m) Psi_r(F) h_(m-r).  The type
+index or to F's type series: E(F) is exp(sum_r Psi_r(F)/r), the Euler
+transform, and sym(m, F) is h_m from Newton's identity
+m h_m = sum_(r <= m) Psi_r(F) h_(m-r).  The type
 specialisation sends the Adams operation Psi_r to x -> x^r, so the type
 series never builds a cycle index.  Nothing here uses the oracle; the only
 enumeration is RepCyclic(m)'s cycle index, of the commutant of each
@@ -50,7 +51,8 @@ from .linalg import (DEFAULT_BUDGET, BudgetExceededError, Matrix, block_diagonal
                      commutant_basis, companion_matrix, gaussian_binomial, gl_order, gl_orders,
                      q_int, qbinomial, require)
 from .poly import Poly, irreducible_count, poly_z_minus
-from .series import POLY_T, RATIONAL, CountSeries, PowerSeries, TPoly, euler_product
+from .series import (POLY_T, RATIONAL, CountSeries, PowerSeries, TPoly, _exact_quotient,
+                     euler_product, euler_transform)
 from .cycleindex import CycleIndexSeries, _factor_at_power, z_build, z_one
 
 
@@ -112,15 +114,23 @@ class Mark(SpeciesExpr):
 # -- builtin semantics --------------------------------------------------------
 
 def _rep_cyclic_counts(field, order, m) -> tuple[int, ...]:
-    """Automorphisms g with g^m = 1 in each dimension n <= order: gamma_n times
-    the x^n coefficient of one ``_rep_cyclic_gen``, checked to be an integer."""
-    out = []
-    for n, (c, gamma) in enumerate(zip(_rep_cyclic_gen(field, order, m).coeffs,
-                                       gl_orders(field, order))):
-        c *= gamma
-        require(c.denominator == 1, f"RepCyclic({m}) count {c} at n={n} is not an integer")
-        out.append(c.numerator)
-    return tuple(out)
+    """Automorphisms g with g^m = 1 in each dimension n <= order: for m >= 1 the
+    product, under the Eulerian weights, over the phi dividing z^m - 1 of the
+    sizes gamma_(dk) / c_Q(lam) of the phi-primary classes with lam_1 <= v_phi,
+    k = |lam|, d = deg phi and Q = q^d, each an exact division."""
+    gammas = gl_orders(field, order)
+    if m == 0:
+        return tuple(gammas)
+    out = CountSeries(field.q, order, 1, [1] + [0] * order)
+    for phi, v in _cyclotomic(field, m):
+        d, Q = phi.degree, field.q**phi.degree
+        sizes = [0] * (order + 1)
+        for k in range(order // d + 1):
+            sizes[d * k] = sum(_exact_quotient(gammas[d * k], part_centralizer_order(Q, lam),
+                                               f"RepCyclic({m}) at n={d * k}")
+                               for lam in partitions(k, v))
+        out = CountSeries(field.q, order, 1, sizes) * out
+    return tuple(out.counts)
 
 
 @lru_cache(maxsize=None)
@@ -291,18 +301,18 @@ class BuiltinSpec:
     count: object                  # (field, n, arg) -> |F[E_n]|
     fix: object = None             # (field, c, arg) -> fix F[sigma], sigma in the class c
     needs_arg: bool = False
-    types: object = None           # (field, order, arg) -> the type series
+    types: object = None           # (field, order, arg) -> the type series' CountSeries
     counts: object = None          # (field, order, arg) -> |F[E_n]| for n <= order, in one pass
 
 
 def _types_by_dimension(orbits):
     """``BuiltinSpec.types`` from the number of orbits on F[E_n],
     (field, n, arg) -> int."""
-    return lambda field, order, arg: PowerSeries(
-        RATIONAL, order, [Fraction(orbits(field, n, arg)) for n in range(order + 1)])
+    return lambda field, order, arg: CountSeries(
+        None, order, 1, [orbits(field, n, arg) for n in range(order + 1)])
 
 
-def _class_counts(field: FieldSpec, order: int, m: int | None) -> PowerSeries:
+def _class_counts(field: FieldSpec, order: int, m: int | None) -> CountSeries:
     """The classes of each dimension: of End for m = None, else of the g in GL
     with g^m = 1.  A class is a partition lam_phi for each monic irreducible
     phi, z excluded in GL, and g^m = 1 when lam_phi has no part above v_phi,
@@ -319,7 +329,7 @@ def _class_counts(field: FieldSpec, order: int, m: int | None) -> PowerSeries:
     for d, v, number in bounds:
         for i in range(1, min(v, order // d) + 1):
             exponents[i * d] += number
-    return euler_product(exponents, order)
+    return CountSeries(None, order, 1, euler_product(exponents, order).coeffs)
 
 
 BUILTINS: dict[str, BuiltinSpec] = {
@@ -440,8 +450,8 @@ def gen_series(e: SpeciesExpr, field: FieldSpec, order: int,
 def _gen_counts(e: SpeciesExpr, field: FieldSpec, order: int, ring: str) -> CountSeries:
     """The counts f_n, ints or for ``POLY_T`` TPolys of ints, of an expression
     that has been validated.  Builtins give their closed counts, in one pass
-    for Aut and Bases (gamma_n) and RepCyclic(m) (one ``_rep_cyclic_gen``).
-    Products convolve with ``eulerian_binomials``, E(F) is ``CountSeries.exp``,
+    for Aut and Bases (gamma_n) and RepCyclic(m) (``_rep_cyclic_counts``).
+    Products convolve with ``eulerian_binomials``, E(F) is the exp of f,
     sym(m, F) is F^m / m! and mark(F) multiplies by t; every division is
     checked to be exact."""
     unit = 1 if ring == RATIONAL else TPoly._of({0: 1})
@@ -455,7 +465,7 @@ def _gen_counts(e: SpeciesExpr, field: FieldSpec, order: int, ring: str) -> Coun
         if isinstance(x, Assembly):
             f = _fold(x.base, leaf)
             if x.n is None:
-                return f.exp()
+                return f.derivative().exp_of_integral()
             return (f ** x.n).divide_exactly(factorial(x.n), f"sym({x.n}, F)")
         # the remaining leaf is mark(F)
         if ring != POLY_T:
@@ -479,70 +489,52 @@ def class_fix(e: Builtin, field: FieldSpec, c: ConjClass) -> int:
     return spec.fix(field, c, e.arg) if spec.fix else spec.count(field, c.n, e.arg)
 
 
-def _rep_cyclic_gen(field: FieldSpec, order: int, m: int) -> PowerSeries:
-    """sum_n #{g in GL_n : g^m = 1} x^n / gamma_n, that is sum_c [c^m = 1] / |C(c)|
-    over classes.  The indicator, lam_1 <= v_phi on every part, and the
-    centralizer order are products over parts, so the sum is the product over
-    the phi dividing z^m - 1 of sum_(lam_1 <= v_phi) y^|lam| / c_Q(lam), with
-    y = x^deg phi and Q = q^deg phi.  For m = 0 every g counts: 1 in every
-    dimension."""
-    if m == 0:
-        return PowerSeries(RATIONAL, order, [Fraction(1)] * (order + 1))
-    out = PowerSeries.one(RATIONAL, order)
-    for phi, v in _cyclotomic(field, m):
-        d, Q = phi.degree, field.q**phi.degree
-        factor = [sum((Fraction(1, part_centralizer_order(Q, lam)) for lam in partitions(k, v)),
-                      Fraction(0)) for k in range(order // d + 1)]
-        out = PowerSeries.from_coeffs(RATIONAL, order, factor).adams(d) * out
-    return out
-
-
 # -- plethysm ---------------------------------------------------------------------
 
 def _plethysm(x: Assembly, f, one):
     """E(F) or sym(m, F) from F's cycle index or type series f, whose series 1 is
-    ``one``: exp(sum_r Psi_r(f)/r), or h_m from Newton's identity
-    m h_m = sum_(r <= m) Psi_r(f) h_(m-r), h_0 = 1 (Bergeron-Labelle-Leroux
-    1998; Macdonald, I (2.11)), in m(m+1)/2 products.  Psi_r is ``adams(r)``;
-    the type specialisation is a ring map that sends Psi_r to x -> x^r, so one
-    rule serves both series."""
-    zero = one.scale(0)
+    ``one``: exp(sum_r Psi_r(f)/r) (``euler_transform``), or h_m from Newton's
+    identity m h_m = sum_(r <= m) Psi_r(f) h_(m-r), h_0 = 1 (Bergeron-Labelle-
+    Leroux 1998; Macdonald, I (2.11)), in m(m+1)/2 products.  Psi_r is
+    ``adams(r)``; the type specialisation is a ring map that sends Psi_r to
+    x -> x^r, so one rule serves both series."""
     if x.n is None:
-        return sum((f.adams(r).scale(Fraction(1, r)) for r in range(1, f.order + 1)),
-                   zero).exp()
+        return euler_transform(f)
+    zero = one.scale(0)
     adams = {r: f.adams(r) for r in range(1, x.n + 1)}
     h = [one]
     for m in range(1, x.n + 1):
         h.append(sum((adams[r] * h[m - r] for r in range(1, m + 1)), zero)
-                 .scale(Fraction(1, m)))
+                 .divide_exactly(m, f"sym({x.n}, F)"))
     return h[x.n]
 
 
 # -- type generating series ------------------------------------------------------
 
 def type_series(e: SpeciesExpr, field: FieldSpec, order: int) -> PowerSeries:
-    """The type generating series sum ftilde_n x^n, truncated, over Q.
+    """The type generating series sum ftilde_n x^n, truncated, over its counts.
 
     A builtin's orbits on F[E_n] are its closed ``types``, or its structures
     where GL_n acts trivially.  E(F) and sym(m, F) are ``_plethysm`` of F's
-    type series, each coefficient checked to be a nonnegative integer; the
-    other nodes go through ``_fold``.  No cycle index is built and no class or
+    type series, each count checked to be a nonnegative integer; the other
+    nodes go through ``_fold``.  No cycle index is built and no class or
     structure is enumerated.  An expression that contains ``mark`` raises
     UnsupportedOperationError."""
     _validate_unweighted(e, "type series")
 
-    def leaf(x: SpeciesExpr) -> PowerSeries:
+    def leaf(x: SpeciesExpr) -> CountSeries:
         if isinstance(x, Assembly):
-            types = _plethysm(x, _fold(x.base, leaf), PowerSeries.one(RATIONAL, order))
+            types = _plethysm(x, _fold(x.base, leaf),
+                              CountSeries(None, order, 1, [1] + [0] * order))
             what = "E" if x.n is None else "sym"
-            for n, c in enumerate(types.coeffs):
+            for n, c in enumerate(types.counts):
                 require(c.denominator == 1 and c >= 0,
                         f"{what} type coefficient {c} at n={n} is not a nonnegative integer")
             return types
         spec = BUILTINS[x.name]
         return (spec.types or _types_by_dimension(spec.count))(field, order, x.arg)
 
-    return _fold(e, leaf)
+    return PowerSeries(RATIONAL, order, map(Fraction, _fold(e, leaf).counts))
 
 
 # -- cycle index series -----------------------------------------------------------

@@ -163,7 +163,9 @@ def check_weighted(field: FieldSpec, max_dim: int) -> list[CheckResult]:
 def check_euler_product(field: FieldSpec, order: int,
                         exprs: list[str] = EULER_BASES) -> list[CheckResult]:
     """type[E(F)] against the Euler product of F's type coefficients
-    prod_m 1/(1-x^m)^(f_m) and against exp(sum_r Psi_r(f)/r)."""
+    prod_m 1/(1-x^m)^(f_m), and against exp(sum_r Psi_r(f)/r) over the
+    rationals: the first two share the integral Euler transform, so the third
+    is the independent route."""
     out = []
     for text in exprs:
         f = parse(text)

@@ -1,9 +1,11 @@
-"""Generating series over integer counts (``series.CountSeries``).
+"""Generating and type series over integer counts (``series.CountSeries``).
 
-``gen`` and ``wgen`` fold over the counts f_n and divide by gamma_n once.
-These tests check the convolution weights c(n, k), compare the fold with the
-rational fold it replaced on the seeded random expressions, check that no
-division truncates, and pin the stdout of frontier queries by sha256.
+``gen`` and ``wgen`` fold over the counts f_n and divide by gamma_n once;
+``type`` folds over the orbit counts with the ordinary product.  These tests
+check the convolution weights c(n, k), compare each fold with the rational
+fold it replaced on the seeded random expressions, check that no rational
+product is left on their path and that no division truncates, and pin the
+stdout of frontier queries by sha256.
 """
 
 import contextlib
@@ -21,13 +23,15 @@ import pytest
 
 import qspecies
 from qspecies import linalg, series, species
+from qspecies.classes import part_centralizer_order, partitions
 from qspecies.cli import main
-from qspecies.field import ConsistencyError, field_make
+from qspecies.field import ConsistencyError, field_make, power
 from qspecies.linalg import gaussian_binomial, gl_order, gl_orders
 from qspecies.parser import parse, render
 from qspecies.series import RATIONAL, PowerSeries, eulerian_binomials
 from qspecies.species import (Assembly, Builtin, Mark, Plus, Power, Product, Sum, gen_series,
-                              weighted_gen_series)
+                              type_series, weighted_gen_series)
+from qspecies.verify import CORPUS, EULER_BASES, SPECIALIZED
 
 from test_random_expressions import EXPRESSIONS
 
@@ -74,21 +78,82 @@ def test_gamma_is_built_in_one_pass(monkeypatch, command, e):
     assert orders and len(orders) <= 2 and set(orders) == {60}
 
 
+def rational(order, coeffs):
+    coeffs = list(coeffs)
+    return PowerSeries(RATIONAL, order, coeffs + [Fraction(0)] * (order + 1 - len(coeffs)))
+
+
+def rational_fold(e, leaf):
+    """``species._fold`` over rational PowerSeries, with their products."""
+    if isinstance(e, (Sum, Product)):
+        left, right = rational_fold(e.left, leaf), rational_fold(e.right, leaf)
+        return left + right if isinstance(e, Sum) else left * right
+    if isinstance(e, Power):
+        f = rational_fold(e.base, leaf)
+        return power(f, e.n, rational(f.order, [1]))
+    if isinstance(e, Plus):
+        f = rational_fold(e.base, leaf)
+        return PowerSeries(RATIONAL, f.order, (Fraction(0),) + f.coeffs[1:])
+    return leaf(e)
+
+
+def rational_rep_cyclic(field, order, m):
+    """sum_n #{g in GL_n : g^m = 1} x^n / gamma_n, that is sum_c [c^m = 1] / |C(c)|
+    over classes: the product over the phi dividing z^m - 1 of
+    sum_(lam_1 <= v_phi) y^|lam| / c_Q(lam), with y = x^deg phi and
+    Q = q^deg phi; 1 in every dimension for m = 0."""
+    if m == 0:
+        return rational(order, [1] * (order + 1))
+    out = rational(order, [1])
+    for phi, v in species._cyclotomic(field, m):
+        d, Q = phi.degree, field.q**phi.degree
+        factor = [sum((Fraction(1, part_centralizer_order(Q, lam)) for lam in partitions(k, v)),
+                      Fraction(0)) for k in range(order // d + 1)]
+        out = rational(order, factor).adams(d) * out
+    return out
+
+
 def rational_gen(e, field, order):
     """The rational fold that the count fold replaced: f_n / gamma_n as
     Fractions, with PowerSeries products, powers and exp."""
     def leaf(x):
         if isinstance(x, Builtin):
             if x.name == "RepCyclic":
-                return species._rep_cyclic_gen(field, order, x.arg)
+                return rational_rep_cyclic(field, order, x.arg)
             count = species.BUILTINS[x.name].count
             return PowerSeries(RATIONAL, order, [Fraction(count(field, n, x.arg),
                                                           gl_order(field, n))
                                                  for n in range(order + 1)])
-        f = species._fold(x.base, leaf)
-        return f.exp() if x.n is None else (f ** x.n).scale(Fraction(1, factorial(x.n)))
+        f = rational_fold(x.base, leaf)
+        if x.n is None:
+            return f.exp()
+        return power(f, x.n, rational(order, [1])).scale(Fraction(1, factorial(x.n)))
 
-    return species._fold(e, leaf)
+    return rational_fold(e, leaf)
+
+
+def rational_type(e, field, order):
+    """The rational fold that the count fold replaced: PowerSeries products,
+    E(F) = exp(sum_r Psi_r(F)/r) and Newton's h_m = (1/m) sum_r Psi_r(F) h_(m-r),
+    over the builtins' type series."""
+    def leaf(x):
+        if isinstance(x, Builtin):
+            return type_series(x, field, order)
+        f = rational_fold(x.base, leaf)
+        if x.n is None:
+            total = rational(order, [])
+            for r in range(1, order + 1):
+                total = total + f.adams(r).scale(Fraction(1, r))
+            return total.exp()
+        h = [rational(order, [1])]
+        for m in range(1, x.n + 1):
+            total = rational(order, [])
+            for r in range(1, m + 1):
+                total = total + f.adams(r) * h[m - r]
+            h.append(total.scale(Fraction(1, m)))
+        return h[x.n]
+
+    return rational_fold(e, leaf)
 
 
 def marked(e):
@@ -108,6 +173,28 @@ def marked(e):
 def test_gen_matches_the_rational_fold(e):
     for field in FIELDS:
         assert gen_series(e, field, ORDER) == rational_gen(e, field, ORDER), field.q
+
+
+@pytest.mark.parametrize("e", EXPRESSIONS, ids=render)  # none is marked
+def test_type_matches_the_rational_fold(e):
+    for field in FIELDS:
+        assert type_series(e, field, ORDER) == rational_type(e, field, ORDER), field.q
+
+
+def test_gen_and_type_take_no_rational_product(monkeypatch):
+    # the verify corpus, with the rational kernels refused: gen and type fold
+    # over integer counts alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rational series product")
+    monkeypatch.setattr(series, "_dot", refuse)
+    monkeypatch.setattr(PowerSeries, "__mul__", refuse)
+    monkeypatch.setattr(PowerSeries, "exp", refuse)
+    texts = CORPUS + SPECIALIZED + [f"E({base})" for base in EULER_BASES] + [
+        "sym(3,Proj)", "RepCyclic(2)", "E(plus(RepCyclic(3)))*Sub(2)"]
+    for field in FIELDS:
+        for text in texts:
+            gen_series(parse(text), field, 30)
+            type_series(parse(text), field, 30)
 
 
 @pytest.mark.parametrize("e", EXPRESSIONS, ids=render)
@@ -167,7 +254,8 @@ def test_the_exact_division_check_survives_python_O():
     assert "sym(2, F): a count is not divisible by 2" in out.stderr
 
 
-# sha256 of stdout, as printed before generating series were folded over counts
+# sha256 of stdout, as printed before generating and type series were folded
+# over counts
 FRONTIER = [
     ('gen "E(Vplus)" --order 200',
      "32b860bf1f9c49c8f45024754be48dc51f183f63516ca5e306f5258d0be9bdb9"),
@@ -179,6 +267,20 @@ FRONTIER = [
      "c12c3eaa83bf311504a7701034e2197a6a45818350e9f28e9cf971af7d7939b7"),
     ('wgen "sym(2,mark(Proj))*E(mark(Vplus)+Vplus)" --order 25 --q 3',
      "35ae12108e96580fb3be7a55988a17a07afef4e763df1a9319e2898fc2e4426f"),
+    ('type "E(Vplus)" --order 300',
+     "85ef6bf4d6d245a7b1012eb995d85f86747af3a88223bf9adb872fae3488bb32"),
+    ('type "sym(45,Vplus)" --order 50',
+     "f4006ea3fe885265075301421ddddc1b29f4d78c2fd52867d6239b72e6a9e1fe"),
+    ('type "sym(3,Sub(2))*E(Proj)" --order 40 --q 3',
+     "0577852262cd9e8c25798a057a4688e2cc57a6f5c5e0f613bdfbf1cc27831dda"),
+    ('type "E(plus(RepCyclic(2)))" --order 40 --q 5',
+     "eaf599625b321871ad6a3d0bd86472dc531c5952afd0110ada210599278efc6c"),
+    ('type Aut --order 40 --q 2 --ext-k 2',
+     "417ace1bc195bb02f344a7df91d51ca868f216d7e7cb3f9947678d0e27f4d561"),
+    ('gen "RepCyclic(12)" --order 20',
+     "94bd66f6da345c0e79d5cd48d5cc0a2a87f2b273a3be276c62741087ac46350b"),
+    ('gen "RepCyclic(8)" --order 12 --q 3',
+     "7b9a0a0c10d0eb1a9507403036678b2e480969b94d5acb204ac798da9abf719e"),
 ]
 
 

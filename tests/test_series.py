@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +10,8 @@ from qspecies.cycleindex import z_one
 from qspecies.field import field_make
 from qspecies.linalg import Matrix
 from qspecies.poly import Poly
-from qspecies.series import (POLY_T, RATIONAL, PowerSeries, TPoly, _dot,
-                             aut_type_product, binomial_inverse_power,
-                             euler_product, ring_one, ring_zero)
+from qspecies.series import (POLY_T, RATIONAL, CountSeries, PowerSeries, TPoly, _dot,
+                             aut_type_product, euler_product, ring_zero)
 from qspecies.species import Builtin, cycle_index
 
 ORDER = 6
@@ -23,8 +22,14 @@ fractions = st.builds(
     st.integers(min_value=1, max_value=8),
 )
 rational_series = st.lists(fractions, min_size=ORDER + 1, max_size=ORDER + 1).map(
-    lambda cs: PowerSeries.from_coeffs(RATIONAL, ORDER, cs)
+    lambda cs: PowerSeries(RATIONAL, ORDER, cs)
 )
+
+
+def rational(order, coeffs):
+    """The rational series with these leading coefficients, zero above them."""
+    coeffs = list(coeffs)
+    return PowerSeries(RATIONAL, order, coeffs + [Fraction(0)] * (order + 1 - len(coeffs)))
 
 
 # ---------------------------------------------------------------- TPoly
@@ -73,8 +78,8 @@ def powered():
     return [
         (Matrix.make(F3, [(1, 2), (0, 1)]), Matrix.identity(F3, 2)),
         (Poly.make(F3, [1, 2, 1]), Poly.make(F3, [1])),
-        (PowerSeries.from_coeffs(RATIONAL, ORDER, [1, 2, Fraction(1, 3)]),
-         PowerSeries.one(RATIONAL, ORDER)),
+        (CountSeries(3, ORDER, 1, [1, 2, 5] + [0] * (ORDER - 2)),
+         CountSeries(3, ORDER, 1, [1] + [0] * ORDER)),
         (cycle_index(Builtin("Elem"), F3, 3), z_one(F3, 3)),
     ]
 
@@ -94,7 +99,10 @@ def test_power_makes_only_the_needed_products(monkeypatch, e, products):
 
         with monkeypatch.context() as patch:
             patch.setattr(cls, "__mul__", counted)
-            assert x**e == expected, cls
+            got = x**e
+        if cls is CountSeries:  # a series of counts is compared by its counts
+            got, expected = got.counts, expected.counts
+        assert got == expected, cls
         assert count[0] == products, cls
 
 
@@ -120,7 +128,7 @@ def test_ring_axioms(a, b, c):
 @given(rational_series)
 @settings(max_examples=40, deadline=None)
 def test_identities(a):
-    one = PowerSeries.one(RATIONAL, ORDER)
+    one = rational(ORDER, [1])
     zero = PowerSeries.zero(RATIONAL, ORDER)
     assert a * one == a
     assert a + zero == a
@@ -129,56 +137,88 @@ def test_identities(a):
 @given(rational_series, rational_series)
 @settings(max_examples=40, deadline=None)
 def test_exp_is_homomorphism(a, b):
-    f = PowerSeries.from_coeffs(RATIONAL, ORDER, [Fraction(0)] + list(a.coeffs[1:]))
-    g = PowerSeries.from_coeffs(RATIONAL, ORDER, [Fraction(0)] + list(b.coeffs[1:]))
+    f = PowerSeries(RATIONAL, ORDER, [Fraction(0)] + list(a.coeffs[1:]))
+    g = PowerSeries(RATIONAL, ORDER, [Fraction(0)] + list(b.coeffs[1:]))
     assert (f + g).exp() == f.exp() * g.exp()
 
 
 def test_exp_of_x():
-    x = PowerSeries.from_coeffs(RATIONAL, 5, [0, 1, 0, 0, 0, 0])
+    x = rational(5, [0, 1])
     assert x.exp().coeffs == tuple(Fraction(1, factorial(n)) for n in range(6))
     with pytest.raises(ValueError):
-        PowerSeries.one(RATIONAL, 3).exp()
+        rational(3, [1]).exp()
 
 
 def test_binomial_inverse_power():
-    # 1/(1-x^2)^2 = 1 + 2x^2 + 3x^4 + ...
-    assert binomial_inverse_power(5, 2, 2).coeffs == (1, 0, 2, 0, 3, 0)
-    assert binomial_inverse_power(4, 3, 0).coeffs == (1, 0, 0, 0, 0)
+    # one Euler factor: 1/(1-x^2)^2 = 1 + 2x^2 + 3x^4 + ...
+    assert euler_product({2: 2}, 5).coeffs == (1, 0, 2, 0, 3, 0)
+    assert euler_product({3: 0}, 4).coeffs == (1, 0, 0, 0, 0)
 
 
 def test_adams():
-    f = PowerSeries.from_coeffs(RATIONAL, 4, [1, 2, 3, 0, 0])
+    f = rational(4, [1, 2, 3])
     assert f.adams(2).coeffs == (1, 0, 2, 0, 3)
+    counts = CountSeries(None, 4, 1, [1, 2, 3, 0, 0])
+    assert counts.adams(2).counts == [1, 0, 2, 0, 3]
+    assert counts.adams(5).counts == [1, 0, 0, 0, 0]
+    with pytest.raises(ValueError, match="type series"):
+        CountSeries(2, 4, 1, [1, 2, 3, 0, 0]).adams(2)
 
 
 def test_euler_product_partition_numbers():
     # prod 1/(1-x^n) generates partition numbers
     exps = {n: 1 for n in range(1, 9)}
     assert euler_product(exps, 8).coeffs == (1, 1, 2, 3, 5, 7, 11, 15, 22)
+    for bad in ({0: 1}, {1: -1}):
+        with pytest.raises(ValueError):
+            euler_product(bad, 4)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_euler_product_is_the_rational_product(seed):
+    # the integral Euler transform against the product of the factors
+    # 1/(1-x^m)^a = sum_k C(a+k-1, k) x^(mk) over the rationals
+    rng = random.Random(seed)
+    order = 14
+    exponents = {m: rng.randint(0, 4) for m in range(1, order + 3) if rng.random() < 0.6}
+    want = rational(order, [1])
+    for m, a in exponents.items():
+        factor = [0] * (order + 1)
+        for j in range(order // m + 1):
+            factor[j * m] = comb(a + j - 1, j) if j else 1
+        want = want * rational(order, factor)
+    assert euler_product(exponents, order) == want
 
 
 def test_aut_type_product_values():
     assert aut_type_product(2, 3).coeffs == (1, 1, 3, 6)
     assert aut_type_product(3, 2).coeffs == (1, 2, 8)
+    # the int recurrence against the rational product of its factors
+    for q in (2, 3, 4):
+        want = rational(10, [1])
+        for r in range(1, 11):
+            want = want * rational(10, [-1 if k == r else int(k == 0) for k in range(11)])
+            want = want * rational(10, [q ** (k // r) if k % r == 0 else 0
+                                        for k in range(11)])
+        assert aut_type_product(q, 10) == want, q
 
 
 def test_weighted_series_and_subs_t():
     t = TPoly.t()
-    f = PowerSeries.from_coeffs(POLY_T, 1, [TPoly.const(1), t + 1])
+    f = PowerSeries(POLY_T, 1, [TPoly.const(1), t + 1])
     g = f.subs_t(1)
     assert g.ring == RATIONAL and g.coeffs == (1, 2)
 
 
 def test_order_mismatch_rejected():
-    a = PowerSeries.one(RATIONAL, 3)
-    b = PowerSeries.one(RATIONAL, 4)
+    a = PowerSeries.zero(RATIONAL, 3)
+    b = PowerSeries.zero(RATIONAL, 4)
     with pytest.raises(ValueError):
         a + b
 
 
 def test_to_json():
-    f = PowerSeries.from_coeffs(RATIONAL, 2, [1, Fraction(2, 3), 0])
+    f = rational(2, [1, Fraction(2, 3)])
     assert f.to_json() == [
         {"n": 0, "coeff": "1"},
         {"n": 1, "coeff": "2/3"},
@@ -223,7 +263,7 @@ def loop_mul(a, b):
 
 def loop_exp(a):
     n = a.order
-    out = [ring_one(a.ring)] + [ring_zero(a.ring)] * n
+    out = [Fraction(1)] + [ring_zero(a.ring)] * n
     for m in range(1, n + 1):
         s = ring_zero(a.ring)
         for k in range(1, m + 1):
@@ -315,7 +355,7 @@ def test_series_kernel_matches_the_loop(ring, name, kernel, loop, constant):
 
 def test_weighted_series_have_no_products():
     # a weighted series is multiplied over its counts (CountSeries), not here
-    f = PowerSeries.from_coeffs(POLY_T, 2, [TPoly(), TPoly.t()])
-    for op in (lambda: f * f, lambda: f.exp(), lambda: f**2):
+    f = PowerSeries(POLY_T, 2, [TPoly(), TPoly.t(), TPoly()])
+    for op in (lambda: f * f, lambda: f.exp()):
         with pytest.raises(ValueError, match="over the rationals"):
             op()
