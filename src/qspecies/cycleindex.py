@@ -112,12 +112,21 @@ class CycleIndexSeries:
             raise ValueError("Adams operations are indexed by r >= 1")
         out: dict[InvariantData, Fraction] = {}
         for m, c in self.terms.items():
-            if m.degree * r > self.order:
-                continue
-            m_r = InvariantData.of((phi, tuple(i * v for i in lam))
-                                   for psi, lam in m.partitions
-                                   for phi, v in _factor_at_power(psi, r))
-            out[m_r] = out.get(m_r, Fraction(0)) + c
+            if m.degree * r <= self.order:
+                m_r = _adams_monomial(m, r)
+                out[m_r] = out.get(m_r, Fraction(0)) + c
+        return CycleIndexSeries(self.field, self.order, out)
+
+    def adams_sum(self) -> "CycleIndexSeries":
+        """sum_(r >= 1) Psi_r(self), truncated, in one dict: Psi_r reads only the
+        terms of degree <= order // r."""
+        by_degree = self._by_degree()
+        out = dict(self.terms)
+        for r in range(2, self.order + 1):
+            for d in range(self.order // r + 1):
+                for m, c in by_degree.get(d, ()):
+                    m_r = _adams_monomial(m, r)
+                    out[m_r] = out[m_r] + c if m_r in out else c
         return CycleIndexSeries(self.field, self.order, out)
 
     def derivative(self) -> "CycleIndexSeries":
@@ -185,6 +194,13 @@ class CycleIndexSeries:
 
     def __str__(self) -> str:
         return " + ".join(self.render_lines()) if self.terms else "0"
+
+
+def _adams_monomial(m: InvariantData, r: int) -> InvariantData:
+    """Psi_r of one monomial: each part i of lambda_psi becomes a part i*v_phi of
+    lambda_phi, for psi(z^r) = prod phi^(v_phi)."""
+    return InvariantData.of((phi, tuple(i * v for i in lam)) for psi, lam in m.partitions
+                            for phi, v in _factor_at_power(psi, r))
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ of matrices, subspaces and ordered direct-sum decompositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, groupby, product
 from operator import xor
 from typing import Callable, Iterator
@@ -361,8 +361,28 @@ class Matrix:
         and a function that builds the chart of A on W, its restriction to W in
         the RREF bases of W and A(W): column b holds the pivot entries of the
         image of basis row b.  The images are reduced as rows, packed over
-        F_(2^k), with no Matrix built; the chart is built only when asked."""
+        F_(2^k), with no Matrix built; the chart is built only when asked.  A
+        line needs no elimination: its RREF basis is its image v scaled by the
+        inverse of v's leading entry x, and its chart is the 1 x 1 matrix (x)."""
         F, n = self.field, self.nrows
+        if len(rows) == 1:
+            if F.p == 2:
+                codec = F._rows
+                v = self.packed_image(codec.pack_row(rows[0]))
+                if not v:
+                    return (), partial(Matrix, F, ())
+                k = F.k
+                shift = ((v & -v).bit_length() - 1) // k * k  # of the leading entry
+                x = v >> shift & (1 << k) - 1
+                line = codec.unpack_row(v if x == 1 else codec.scale(F._inv[x], v), n)
+            else:
+                v = self.matvec(rows[0])
+                x = next(filter(None, v), 0)
+                if not x:
+                    return (), partial(Matrix, F, ())
+                times = F._mul[F._inv[x]]
+                line = tuple([times[a] for a in v])
+            return (line,), partial(Matrix, F, ((x,),))
         if F.p == 2:
             codec = F._rows
             images = [self.packed_image(r) for r in codec.pack(rows)]
@@ -659,26 +679,53 @@ def check_matrix_budget(field: FieldSpec, n: int, budget: int) -> None:
         raise BudgetExceededError(f"q^(n^2) = {field.q ** (n * n)} exceeds budget {budget}")
 
 
+# GL_n groups of at most this many elements are kept once walked
+GL_MEMO_LIMIT = 1 << 15
+
+
 def enumerate_matrices(field: FieldSpec, n: int, invertible_only: bool = False,
                        budget: int = DEFAULT_BUDGET) -> Iterator[Matrix]:
     """The n x n matrices over F_q, or those of GL_n, in the product order of
-    their entries row by row.  GL_n is walked row by row: row i takes, in
-    product order, each vector outside the span of rows 0..i-1, so the walk
-    meets only the rank-n matrices and tests none for rank.  Raises
-    BudgetExceededError before yielding anything when q^(n²) exceeds ``budget``."""
+    their entries row by row.  Raises BudgetExceededError before yielding
+    anything when q^(n²) exceeds ``budget``, on every call.  GL_n is walked
+    once per (field, n) and its matrices are kept for the life of the process
+    (``_general_linear_group``), so later walks yield the same Matrix values;
+    a group of more than GL_MEMO_LIMIT elements is walked afresh on each call
+    and kept by nobody."""
     check_matrix_budget(field, n, budget)
+    if not invertible_only:
+        for rows in product(product(range(field.q), repeat=n), repeat=n):
+            yield Matrix(field, rows)
+    elif gl_order(field, n) <= GL_MEMO_LIMIT:
+        yield from _general_linear_group(field, n)
+    else:
+        yield from _walk_general_linear_group(field, n)
+
+
+@lru_cache(maxsize=None)
+def _general_linear_group(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
+    """GL_n as ``_walk_general_linear_group`` yields it, for a group of at most
+    GL_MEMO_LIMIT elements: one tuple per (field, n) met."""
+    return tuple(_walk_general_linear_group(field, n))
+
+
+def _walk_general_linear_group(field: FieldSpec, n: int) -> Iterator[Matrix]:
+    """GL_n walked row by row: row i takes, in product order, each vector outside
+    the span of rows 0..i-1, so the walk meets only the rank-n matrices and
+    tests none for rank.  Each candidate row is packed for ``direct_sum`` once."""
     vectors = list(product(range(field.q), repeat=n))
+    candidates = list(zip(vectors, direct_sum_rows(field, vectors)))
 
     def walk(rows: tuple, span: tuple) -> Iterator[tuple]:
         if len(rows) == n:
             yield rows
             return
-        for v in vectors:
-            joined = direct_sum(field, span, (v,))  # None when v is in the span
+        for v, key in candidates:
+            joined = direct_sum(field, span, (key,))  # None when v is in the span
             if joined is not None:
                 yield from walk(rows + (v,), joined)
 
-    for rows in walk((), ()) if invertible_only else product(vectors, repeat=n):
+    for rows in walk((), ()):
         yield Matrix(field, rows)
 
 
@@ -707,36 +754,47 @@ def enumerate_subspaces(field: FieldSpec, n: int, k: int,
 def enumerate_decompositions(field: FieldSpec, n: int, dims: tuple[int, ...],
                              budget: int = DEFAULT_BUDGET) -> Iterator[tuple[Subspace, ...]]:
     """All ordered tuples (V_1, ..., V_m) of subspaces of the stated dimensions
-    with V_1 + ... + V_m = F_q^n as a direct sum."""
+    with V_1 + ... + V_m = F_q^n as a direct sum.  The subspaces of each
+    dimension are enumerated, and their bases packed, once per call."""
     if sum(dims) != n:
         raise ValueError("dimensions must sum to the ambient dimension")
     if any(d < 0 for d in dims):
         raise ValueError("dimensions must be non-negative")
+    candidates = {d: [(w, direct_sum_rows(field, w.basis))
+                      for w in enumerate_subspaces(field, n, d, budget)] for d in set(dims)}
 
     def rec(idx: int, chosen: tuple[Subspace, ...], span: tuple):
         if idx == len(dims):
             yield chosen
             return
-        for w in enumerate_subspaces(field, n, dims[idx], budget):
-            joined = direct_sum(field, span, w.basis)
+        for w, key in candidates[dims[idx]]:
+            joined = direct_sum(field, span, key)
             if joined is not None:
                 yield from rec(idx + 1, chosen + (w,), joined)
 
     yield from rec(0, (), ())
 
 
+def direct_sum_rows(field: FieldSpec, rows) -> tuple:
+    """Rows of F_q^n as ``direct_sum`` takes them: packed over F_(2^k) (see
+    :class:`_Char2Rows`), else as they are."""
+    return _char2(field).pack(rows) if field.p == 2 else tuple(rows)
+
+
 def direct_sum(field: FieldSpec, span: tuple, basis: tuple) -> tuple | None:
     """U + W when the sum is direct, else None.  ``span`` is U as this function
     returns it, () for U = 0: (pivot, row) pairs of an echelon basis, each row
     1 at its pivot and 0 at the pivots of the rows before it, packed over
-    F_(2^k) with the pivot as a bit offset.  ``basis`` is a basis of W.  Each
-    row of W is reduced against the rows so far; the sum is direct iff none
-    reduces to 0.  No Matrix is built."""
+    F_(2^k) with the pivot as a bit offset.  ``basis`` is a basis of W as
+    ``direct_sum_rows`` gives it: packed rows over F_(2^k), so a caller that
+    tries one candidate W against many spans packs it once.  Each row of W is
+    reduced against the rows so far; the sum is direct iff none reduces to 0.
+    No Matrix is built."""
     span = list(span)
     if field.p == 2:
-        codec, inv, k = _char2(field), field._inv, field.k
+        codec, inv, k = field._rows, field._inv, field.k
         lane = (1 << k) - 1
-        for v in codec.pack(basis):
+        for v in basis:
             for shift, row in span:
                 x = v >> shift & lane
                 if x:

@@ -29,13 +29,13 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product as iproduct
+from itertools import islice, product as iproduct, repeat
 from operator import getitem
 
 from .classes import enumerate_classes
 from .field import FieldSpec
 from .linalg import (BudgetExceededError, DEFAULT_BUDGET, InvariantData, Matrix,
-                     check_matrix_budget, commutant_basis, direct_sum,
+                     check_matrix_budget, commutant_basis, direct_sum, direct_sum_rows,
                      enumerate_decompositions, enumerate_matrices, enumerate_subspaces,
                      gl_order, invariant_data, require)
 from .series import TPoly
@@ -145,7 +145,8 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
     if n == 0:
         return [("mset", ())] if not count else []
     per_dim = {d: _enum(base, field, d, budget) for d in range(1, n + 1)}
-    bases = {d: [w.basis for w in enumerate_subspaces(field, n, d, budget)]
+    bases = {d: [(w.basis, direct_sum_rows(field, w.basis))
+                 for w in enumerate_subspaces(field, n, d, budget)]
              for d in per_dim if per_dim[d]}
 
     out = []
@@ -160,10 +161,10 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
         for d in range(1, n - used + 1):
             if not per_dim[d]:
                 continue
-            for basis in bases[d]:
+            for basis, key in bases[d]:
                 if parts and basis <= parts[-1][0]:
                     continue
-                joined = direct_sum(field, span, basis)
+                joined = direct_sum(field, span, key)
                 if joined is None:
                     continue
                 for s in per_dim[d]:
@@ -196,7 +197,12 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
 # sigma's counting loop, one orbit search over fixed generators, or one
 # public ``transport`` call.  The maps of one acting matrix on a
 # d-dimensional space hold 2 q^d rows, no more than the q^(d²) matrices the
-# oracle has already enumerated there; nothing is kept per structure.
+# oracle has already enumerated there; nothing is kept per structure.  The
+# sigma of the Burnside check come from linalg's walk of GL_n, which is kept
+# for the life of the process per (field, n) when GL_n has at most
+# GL_MEMO_LIMIT elements, and with them what each Matrix caches for its
+# products and images.  The carried commutant bases of ``zindex_bf`` are
+# held for one class's orbit, as the orbit itself is.
 #
 # The screen.  sigma fixes a split only if it maps each part of a "prod" to
 # itself and the parts of an "mset" onto themselves; for an "mset" this is
@@ -214,11 +220,15 @@ def _enum_multiset(base: SpeciesExpr, field: FieldSpec, n: int,
 # fixed structures lie in the commutant C(sigma), on average one matrix per
 # similarity class of M_d.  So _prepare makes the structures a set of flat
 # matrices once per enumeration, and per sigma _commuting counts the members
-# of C(sigma) in it from a basis that one elimination gives
-# (linalg.commutant_basis): as a + b, for a in the span of one half of the
-# basis and b in that of the other, it holds 2 q^(r/2) of the q^r elements of
-# an r-dimensional C(sigma), never all of C(1).  Matrices inside the parts of
-# a split, every other tag, E_0 and the orbit search use transport.
+# of C(sigma) in it from a basis of C(sigma): as a + b, for a in the span of
+# one half of the basis and b in that of the other, it holds 2 q^(r/2) of
+# the q^r elements of an r-dimensional C(sigma), never all of C(1).  The
+# Burnside check takes the basis from one elimination per sigma
+# (linalg.commutant_basis).  ``zindex_bf`` visits sigma along its class's
+# orbit, and C(G sigma G⁻¹) = G C(sigma) G⁻¹, so it carries each basis along
+# the conjugation steps: one elimination per class representative, and one
+# per orbit to check the last member's carried basis.  Matrices inside the
+# parts of a split, every other tag, E_0 and the orbit search use transport.
 
 
 def _row_map(m: Matrix) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -401,12 +411,13 @@ def fix_counts_bf(e: SpeciesExpr, field: FieldSpec, n: int, sigmas: list[Matrix]
     return [_fix_count(sigma, structures) for sigma in sigmas]
 
 
-def _fix_count(sigma: Matrix, prepared: tuple | frozenset) -> int:
+def _fix_count(sigma: Matrix, prepared: tuple | frozenset, basis: list | None = None) -> int:
     """The structures of ``_prepare``'s value fixed by sigma, which nothing
-    checks here: by the commutant count of a set of flat matrices, else by
-    transport of the members of each split that passes the screen."""
+    checks here: by the commutant count of a set of flat matrices, from
+    ``basis`` if the caller has a basis of sigma's commutant, else by transport
+    of the members of each split that passes the screen."""
     if isinstance(prepared, frozenset):
-        return _commuting(sigma, prepared)
+        return _commuting(sigma, prepared, basis or commutant_basis(sigma))
     holders, members = prepared
     a = _Acting(sigma, {})
     kept, count = (1 << len(members)) - 1, 0
@@ -452,11 +463,11 @@ def _flat(field: FieldSpec, entries: tuple) -> tuple | int:
     return int.from_bytes(bytes(entries), "little") if field.p == 2 else entries
 
 
-def _commuting(sigma: Matrix, matrices: frozenset) -> int:
+def _commuting(sigma: Matrix, matrices: frozenset, basis: list) -> int:
     """The members of ``matrices`` that commute with sigma: the sums a + b in it,
-    for a and b in the spans of the two halves of a basis of the commutant."""
+    for a and b in the spans of the two halves of ``basis``, a basis of the
+    commutant with each member flattened row by row."""
     field = sigma.field
-    basis = commutant_basis(sigma)
     half = len(basis) // 2
     lows, highs = (_span(field, part, sigma.nrows ** 2) for part in (basis[:half], basis[half:]))
     if field.p == 2:
@@ -548,27 +559,39 @@ def zindex_bf(e: SpeciesExpr, field: FieldSpec, order: int,
               budget: int = DEFAULT_BUDGET) -> CycleIndexSeries:
     """Cycle index by literal summation over all of Aut(E_n), n <= order: every
     sigma is visited once, along the conjugacy orbit of its class, and its
-    fixed points are counted by transport; its monomial is its class's.  Raises
+    fixed points are counted by transport, or by the commutant count from the
+    basis carried along the orbit; its monomial is its class's.  Raises
     BudgetExceededError when q^(n²) exceeds ``budget``."""
     terms: dict[InvariantData, Fraction] = {}
     for n in range(order + 1):
         structures = _prepare(field, n, enumerate_structures(e, field, n, budget))
         check_matrix_budget(field, n, budget)
-        for c, orbit in _conjugacy_orbits(field, n):
-            fix = sum(_fix_count(sigma, structures) for sigma in orbit)
+        commutants = isinstance(structures, frozenset)
+        for c, orbit, bases in _conjugacy_orbits(field, n, commutants):
+            if commutants:
+                fix = sum(map(_fix_count, orbit, repeat(structures), bases))
+            else:
+                fix = sum(_fix_count(sigma, structures) for sigma in orbit)
             if fix:
                 terms[c.invariant] = Fraction(fix, gl_order(field, n))
     return CycleIndexSeries(field, order, terms)
 
 
-def _conjugacy_orbits(field: FieldSpec, n: int):
+def _conjugacy_orbits(field: FieldSpec, n: int, commutants: bool = False):
     """Each class c of GL_n with its members, the conjugacy orbit of c's
-    representative, found by search along ``_conjugation_steps``.  Checks that
-    each orbit has c.class_size members, that the orbits are disjoint and hold
-    the gamma_n elements of GL_n together, and that ``invariant_data`` gives c's
-    invariant on the representative and on the last member found.  An orbit
-    is closed under conjugation, so two orbits are disjoint iff their least
-    members differ; only the orbit being searched is held."""
+    representative, found by search along ``_conjugation_steps``, and, if
+    ``commutants``, a basis of the commutant of each member (else None).
+    Checks that each orbit has c.class_size members, that the orbits are
+    disjoint and hold the gamma_n elements of GL_n together, and that
+    ``invariant_data`` gives c's invariant on the representative and on the
+    last member found.  An orbit is closed under conjugation, so two orbits
+    are disjoint iff their least members differ; only the orbit being
+    searched is held.
+
+    C(G sigma G⁻¹) = G C(sigma) G⁻¹, and a step maps any flat n² tuple, so
+    each member's basis is its parent's, moved by the step that found the
+    member: ``commutant_basis`` runs on the representative, and once more on
+    the last member found, whose carried basis must span the same space."""
     steps = _conjugation_steps(field, n)
     least: set = set()
     total = 0
@@ -578,12 +601,15 @@ def _conjugacy_orbits(field: FieldSpec, n: int):
                 f"the representative of {c.invariant} has another invariant")
         start = sum(rep.entries, ())
         orbit, members = [start], {start}
-        for cur in orbit:  # grows while it is read: a breadth-first search
+        bases = [commutant_basis(rep)] if commutants else None
+        for at, cur in enumerate(orbit):  # grows while it is read: a breadth-first search
             for step in steps:
                 nxt = step(cur)
                 if nxt not in members:
                     members.add(nxt)
                     orbit.append(nxt)
+                    if bases is not None:
+                        bases.append(list(map(step, bases[at])))
         require(len(orbit) == c.class_size, f"the orbit of {c.invariant} has "
                 f"{len(orbit)} members, not its class size {c.class_size}")
         first = min(orbit)
@@ -595,9 +621,20 @@ def _conjugacy_orbits(field: FieldSpec, n: int):
         if len(matrices) > 1:
             require(invariant_data(matrices[-1]) == c.invariant,
                     f"a conjugate of the representative of {c.invariant} has another invariant")
-        yield c, matrices
+            if bases is not None:
+                require(_same_span(field, bases[-1], commutant_basis(matrices[-1])),
+                        f"a commutant basis carried along the orbit of {c.invariant} "
+                        "spans another space")
+        yield c, matrices, bases
     require(total == gl_order(field, n),
             f"the class orbits hold {total} of the {gl_order(field, n)} elements of GL_{n}")
+
+
+def _same_span(field: FieldSpec, a: list, b: list) -> bool:
+    """Whether two lists of flat vectors are bases of one space: their RREFs,
+    zero rows included, are equal."""
+    return len(a) == len(b) and (not a or Matrix(field, tuple(a)).rref()[0]
+                                 == Matrix(field, tuple(b)).rref()[0])
 
 
 def _conjugation_steps(field: FieldSpec, n: int) -> list:

@@ -368,6 +368,18 @@ class CountSeries:
         out[::r] = self.counts[:self.order // r + 1]
         return self._of(out)
 
+    def adams_sum(self) -> "CountSeries":
+        """sum_(r >= 1) Psi_r(self), truncated: Psi_r adds only its order // r + 1
+        counts, at the multiples of r."""
+        if self.q is not None:
+            raise ValueError("Adams operations act on type series")
+        out = list(self.counts)
+        for r in range(2, self.order + 1):
+            for n, x in enumerate(self.counts[:self.order // r + 1]):
+                if x:
+                    out[n * r] += x
+        return self._of(out)
+
     def exp_of_integral(self) -> "CountSeries":
         """The b with b_0 = 1 and D b = self * b, for self without constant term:
         exp(a) for the a with D a = self.  So n b_n = sum_k c(n, k) self_k b_(n-k),
@@ -388,8 +400,7 @@ def euler_transform(f):
     """exp(sum_r Psi_r(f)/r) for f without constant term: a type series
     (``CountSeries``) or a cycle index.  D Psi_r = r Psi_r D, so this is the b
     with D b = G b for G = sum_r Psi_r(D f), which needs no division by r."""
-    g = f.derivative()
-    return sum((g.adams(r) for r in range(2, f.order + 1)), g).exp_of_integral()
+    return f.derivative().adams_sum().exp_of_integral()
 
 
 def euler_product(exponents: dict[int, int], order: int) -> PowerSeries:

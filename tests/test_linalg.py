@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from itertools import product
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qspecies
+from qspecies import linalg
 from qspecies.field import field_make
 from qspecies.linalg import (BudgetExceededError, Matrix, Subspace,
-                             companion_matrix, direct_sum, enumerate_decompositions,
-                             enumerate_matrices, enumerate_subspaces, gl_order,
-                             invariant_data, mat_poly_eval, qbinomial)
+                             companion_matrix, direct_sum, direct_sum_rows,
+                             enumerate_decompositions, enumerate_matrices, enumerate_subspaces,
+                             gl_order, invariant_data, mat_poly_eval, qbinomial)
 from qspecies.poly import Poly, monic_irreducibles
 
 F2 = field_make(2, 1)
@@ -115,6 +117,25 @@ def test_gl_order_vs_exhaustive():
         next(walk)
 
 
+@pytest.mark.parametrize("field, n", [(F2, 3), (F3, 2), (F4, 2)], ids=["q2", "q3", "q4"])
+def test_gl_walk_is_kept_and_every_call_checks_its_budget(monkeypatch, field, n):
+    # later walks of GL_n yield the first walk's sequence, from its kept tuple
+    first = [g.entries for g in enumerate_matrices(field, n, True)]
+    again = list(enumerate_matrices(field, n, True))
+    assert [g.entries for g in again] == first == list(_rank_filtered(field, n))
+    assert again == list(linalg._general_linear_group(field, n))
+    # with the memo filled, a budget below q^(n²) still raises before a yield
+    cells = field.q ** (n * n)
+    walk = enumerate_matrices(field, n, True, budget=cells - 1)
+    with pytest.raises(BudgetExceededError, match=rf"^q\^\(n\^2\) = {cells} exceeds"):
+        next(walk)
+    # a group above the memo's limit is walked afresh, in the same order
+    monkeypatch.setattr(linalg, "GL_MEMO_LIMIT", 0)
+    fresh = list(enumerate_matrices(field, n, True))
+    assert [g.entries for g in fresh] == first
+    assert all(a is not b for a, b in zip(fresh, again))
+
+
 def test_invariant_data_examples():
     z1 = Poly.make(F2, (1, 1))
     assert invariant_data(Matrix.identity(F2, 2)).partitions == ((z1, (1, 1)),)
@@ -189,11 +210,84 @@ def test_decomposition_counts():
 def test_direct_sum_is_full_rank(field, n):
     subspaces = [w for k in range(n + 1) for w in enumerate_subspaces(field, n, k)]
     for u in subspaces:
-        span = direct_sum(field, (), u.basis)
+        span = direct_sum(field, (), direct_sum_rows(field, u.basis))
         for w in subspaces:
             stacked = Matrix(field, u.basis + w.basis)
             direct = not stacked.entries or stacked.rank() == len(u.basis) + len(w.basis)
-            assert (direct_sum(field, span, w.basis) is not None) == direct
+            assert (direct_sum(field, span, direct_sum_rows(field, w.basis)) is not None) == direct
+
+
+def table_direct_sum(F, span, basis):
+    """direct_sum's reduction on row tuples with the field's checked operations:
+    (pivot, row) pairs, or None when the sum is not direct."""
+    span = list(span)
+    for v in basis:
+        for pivot, row in span:
+            x = v[pivot]
+            if x:
+                v = tuple(F.sub(a, F.mul(x, b)) for a, b in zip(v, row))
+        pivot = next((j for j, x in enumerate(v) if x), None)
+        if pivot is None:
+            return None
+        inv = F.inv(v[pivot])
+        span.append((pivot, tuple(F.mul(inv, x) for x in v)))
+    return tuple(span)
+
+
+@pytest.mark.parametrize("field, top", [(F2, 3), (F4, 2)], ids=["q2", "q4"])
+def test_packed_direct_sum_is_the_table_route(field, top):
+    # over F_(2^k), direct_sum reduces packed rows; unpacked, its echelon rows
+    # are the table route's, pair by pair
+    k = field.k
+
+    def unpacked(span, n):
+        return tuple((shift // k, tuple(r >> k * j & (1 << k) - 1 for j in range(n)))
+                     for shift, r in span)
+
+    for n in range(top + 1):
+        subspaces = [w for d in range(n + 1) for w in enumerate_subspaces(field, n, d)]
+        for u in subspaces:
+            span = direct_sum(field, (), direct_sum_rows(field, u.basis))
+            reference = table_direct_sum(field, (), u.basis)
+            assert unpacked(span, n) == reference
+            for w in subspaces:
+                joined = direct_sum(field, span, direct_sum_rows(field, w.basis))
+                expected = table_direct_sum(field, reference, w.basis)
+                assert (joined is None) == (expected is None)
+                assert joined is None or unpacked(joined, n) == expected
+
+
+def drawn_matrices(field, n, count, rng):
+    """Zero, ``count`` random n x n matrices, and for n > 1 each of them again
+    with its last row a multiple of its first, so of rank below n."""
+    out = [Matrix.zero(field, n, n)]
+    for _ in range(count):
+        rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(n)]
+        out.append(Matrix.make(field, rows))
+        if n > 1:
+            c = rng.randrange(field.q)
+            rows[-1] = [field.mul(c, x) for x in rows[0]]
+            out.append(Matrix.make(field, rows))
+    return out
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=["q2", "q3", "q4"])
+def test_line_restrict_is_a_one_row_elimination(field):
+    # a line's image and chart, without elimination, are those of the one-row
+    # reference elimination, for regular and singular A alike
+    rng = random.Random(7)
+    zero_images = 0
+    for n in range(1, 4):
+        lines = [w.basis for w in enumerate_subspaces(field, n, 1)]
+        for a in drawn_matrices(field, n, 40, rng):
+            for rows in lines:
+                v = ref_matvec(field, a.entries, rows[0])
+                red, pivots = ref_rref(field, (v,))
+                image, build = a.restrict(rows)
+                assert image == red[:len(pivots)]
+                assert build().entries == tuple((v[p],) for p in pivots)
+                zero_images += not pivots
+    assert zero_images
 
 
 def test_subspace_canonical_equality():

@@ -10,7 +10,8 @@ from qspecies import oracle
 from qspecies.classes import ConjClass, enumerate_classes
 from qspecies.cli import main
 from qspecies.field import ConsistencyError, field_make
-from qspecies.linalg import Matrix, Subspace, enumerate_matrices, gl_order, invariant_data
+from qspecies.linalg import (Matrix, Subspace, commutant_basis, enumerate_matrices, gl_order,
+                             invariant_data)
 from qspecies.parser import parse
 from qspecies.cycleindex import z_build
 from qspecies.species import (Assembly, Builtin, Mark, Plus, Power, Product, Sum, class_fix,
@@ -300,9 +301,9 @@ def test_row_maps_once_per_acting_matrix(monkeypatch, text):
         maps[-1].append(g.entries)
         return conjugation_maps(g)
 
-    def counted(sigma, structures):
+    def counted(sigma, structures, *basis):
         maps.append([])
-        return fix_count(sigma, structures)
+        return fix_count(sigma, structures, *basis)
 
     monkeypatch.setattr(oracle, "_conjugation_maps", counted_maps)
     monkeypatch.setattr(oracle, "_fix_count", counted)
@@ -499,10 +500,29 @@ def test_class_orbits_partition_gl_n(field, top):
     # every element of GL_n once, in the orbit of the class of its invariant
     for n in range(top + 1):
         visited = []
-        for c, orbit in oracle._conjugacy_orbits(field, n):
+        for c, orbit, _bases in oracle._conjugacy_orbits(field, n):
             assert all(invariant_data(sigma) == c.invariant for sigma in orbit)
             visited += [sigma.entries for sigma in orbit]
         assert sorted(visited) == sorted(g.entries for g in enumerate_matrices(field, n, True))
+
+
+@pytest.mark.parametrize("field, n", [(F2, 3), (F3, 2), (F4, 2)], ids=["q2", "q3", "q4"])
+def test_carried_commutant_bases_span_the_commutant(field, n):
+    # the basis carried along each orbit step is a basis of sigma's commutant:
+    # independent, as many members as commutant_basis(sigma) has, each
+    # commuting with sigma
+    def matrix(flat):
+        return Matrix(field, tuple(flat[i * n:i * n + n] for i in range(n)))
+
+    seen = 0
+    for _c, orbit, bases in oracle._conjugacy_orbits(field, n, commutants=True):
+        assert len(bases) == len(orbit)
+        for sigma, basis in zip(orbit, bases):
+            assert len(basis) == len(commutant_basis(sigma))
+            assert Matrix(field, tuple(basis)).rank() == len(basis)
+            assert all(sigma * matrix(x) == matrix(x) * sigma for x in basis)
+            seen += 1
+    assert seen == gl_order(field, n)
 
 
 # the stdout of `qspecies oracle zindex EXPR 4`, a literal sum over GL_4(F_2)
